@@ -99,8 +99,7 @@ func main() {
 		iters     = flag.Int("iters", 3, "measured iterations per workload")
 		workloads = flag.String("workloads", "", "comma-separated workload subset (default: TableII bench set)")
 		parallel  = flag.Int("parallel", 1, "concurrent simulations (0 = all CPUs; >1 disables the alloc columns, which are only attributable sequentially)")
-		cacheDir  = flag.String("cache", "", "golden mode only: design-point cache directory (the throughput harness never caches — it must measure real simulation)")
-		whDir     = flag.String("warehouse", "", "golden mode only: indexed warehouse backend instead of a flat -cache dir")
+		whDir     = flag.String("warehouse", "", "golden and surrogate modes only: design-point warehouse directory (the throughput harness never caches — it must measure real simulation)")
 		sample    = flag.Bool("sample", false, "measure interval-sampled simulation (RunSampled) instead of full runs")
 		sampleK   = flag.Int("sample-intervals", 0, "sampling: measurement intervals per run (0 = default)")
 		sampleM   = flag.Uint64("sample-insts", 0, "sampling: measured instructions per interval (0 = default)")
@@ -108,30 +107,22 @@ func main() {
 	)
 	flag.Parse()
 
-	if *cacheDir != "" && *whDir != "" {
-		fmt.Fprintln(os.Stderr, "uopbench: -cache and -warehouse are mutually exclusive backends; pick one")
-		os.Exit(2)
-	}
 	if *golden != "" {
-		if err := writeGolden(*golden, *parallel, *cacheDir, *whDir); err != nil {
+		if err := writeGolden(*golden, *parallel, *whDir); err != nil {
 			fmt.Fprintln(os.Stderr, "uopbench:", err)
 			os.Exit(1)
 		}
 		return
 	}
 	if *surrogate != "" {
-		if *cacheDir != "" {
-			fmt.Fprintln(os.Stderr, "uopbench: -surrogate trains from a warehouse; use -warehouse, not -cache")
-			os.Exit(2)
-		}
 		if err := runSurrogateBench(*surrogate, *parallel, *whDir); err != nil {
 			fmt.Fprintln(os.Stderr, "uopbench:", err)
 			os.Exit(1)
 		}
 		return
 	}
-	if *cacheDir != "" || *whDir != "" {
-		fmt.Fprintln(os.Stderr, "uopbench: -cache/-warehouse only apply to -golden and -surrogate (a cached benchmark would measure disk reads, not the simulator)")
+	if *whDir != "" {
+		fmt.Fprintln(os.Stderr, "uopbench: -warehouse only applies to -golden and -surrogate (a cached benchmark would measure disk reads, not the simulator)")
 		os.Exit(2)
 	}
 
@@ -286,10 +277,10 @@ func run(names []string, warmup, insts uint64, iters, parallel int, sp uopsim.Sa
 
 // writeGolden dumps exact metrics for every scheme x workload point, routed
 // through the shared design-point engine so the dump can run in parallel
-// and, with a cache directory or warehouse, reuse blobs from previous
-// invocations. The point order — and therefore the file — is identical to
-// the historical sequential loop.
-func writeGolden(path string, parallel int, cacheDir, whDir string) error {
+// and, with a warehouse, reuse blobs from previous invocations. The point
+// order — and therefore the file — is identical to the historical
+// sequential loop.
+func writeGolden(path string, parallel int, whDir string) error {
 	var pts []uopsim.DesignPoint
 	for _, name := range uopsim.WorkloadNames() {
 		for _, sc := range uopsim.Schemes(2) {
@@ -311,11 +302,7 @@ func writeGolden(path string, parallel int, cacheDir, whDir string) error {
 		}
 		defer ws.Close()
 	} else {
-		var err error
-		eng, err = uopsim.NewRunEngine(cacheDir, 0)
-		if err != nil {
-			return err
-		}
+		eng = uopsim.NewRunEngine()
 	}
 	params.Engine = eng
 	runs, err := uopsim.RunDesignPoints(params, pts)
@@ -328,7 +315,7 @@ func writeGolden(path string, parallel int, cacheDir, whDir string) error {
 			Workload: pts[i].Workload, Scheme: pts[i].Scheme.Name, Capacity: 2048, Metrics: r.Metrics,
 		})
 	}
-	if cacheDir != "" || whDir != "" {
+	if whDir != "" {
 		fmt.Fprintf(os.Stderr, "[engine: %s]\n", eng.Stats())
 	}
 	return writeJSON(path, gf)

@@ -8,15 +8,13 @@
 //	uopexp -exp fig3 -workloads bm_cc,nutch
 //	uopexp -exp fig3 -cpuprofile cpu.out -memprofile mem.out
 //	uopexp -exp fig3 -metrics snapshots.json
-//	uopexp -exp all -cache .uopcache            # persist design points
-//	uopexp -exp all -cache .uopcache -cache-verify 4
-//	uopexp -exp all -warehouse .uopwh           # indexed warehouse backend
-//	uopexp -exp all -warehouse .uopwh -migrate-from .uopcache
+//	uopexp -exp all -warehouse .uopwh           # persist design points
+//	uopexp -exp all -warehouse .uopwh -cache-verify 4
 //	uopexp -estimate-validate -warehouse .uopwh # surrogate held-out accuracy
 //
 // Every design point is routed through a shared engine that simulates each
 // unique (workload, config, run-length) fingerprint exactly once per
-// invocation, no matter how many tables and figures ask for it; -cache
+// invocation, no matter how many tables and figures ask for it; -warehouse
 // extends the reuse across invocations. Results are bit-identical with the
 // engine on, warm, or off (-dedupe=false). The engine's resolution
 // counters are printed to stderr so stdout stays diffable.
@@ -54,11 +52,9 @@ func run() int {
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		metricsOut = flag.String("metrics", "", "collect every run's full metrics registry snapshot into this JSON file")
 		dedupe     = flag.Bool("dedupe", true, "share design points across experiments through the in-process engine")
-		cacheDir   = flag.String("cache", "", "persist design-point results as fingerprint-named JSON blobs in this directory and reuse them across invocations")
-		cacheVer   = flag.Int("cache-verify", 0, "re-simulate every Nth disk-cached point and fail on any bit-level blob mismatch (0 = off; requires -cache or -warehouse)")
-		whDir      = flag.String("warehouse", "", "persist design points in an indexed warehouse (segment files) at this directory instead of a flat -cache dir; enables feature queries over stored results")
+		cacheVer   = flag.Int("cache-verify", 0, "re-simulate every Nth disk-cached point and fail on any bit-level blob mismatch (0 = off; requires -warehouse)")
+		whDir      = flag.String("warehouse", "", "persist design points in an indexed warehouse (segment files) at this directory and reuse them across invocations; enables feature queries over stored results")
 		whMaxBytes = flag.Int64("warehouse-max-bytes", 0, "evict least-recently-used warehouse records past this byte budget (0 = unbounded; requires -warehouse)")
-		migrateDir = flag.String("migrate-from", "", "import a legacy flat -cache directory into the -warehouse before running (blobs travel verbatim)")
 		sample     = flag.Bool("sample", false, "interval-sample every design point (several-fold cheaper, metrics within the documented error bounds; see EXPERIMENTS.md)")
 		sampleK    = flag.Int("sample-intervals", 0, "sampling: measurement intervals per run (0 = default)")
 		sampleM    = flag.Uint64("sample-insts", 0, "sampling: measured instructions per interval (0 = default)")
@@ -73,20 +69,12 @@ func run() int {
 	)
 	flag.Parse()
 
-	if *cacheDir != "" && *whDir != "" {
-		fmt.Fprintln(os.Stderr, "uopexp: -cache and -warehouse are mutually exclusive backends; pick one (migrate with -warehouse DIR -migrate-from OLDCACHE)")
+	if (*cacheVer > 0 || *whMaxBytes != 0) && *whDir == "" {
+		fmt.Fprintln(os.Stderr, "uopexp: -cache-verify and -warehouse-max-bytes require -warehouse")
 		return 2
 	}
-	if *cacheVer > 0 && *cacheDir == "" && *whDir == "" {
-		fmt.Fprintln(os.Stderr, "uopexp: -cache-verify requires -cache or -warehouse")
-		return 2
-	}
-	if (*cacheDir != "" || *whDir != "") && !*dedupe {
-		fmt.Fprintln(os.Stderr, "uopexp: -cache/-warehouse require the engine (-dedupe=true)")
-		return 2
-	}
-	if (*migrateDir != "" || *whMaxBytes != 0) && *whDir == "" {
-		fmt.Fprintln(os.Stderr, "uopexp: -migrate-from and -warehouse-max-bytes require -warehouse")
+	if *whDir != "" && !*dedupe {
+		fmt.Fprintln(os.Stderr, "uopexp: -warehouse requires the engine (-dedupe=true)")
 		return 2
 	}
 
@@ -151,32 +139,17 @@ func run() int {
 		return runSampleValidate(names, *warmup, *insts, sp, *sampleBnd, *sampleRep)
 	}
 	var wh *uopsim.ResultsWarehouse
-	if *dedupe {
-		if *whDir != "" {
-			eng, ws, err := uopsim.NewWarehouseRunEngine(*whDir, uopsim.WarehouseOptions{MaxBytes: *whMaxBytes}, *cacheVer)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "uopexp:", err)
-				return 1
-			}
-			defer ws.Close()
-			wh = ws
-			if *migrateDir != "" {
-				n, err := ws.ImportDir(*migrateDir)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "uopexp:", err)
-					return 1
-				}
-				fmt.Fprintf(os.Stderr, "[warehouse: imported %d legacy blobs from %s]\n", n, *migrateDir)
-			}
-			params.Engine = eng
-		} else {
-			eng, err := uopsim.NewRunEngine(*cacheDir, *cacheVer)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "uopexp:", err)
-				return 1
-			}
-			params.Engine = eng
+	if *whDir != "" {
+		eng, ws, err := uopsim.NewWarehouseRunEngine(*whDir, uopsim.WarehouseOptions{MaxBytes: *whMaxBytes}, *cacheVer)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "uopexp:", err)
+			return 1
 		}
+		defer ws.Close()
+		wh = ws
+		params.Engine = eng
+	} else if *dedupe {
+		params.Engine = uopsim.NewRunEngine()
 	}
 	// Unlike -sample-validate, this branch sits after engine setup on
 	// purpose: pointing it at the warehouse a cold sweep just filled makes

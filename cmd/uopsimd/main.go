@@ -2,12 +2,11 @@
 // points to /v1/simulate (one JSON result) or /v1/sweep (NDJSON stream in
 // completion order), scrape /metrics, and watch /healthz. Every request is
 // fingerprinted and resolved through one process-wide engine, so
-// concurrent identical requests collapse to a single simulation, and with
-// -cache attached results persist across restarts and are shared with
-// uopexp sweeps pointed at the same directory.
+// concurrent identical requests collapse to a single simulation.
 //
-// With -warehouse the daemon persists results in an indexed segment store
-// instead of a flat blob dir and additionally serves /v1/query: NDJSON rows
+// With -warehouse the daemon persists results in an indexed segment store,
+// so they survive restarts and are shared with uopexp sweeps pointed at the
+// same directory, and additionally serves /v1/query: NDJSON rows
 // of stored results filtered by feature predicates (workload, suite,
 // config.* fields) with selectable metrics — figures can be rendered from
 // data the daemon already holds, without simulating anything. A
@@ -18,8 +17,7 @@
 //
 // Usage:
 //
-//	uopsimd -addr :8077 -workers 4 -cache /var/tmp/uopsim-cache
-//	uopsimd -addr :8077 -warehouse /var/tmp/uopsim-wh -migrate-from /var/tmp/uopsim-cache
+//	uopsimd -addr :8077 -workers 4 -warehouse /var/tmp/uopsim-wh
 //	curl -s localhost:8077/v1/simulate -d '{"workload":"bm_cc","scheme":"clasp"}'
 //	curl -s localhost:8077/v1/estimate -d '{"workload":"bm_cc","scheme":"clasp","capacity":2048}'
 //	curl -s localhost:8077/v1/query -d '{"where":{"workload":"bm_cc"},"metrics":["upc","oc_fetch_ratio"]}'
@@ -55,11 +53,9 @@ func run() error {
 		addr         = flag.String("addr", ":8077", "listen address")
 		workers      = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		queue        = flag.Int("queue", 0, "admission queue depth (0 = 4×workers); a full queue answers 429")
-		cacheDir     = flag.String("cache", "", "result cache directory shared with uopexp (empty = in-memory only)")
-		cacheVerify  = flag.Int("cache-verify", 0, "re-simulate every Nth disk hit and compare (0 = trust blobs)")
-		whDir        = flag.String("warehouse", "", "persist results in an indexed warehouse at this directory (enables /v1/query); mutually exclusive with -cache")
+		cacheVerify  = flag.Int("cache-verify", 0, "re-simulate every Nth disk hit and compare (0 = trust blobs; requires -warehouse)")
+		whDir        = flag.String("warehouse", "", "persist results in an indexed warehouse at this directory, shared with uopexp (empty = in-memory only; enables /v1/query)")
 		whMaxBytes   = flag.Int64("warehouse-max-bytes", 0, "evict least-recently-used warehouse records past this byte budget (0 = unbounded)")
-		migrateDir   = flag.String("migrate-from", "", "import a legacy flat -cache directory into the -warehouse at startup")
 		deadline     = flag.Duration("deadline", 2*time.Minute, "cap on any request's deadline")
 		maxInsts     = flag.Uint64("max-insts", 2_000_000, "cap on warmup+measure per point")
 		maxPoints    = flag.Int("max-points", 1024, "cap on points per /v1/sweep call")
@@ -70,18 +66,15 @@ func run() error {
 	)
 	flag.Parse()
 
-	if *cacheDir != "" && *whDir != "" {
-		return fmt.Errorf("-cache and -warehouse are mutually exclusive backends; pick one (migrate with -warehouse DIR -migrate-from OLDCACHE)")
-	}
-	if (*migrateDir != "" || *whMaxBytes != 0) && *whDir == "" {
-		return fmt.Errorf("-migrate-from and -warehouse-max-bytes require -warehouse")
+	if (*cacheVerify > 0 || *whMaxBytes != 0) && *whDir == "" {
+		return fmt.Errorf("-cache-verify and -warehouse-max-bytes require -warehouse")
 	}
 	var (
 		eng *experiments.Engine
 		ws  *warehouse.Store
-		err error
 	)
 	if *whDir != "" {
+		var err error
 		eng, ws, err = experiments.NewWarehouseEngine(*whDir, warehouse.Options{MaxBytes: *whMaxBytes}, *cacheVerify)
 		if err != nil {
 			return err
@@ -91,18 +84,6 @@ func run() error {
 				log.Printf("uopsimd: warehouse close: %v", cerr)
 			}
 		}()
-		if *migrateDir != "" {
-			n, err := ws.ImportDir(*migrateDir)
-			if err != nil {
-				return err
-			}
-			log.Printf("uopsimd: imported %d legacy blobs from %s", n, *migrateDir)
-		}
-	} else {
-		eng, err = experiments.NewEngine(*cacheDir, *cacheVerify)
-		if err != nil {
-			return err
-		}
 	}
 	if *nodeID == "" {
 		*nodeID = *addr
@@ -136,11 +117,7 @@ func run() error {
 	hs := &http.Server{Addr: *addr, Handler: srv}
 	errc := make(chan error, 1)
 	go func() {
-		if *whDir != "" {
-			log.Printf("uopsimd: listening on %s (warehouse=%q)", *addr, *whDir)
-		} else {
-			log.Printf("uopsimd: listening on %s (cache=%q)", *addr, *cacheDir)
-		}
+		log.Printf("uopsimd: listening on %s (warehouse=%q)", *addr, *whDir)
 		if err := hs.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}
@@ -169,7 +146,7 @@ func run() error {
 	case <-sctx.Done():
 		log.Printf("uopsimd: drain budget exhausted, exiting with work in flight")
 	}
-	log.Printf("uopsimd: engine %s", eng.Stats())
+	log.Printf("uopsimd: engine %s", srv.Engine().Stats())
 	if ws != nil {
 		log.Printf("uopsimd: warehouse %s", ws)
 	}

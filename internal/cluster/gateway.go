@@ -323,28 +323,28 @@ func (g *Gateway) forwardStatusError(w http.ResponseWriter, se *server.StatusErr
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 	}
-	g.writeError(w, se.Code, "%s", se.Message)
+	server.WriteError(w, se.Code, "%s", se.Message)
 }
 
 func (g *Gateway) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		g.writeError(w, http.StatusMethodNotAllowed, "POST a SimulateRequest to this endpoint")
+		server.WriteError(w, http.StatusMethodNotAllowed, "POST a SimulateRequest to this endpoint")
 		return
 	}
 	g.met.inc(cRequests)
 	var req server.SimulateRequest
-	if err := decodeJSON(w, r, simulateBodyLimit, &req); err != nil {
-		g.writeError(w, http.StatusBadRequest, "%v", err)
+	if err := server.DecodeJSON(w, r, simulateBodyLimit, &req); err != nil {
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	pt := req.PointRequest.WithDefaults()
 	if err := pt.Validate(); err != nil {
-		g.writeError(w, http.StatusBadRequest, "%v", err)
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	fp, err := pt.Fingerprint()
 	if err != nil {
-		g.writeError(w, http.StatusInternalServerError, "%v", err)
+		server.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	cands := g.candidates(fp)
@@ -357,7 +357,7 @@ func (g *Gateway) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		g.met.observeNode(name, time.Since(t0), err != nil)
 		if err == nil {
 			g.recordServed(fp, pt, name)
-			writeJSON(w, http.StatusOK, resp)
+			server.WriteJSON(w, http.StatusOK, resp)
 			return
 		}
 		if se, ok := passThrough(err); ok {
@@ -368,29 +368,29 @@ func (g *Gateway) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		g.mem.reportFailure(name)
 	}
 	g.met.inc(cErrors)
-	g.writeError(w, http.StatusBadGateway, "no live shard could serve the point (%d tried, %d/%d nodes alive)",
+	server.WriteError(w, http.StatusBadGateway, "no live shard could serve the point (%d tried, %d/%d nodes alive)",
 		len(cands), g.mem.aliveCount(), g.ring.Len())
 }
 
 func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		g.writeError(w, http.StatusMethodNotAllowed, "POST an EstimateRequest to this endpoint")
+		server.WriteError(w, http.StatusMethodNotAllowed, "POST an EstimateRequest to this endpoint")
 		return
 	}
 	g.met.inc(cRequests)
 	var req server.EstimateRequest
-	if err := decodeJSON(w, r, simulateBodyLimit, &req); err != nil {
-		g.writeError(w, http.StatusBadRequest, "%v", err)
+	if err := server.DecodeJSON(w, r, simulateBodyLimit, &req); err != nil {
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	pt := req.PointRequest.WithDefaults()
 	if err := pt.Validate(); err != nil {
-		g.writeError(w, http.StatusBadRequest, "%v", err)
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	fp, err := pt.Fingerprint()
 	if err != nil {
-		g.writeError(w, http.StatusInternalServerError, "%v", err)
+		server.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	cands := g.candidates(fp)
@@ -409,7 +409,7 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			if resp.Source == "simulated" {
 				g.recordServed(fp, pt, name)
 			}
-			writeJSON(w, http.StatusOK, resp)
+			server.WriteJSON(w, http.StatusOK, resp)
 			return
 		}
 		if se, ok := passThrough(err); ok {
@@ -420,7 +420,7 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		g.mem.reportFailure(name)
 	}
 	g.met.inc(cErrors)
-	g.writeError(w, http.StatusBadGateway, "no live shard could serve the estimate (%d tried, %d/%d nodes alive)",
+	server.WriteError(w, http.StatusBadGateway, "no live shard could serve the estimate (%d tried, %d/%d nodes alive)",
 		len(cands), g.mem.aliveCount(), g.ring.Len())
 }
 
@@ -431,21 +431,21 @@ func (g *Gateway) sweepBodyLimit() int64 {
 
 func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		g.writeError(w, http.StatusMethodNotAllowed, "POST a SweepRequest to this endpoint")
+		server.WriteError(w, http.StatusMethodNotAllowed, "POST a SweepRequest to this endpoint")
 		return
 	}
 	g.met.inc(cRequests)
 	var req server.SweepRequest
-	if err := decodeJSON(w, r, g.sweepBodyLimit(), &req); err != nil {
-		g.writeError(w, http.StatusBadRequest, "%v", err)
+	if err := server.DecodeJSON(w, r, g.sweepBodyLimit(), &req); err != nil {
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if len(req.Points) == 0 {
-		g.writeError(w, http.StatusBadRequest, "sweep needs at least one point")
+		server.WriteError(w, http.StatusBadRequest, "sweep needs at least one point")
 		return
 	}
 	if len(req.Points) > g.cfg.MaxSweepPoints {
-		g.writeError(w, http.StatusBadRequest, "sweep of %d points exceeds this gateway's cap of %d", len(req.Points), g.cfg.MaxSweepPoints)
+		server.WriteError(w, http.StatusBadRequest, "sweep of %d points exceeds this gateway's cap of %d", len(req.Points), g.cfg.MaxSweepPoints)
 		return
 	}
 	pts := make([]experiments.PointRequest, len(req.Points))
@@ -453,12 +453,12 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	for i, p := range req.Points {
 		pts[i] = p.WithDefaults()
 		if err := pts[i].Validate(); err != nil {
-			g.writeError(w, http.StatusBadRequest, "points[%d]: %v", i, err)
+			server.WriteError(w, http.StatusBadRequest, "points[%d]: %v", i, err)
 			return
 		}
 		fp, err := pts[i].Fingerprint()
 		if err != nil {
-			g.writeError(w, http.StatusInternalServerError, "points[%d]: %v", i, err)
+			server.WriteError(w, http.StatusInternalServerError, "points[%d]: %v", i, err)
 			return
 		}
 		fps[i] = fp
@@ -613,13 +613,13 @@ func contains(xs []int, x int) bool {
 // shard's rows.
 func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		g.writeError(w, http.StatusMethodNotAllowed, "POST a QueryRequest to this endpoint")
+		server.WriteError(w, http.StatusMethodNotAllowed, "POST a QueryRequest to this endpoint")
 		return
 	}
 	g.met.inc(cRequests)
 	var q server.QueryRequest
-	if err := decodeJSON(w, r, simulateBodyLimit, &q); err != nil {
-		g.writeError(w, http.StatusBadRequest, "%v", err)
+	if err := server.DecodeJSON(w, r, simulateBodyLimit, &q); err != nil {
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	type shardRows struct {
@@ -674,7 +674,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if reached == 0 {
 		g.met.inc(cErrors)
-		g.writeError(w, http.StatusBadGateway, "no shard could serve the query (%d/%d nodes alive)",
+		server.WriteError(w, http.StatusBadGateway, "no shard could serve the query (%d/%d nodes alive)",
 			g.mem.aliveCount(), g.ring.Len())
 		return
 	}
@@ -766,10 +766,10 @@ type StatsResponse struct {
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		g.writeError(w, http.StatusMethodNotAllowed, "GET this endpoint")
+		server.WriteError(w, http.StatusMethodNotAllowed, "GET this endpoint")
 		return
 	}
-	writeJSON(w, http.StatusOK, g.statsResponse())
+	server.WriteJSON(w, http.StatusOK, g.statsResponse())
 }
 
 func (g *Gateway) statsResponse() StatsResponse {
@@ -862,10 +862,10 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if alive == 0 {
 		body.Status = "no live shards"
-		writeJSON(w, http.StatusServiceUnavailable, body)
+		server.WriteJSON(w, http.StatusServiceUnavailable, body)
 		return
 	}
-	writeJSON(w, http.StatusOK, body)
+	server.WriteJSON(w, http.StatusOK, body)
 }
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -875,36 +875,3 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // simulateBodyLimit matches the daemon's single-point body bound.
 const simulateBodyLimit = 4 << 20
-
-// errorBody matches the daemon's non-2xx payload shape, so clients see one
-// error grammar whether they talk to a shard or the gateway.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func (g *Gateway) writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint — the connection is gone if this fails
-}
-
-// decodeJSON parses a request body bounded by limit, strictly, mirroring
-// the daemon's decoder so the gateway rejects exactly what a shard would.
-func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return fmt.Errorf("request body too large (limit %d bytes)", tooBig.Limit)
-		}
-		return fmt.Errorf("bad request body: %w", err)
-	}
-	return nil
-}

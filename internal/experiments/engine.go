@@ -26,30 +26,23 @@ type PointResult struct {
 
 // Engine is the shared design-point engine: it dedupes submissions by
 // fingerprint, simulates each unique point exactly once per process, and
-// optionally persists results as fingerprint-named JSON blobs.
+// optionally persists results in a warehouse.
 type Engine = runcache.Engine[PointResult]
 
-// NewEngine builds a design-point engine. cacheDir == "" keeps it purely
-// in-process; otherwise completed points persist under cacheDir and later
-// invocations load them back (corrupt or stale blobs are re-simulated,
-// never trusted). verifyEvery > 0 additionally re-simulates every n-th
-// disk-served point and fails it on any bit-level blob mismatch.
-func NewEngine(cacheDir string, verifyEvery int) (*Engine, error) {
+// NewEngine builds an in-process design-point engine. Persistence goes
+// through NewWarehouseEngine: dir must be empty, and verifyEvery is
+// ignored because there is no store to verify against.
+func NewEngine(dir string, verifyEvery int) (*Engine, error) {
+	if dir != "" {
+		return nil, fmt.Errorf("experiments: NewEngine is in-process only; persist %q with NewWarehouseEngine", dir)
+	}
 	e := runcache.New[PointResult]()
 	e.SetValidate(validatePoint)
-	if cacheDir != "" {
-		d, err := runcache.OpenDir(cacheDir)
-		if err != nil {
-			return nil, err
-		}
-		e.SetDir(d)
-		e.SetVerifyEvery(verifyEvery)
-	}
 	return e, nil
 }
 
 // NewWarehouseEngine builds a design-point engine backed by an indexed
-// warehouse instead of a flat blob dir: results land in append-only segment
+// warehouse: results land in append-only segment
 // files keyed by fingerprint and carrying each point's feature vector, so
 // the same store that dedupes re-runs also answers feature queries
 // (/v1/query, figure rendering). The returned store is the caller's to

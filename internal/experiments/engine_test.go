@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"uopsim/internal/pipeline"
+	"uopsim/internal/warehouse"
 	"uopsim/internal/workload"
 )
 
@@ -282,22 +284,29 @@ func TestEngineOutputBitIdentical(t *testing.T) {
 		t.Errorf("warm render simulated %d new points", after.Simulated-before.Simulated)
 	}
 
-	// Disk: cold pass writes blobs, warm pass (fresh engine, same dir)
-	// must serve every point from disk and still render identically.
+	// Disk: cold pass writes records, warm pass (fresh engine, reopened
+	// warehouse) must serve every point from disk and still render
+	// identically. Each store is closed before the next opens the dir.
 	dir := t.TempDir()
-	cold := tinyParams()
-	eng, err := NewEngine(dir, 0)
-	if err != nil {
-		t.Fatal(err)
+	open := func(verifyEvery int) (Params, *warehouse.Store) {
+		t.Helper()
+		eng, ws, err := NewWarehouseEngine(dir, warehouse.Options{}, verifyEvery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ws.Close() })
+		p := tinyParams()
+		p.Engine = eng
+		return p, ws
 	}
-	cold.Engine = eng
+	cold, ws := open(0)
 	if got := render(cold); got != direct {
 		t.Error("disk-cold output differs")
 	}
-	warm := tinyParams()
-	if warm.Engine, err = NewEngine(dir, 0); err != nil {
+	if err := ws.Close(); err != nil {
 		t.Fatal(err)
 	}
+	warm, ws := open(0)
 	if got := render(warm); got != direct {
 		t.Error("disk-warm output differs")
 	}
@@ -305,11 +314,11 @@ func TestEngineOutputBitIdentical(t *testing.T) {
 	if st.Simulated != 0 || st.DiskHits != st.Unique {
 		t.Errorf("warm disk pass should simulate nothing: %+v", st)
 	}
-	// And a verifying pass re-simulates yet still matches.
-	verify := tinyParams()
-	if verify.Engine, err = NewEngine(dir, 1); err != nil {
+	if err := ws.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// And a verifying pass re-simulates yet still matches.
+	verify, _ := open(1)
 	if got := render(verify); got != direct {
 		t.Error("cache-verify output differs")
 	}
@@ -402,5 +411,78 @@ func TestValidatePoint(t *testing.T) {
 	shuffled.Snapshot.Samples[0], shuffled.Snapshot.Samples[1] = shuffled.Snapshot.Samples[1], shuffled.Snapshot.Samples[0]
 	if validatePoint(shuffled) == nil {
 		t.Error("out-of-order snapshot must be rejected")
+	}
+}
+
+// TestWarehouseQuarantinesInvalidBlob runs the corrupt-blob path end to
+// end on a real warehouse: a stored record that decodes but fails
+// validatePoint is counted, tombstoned, and re-simulated once, and a fresh
+// engine on the reopened store is served the repaired record from disk.
+func TestWarehouseQuarantinesInvalidBlob(t *testing.T) {
+	p := tinyParams()
+	cfg := Schemes(2)[0].Configure(2048)
+	prof, err := workload.ByName("bm_ds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := pointFingerprint(p, prof, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := simulatePoint(p, "bm_ds", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	eng, ws, err := NewWarehouseEngine(dir, warehouse.Options{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Close()
+	// Decodes as a PointResult, but has no measured cycles.
+	invalid, err := json.Marshal(PointResult{Suite: want.Suite, Snapshot: want.Snapshot})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ws.Put(fp, nil, invalid); err != nil {
+		t.Fatal(err)
+	}
+	p.Engine = eng
+	got, err := point(p, "bm_ds", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("re-simulated point differs from a direct simulation")
+	}
+	if st := eng.Stats(); st.BadBlobs != 1 || st.Simulated != 1 || st.DiskWrites != 1 {
+		t.Errorf("engine stats = %+v, want one bad blob, one simulation, one write", st)
+	}
+	if st := ws.Stats(); st.Quarantined != 1 {
+		t.Errorf("warehouse quarantined %d records, want 1", st.Quarantined)
+	}
+	if err := ws.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	eng2, ws2, err := NewWarehouseEngine(dir, warehouse.Options{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws2.Close()
+	p.Engine = eng2
+	if got, err := point(p, "bm_ds", cfg); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened store served %v, %v", got.Metrics, err)
+	}
+	if st := eng2.Stats(); st.DiskHits != 1 || st.Simulated != 0 || st.BadBlobs != 0 {
+		t.Errorf("reopened engine stats = %+v, want one clean disk hit", st)
+	}
+}
+
+// TestNewEngineRejectsDir: persistence goes through the warehouse only.
+func TestNewEngineRejectsDir(t *testing.T) {
+	if _, err := NewEngine(t.TempDir(), 0); err == nil || !strings.Contains(err.Error(), "NewWarehouseEngine") {
+		t.Fatalf("NewEngine(dir) = %v, want an error naming NewWarehouseEngine", err)
 	}
 }

@@ -42,7 +42,7 @@ type Params struct {
 	// and figures, the ablation variants, and the SMT pairs — through the
 	// shared design-point engine: duplicate submissions are fingerprinted,
 	// simulated once, and fanned out to every asking driver, and with a
-	// cache directory attached results persist across invocations. Nil
+	// warehouse attached results persist across invocations. Nil
 	// preserves direct simulation. Rendered output is bit-identical either
 	// way.
 	Engine *Engine

@@ -178,7 +178,7 @@ func (r PointRequest) Fingerprint() (runcache.Fingerprint, error) {
 }
 
 // Resolve computes the point through eng — deduped against every other
-// submitter and, with a cache directory attached, against disk — or
+// submitter and, with a warehouse attached, against disk — or
 // directly when eng is nil, reporting how the result was obtained.
 func (r PointRequest) Resolve(eng *Engine) (PointResult, runcache.Resolution, error) {
 	cfg, err := r.BuildConfig()

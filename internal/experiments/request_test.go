@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"uopsim/internal/runcache"
+	"uopsim/internal/warehouse"
 	"uopsim/internal/workload"
 )
 
@@ -120,13 +121,14 @@ func TestRequestForPointCustomScheme(t *testing.T) {
 
 // TestRequestResolveThroughEngine checks resolution reporting: first ask
 // simulates, an identical ask is a memo hit, and a fresh engine with the
-// same cache directory answers from disk.
+// same warehouse directory answers from disk.
 func TestRequestResolveThroughEngine(t *testing.T) {
 	dir := t.TempDir()
-	eng, err := NewEngine(dir, 0)
+	eng, ws, err := NewWarehouseEngine(dir, warehouse.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ws.Close()
 	req := PointRequest{Workload: "bm_cc", Warmup: 500, Measure: 1_000}.WithDefaults()
 
 	first, how, err := req.Resolve(eng)
@@ -140,10 +142,14 @@ func TestRequestResolveThroughEngine(t *testing.T) {
 		t.Fatalf("second resolve = (%s, %v), want memo hit", how, err)
 	}
 
-	eng2, err := NewEngine(dir, 0)
+	if err := ws.Close(); err != nil {
+		t.Fatal(err)
+	}
+	eng2, ws2, err := NewWarehouseEngine(dir, warehouse.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ws2.Close()
 	fromDisk, how, err := req.Resolve(eng2)
 	if err != nil {
 		t.Fatal(err)

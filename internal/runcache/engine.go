@@ -109,12 +109,8 @@ func New[T any]() *Engine[T] {
 	return &Engine[T]{entries: make(map[Fingerprint]*entry[T])}
 }
 
-// SetDir attaches the legacy flat-directory blob store. Configure before
-// the first Do. Equivalent to SetStore(d).
-func (e *Engine[T]) SetDir(d *Dir) { e.store = d }
-
-// SetStore attaches a persistence back end (a Dir or a warehouse.Store).
-// Configure before the first Do.
+// SetStore attaches a persistence back end (in production, a
+// warehouse.Store). Configure before the first Do.
 func (e *Engine[T]) SetStore(s Store) { e.store = s }
 
 // Store returns the attached persistence back end, or nil for an
@@ -225,8 +221,8 @@ func (e *Engine[T]) resolve(fp Fingerprint, feat Features, compute func() (T, er
 				return v, ResolvedDisk, nil
 			}
 			// The blob is undecodable or semantically invalid; pay the miss
-			// once. Quarantining it (rename to <fp>.bad, tombstone) keeps the
-			// next Load a clean miss instead of a decode failure forever.
+			// once. Quarantining it (a warehouse tombstone) keeps the next
+			// Load a clean miss instead of a decode failure forever.
 			e.bump(func(s *Stats) { s.BadBlobs++ })
 			_ = e.store.Quarantine(fp) // best effort: re-simulation below is the recovery either way
 		}
@@ -255,7 +251,7 @@ func (e *Engine[T]) verifyAgainst(fp Fingerprint, cached []byte, compute func() 
 	}
 	if !bytes.Equal(fresh, cached) {
 		e.bump(func(s *Stats) { s.VerifyFailed++ })
-		return v, fmt.Errorf("cache-verify: cached blob %s does not match re-simulation (stale or corrupt cache entry; delete it or the cache directory)",
+		return v, fmt.Errorf("cache-verify: cached blob %s does not match re-simulation (stale or corrupt cache entry; delete it or the store directory)",
 			e.store.Location(fp))
 	}
 	e.bump(func(s *Stats) { s.Verified++ })

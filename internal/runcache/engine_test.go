@@ -2,8 +2,6 @@ package runcache
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -108,13 +106,9 @@ func TestEngineSingleflight(t *testing.T) {
 }
 
 func TestEngineDiskRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := newRecordingStore()
 	e1 := New[payload]()
-	e1.SetDir(d)
+	e1.SetStore(store)
 	want := payload{N: 9, S: "persisted"}
 	if _, err := e1.Do("fp", func() (payload, error) { return want, nil }); err != nil {
 		t.Fatal(err)
@@ -123,10 +117,10 @@ func TestEngineDiskRoundTrip(t *testing.T) {
 		t.Fatalf("writer stats = %+v", st)
 	}
 
-	// A second process (fresh engine, same directory) must load, not
+	// A second process (fresh engine, same store) must load, not
 	// recompute.
 	e2 := New[payload]()
-	e2.SetDir(d)
+	e2.SetStore(store)
 	got, err := e2.Do("fp", func() (payload, error) {
 		t.Error("compute ran despite a valid disk blob")
 		return payload{}, nil
@@ -140,13 +134,10 @@ func TestEngineDiskRoundTrip(t *testing.T) {
 }
 
 func TestEngineCorruptBlobResimulated(t *testing.T) {
-	dir := t.TempDir()
-	d, _ := OpenDir(dir)
-	if err := os.WriteFile(d.BlobPath("fp"), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	store := newRecordingStore()
+	store.blobs["fp"] = []byte("{not json")
 	e := New[payload]()
-	e.SetDir(d)
+	e.SetStore(store)
 	want := payload{N: 3}
 	got, err := e.Do("fp", func() (payload, error) { return want, nil })
 	if err != nil || got != want {
@@ -160,7 +151,7 @@ func TestEngineCorruptBlobResimulated(t *testing.T) {
 	if st.DiskWrites != 1 {
 		t.Errorf("fresh result not persisted over the corrupt blob: %+v", st)
 	}
-	blob, ok := d.Load("fp")
+	blob, ok := store.Load("fp")
 	if !ok || !strings.Contains(string(blob), `"n":3`) {
 		t.Errorf("blob after repair = %q", blob)
 	}
@@ -169,13 +160,10 @@ func TestEngineCorruptBlobResimulated(t *testing.T) {
 // TestEngineValidateRejectsBlob: a blob that parses but fails the semantic
 // check is corruption too — never trusted, always re-simulated.
 func TestEngineValidateRejectsBlob(t *testing.T) {
-	dir := t.TempDir()
-	d, _ := OpenDir(dir)
-	if err := os.WriteFile(d.BlobPath("fp"), []byte(`{"n":0,"s":""}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	store := newRecordingStore()
+	store.blobs["fp"] = []byte(`{"n":0,"s":""}`)
 	e := New[payload]()
-	e.SetDir(d)
+	e.SetStore(store)
 	e.SetValidate(func(p payload) error {
 		if p.N == 0 {
 			return errors.New("zero payload")
@@ -192,17 +180,16 @@ func TestEngineValidateRejectsBlob(t *testing.T) {
 }
 
 func TestEngineVerifyPassesOnHonestBlob(t *testing.T) {
-	dir := t.TempDir()
-	d, _ := OpenDir(dir)
+	store := newRecordingStore()
 	e1 := New[payload]()
-	e1.SetDir(d)
+	e1.SetStore(store)
 	want := payload{N: 11, S: "v"}
 	if _, err := e1.Do("fp", func() (payload, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
 
 	e2 := New[payload]()
-	e2.SetDir(d)
+	e2.SetStore(store)
 	e2.SetVerifyEvery(1)
 	got, err := e2.Do("fp", func() (payload, error) { return want, nil })
 	if err != nil || got != want {
@@ -214,22 +201,19 @@ func TestEngineVerifyPassesOnHonestBlob(t *testing.T) {
 }
 
 func TestEngineVerifyDetectsTamperedBlob(t *testing.T) {
-	dir := t.TempDir()
-	d, _ := OpenDir(dir)
+	store := newRecordingStore()
 	// A blob that decodes and validates but does not match what the
 	// simulator produces — a stale cache after a code change that forgot
 	// the SimVersion bump, or silent bit rot.
-	if err := os.WriteFile(d.BlobPath("fp"), []byte(`{"n":999,"s":"stale"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	store.blobs["fp"] = []byte(`{"n":999,"s":"stale"}`)
 	e := New[payload]()
-	e.SetDir(d)
+	e.SetStore(store)
 	e.SetVerifyEvery(1)
 	_, err := e.Do("fp", func() (payload, error) { return payload{N: 1, S: "fresh"}, nil })
 	if err == nil {
 		t.Fatal("tampered blob must fail verification")
 	}
-	if !strings.Contains(err.Error(), d.BlobPath("fp")) {
+	if !strings.Contains(err.Error(), store.Location("fp")) {
 		t.Errorf("error should name the stale blob, got: %v", err)
 	}
 	if st := e.Stats(); st.VerifyFailed != 1 {
@@ -239,10 +223,9 @@ func TestEngineVerifyDetectsTamperedBlob(t *testing.T) {
 
 // TestEngineVerifyEverySamples: only every n-th disk hit is re-simulated.
 func TestEngineVerifyEverySamples(t *testing.T) {
-	dir := t.TempDir()
-	d, _ := OpenDir(dir)
+	store := newRecordingStore()
 	e1 := New[payload]()
-	e1.SetDir(d)
+	e1.SetStore(store)
 	for _, fp := range []Fingerprint{"a", "b", "c", "d"} {
 		fp := fp
 		if _, err := e1.Do(fp, func() (payload, error) { return payload{N: 1, S: string(fp)}, nil }); err != nil {
@@ -250,7 +233,7 @@ func TestEngineVerifyEverySamples(t *testing.T) {
 		}
 	}
 	e2 := New[payload]()
-	e2.SetDir(d)
+	e2.SetStore(store)
 	e2.SetVerifyEvery(2)
 	for _, fp := range []Fingerprint{"a", "b", "c", "d"} {
 		fp := fp
@@ -261,35 +244,6 @@ func TestEngineVerifyEverySamples(t *testing.T) {
 	st := e2.Stats()
 	if st.Verified != 2 || st.DiskHits != 2 {
 		t.Errorf("verify-every-2 over 4 hits: %+v", st)
-	}
-}
-
-func TestDirStoreAtomic(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := d.Load("missing"); ok {
-		t.Error("Load of a missing blob must miss")
-	}
-	if err := d.Store("fp", []byte(`{"n":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, en := range entries {
-		if strings.HasPrefix(en.Name(), "tmp-") {
-			t.Errorf("temp file %s left behind", en.Name())
-		}
-	}
-	if got, ok := d.Load("fp"); !ok || string(got) != `{"n":1}` {
-		t.Errorf("Load = %q, %v", got, ok)
-	}
-	if d.BlobPath("fp") != filepath.Join(dir, "fp.json") {
-		t.Errorf("BlobPath = %q", d.BlobPath("fp"))
 	}
 }
 
@@ -311,15 +265,11 @@ func TestStatsSummary(t *testing.T) {
 
 // TestDoResolved reports how each submission was satisfied: a fresh
 // fingerprint computes, a repeat is a memo hit, and a fresh engine over the
-// same directory answers from disk.
+// same store answers from disk.
 func TestDoResolved(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := newRecordingStore()
 	e1 := New[payload]()
-	e1.SetDir(d)
+	e1.SetStore(store)
 	compute := func() (payload, error) { return payload{N: 7}, nil }
 
 	if _, how, err := e1.DoResolved("fp", compute); err != nil || how != ResolvedCompute {
@@ -330,7 +280,7 @@ func TestDoResolved(t *testing.T) {
 	}
 
 	e2 := New[payload]()
-	e2.SetDir(d)
+	e2.SetStore(store)
 	if _, how, err := e2.DoResolved("fp", compute); err != nil || how != ResolvedDisk {
 		t.Fatalf("fresh-engine DoResolved = (%s, %v), want disk", how, err)
 	}

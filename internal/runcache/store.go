@@ -26,9 +26,10 @@ func (f Features) Get(key string) (string, bool) {
 }
 
 // Store is the persistence contract behind an Engine: a blob per
-// fingerprint, plus whatever indexing the implementation affords. Dir (the
-// legacy flat one-file-per-fingerprint directory) and warehouse.Store (the
-// indexed segment-file warehouse) both satisfy it. Implementations must be
+// fingerprint plus its feature vector. warehouse.Store (the indexed
+// segment-file warehouse) is the production implementation; the interface
+// keeps this package free of a warehouse import (which imports runcache)
+// and lets tests substitute an in-memory fake. Implementations must be
 // safe for concurrent use and must never return a blob they cannot prove
 // intact — a doubtful read is a miss, the engine re-simulates.
 type Store interface {
@@ -36,11 +37,10 @@ type Store interface {
 	// unreadable, failed integrity check — the engine does not distinguish).
 	Load(fp Fingerprint) ([]byte, bool)
 	// Put persists blob under fp, replacing any previous record. feat is
-	// the point's canonical feature vector; stores without a feature index
-	// (Dir) ignore it.
+	// the point's canonical feature vector, indexed for queries.
 	Put(fp Fingerprint, feat Features, blob []byte) error
-	// Location names where fp's blob lives, for error messages ("<path>",
-	// "warehouse <dir> record <fp>").
+	// Location names where fp's blob lives, for error messages
+	// ("warehouse <dir> record <fp>").
 	Location(fp Fingerprint) string
 	// Quarantine takes a corrupt blob out of the read path so its decode
 	// cost is paid once, not on every later Load. It must not error on a
@@ -50,8 +50,8 @@ type Store interface {
 
 // SyncDir fsyncs a directory, making a rename inside it durable: the
 // rename is atomic in the namespace, but only a synced directory guarantees
-// a crash cannot roll the namespace back to the pre-rename state. Both Dir
-// and the warehouse's segment rotation publish files this way.
+// a crash cannot roll the namespace back to the pre-rename state. The
+// warehouse's segment rotation and compaction publish files this way.
 func SyncDir(path string) error {
 	d, err := os.Open(path)
 	if err != nil {

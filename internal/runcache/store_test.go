@@ -1,58 +1,20 @@
 package runcache
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestDirQuarantineRenamesBlob: quarantining moves the blob to <fp>.bad so
-// the corruption is preserved for inspection but the fingerprint misses
-// cleanly from then on.
-func TestDirQuarantineRenamesBlob(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(d.BlobPath("fp"), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Quarantine("fp"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := d.Load("fp"); ok {
-		t.Fatal("quarantined blob still loads")
-	}
-	bad, err := os.ReadFile(filepath.Join(dir, "fp.bad"))
-	if err != nil {
-		t.Fatal("quarantined blob not preserved as fp.bad:", err)
-	}
-	if string(bad) != "{not json" {
-		t.Fatalf("fp.bad = %q, want original corrupt bytes", bad)
-	}
-	// Quarantining an absent fingerprint is a no-op, not an error.
-	if err := d.Quarantine("absent"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestEngineQuarantinesCorruptBlob: the miss on a corrupt blob is paid
 // exactly once. The first engine decodes garbage, counts a BadBlob,
 // quarantines, re-simulates, and re-persists; a second engine (a fresh
-// process) sees a clean disk hit, not the corruption again.
+// process, same store) sees a clean disk hit, not the corruption again.
 func TestEngineQuarantinesCorruptBlob(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(d.BlobPath("fp"), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	store := newRecordingStore()
+	store.blobs["fp"] = []byte("{not json")
 	e := New[payload]()
-	e.SetDir(d)
+	e.SetStore(store)
 	want := payload{N: 7, S: "fresh"}
 	got, err := e.Do("fp", func() (payload, error) { return want, nil })
 	if err != nil || got != want {
@@ -61,12 +23,12 @@ func TestEngineQuarantinesCorruptBlob(t *testing.T) {
 	if st := e.Stats(); st.BadBlobs != 1 || st.Simulated != 1 {
 		t.Fatalf("first-run stats = %+v", st)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "fp.bad")); err != nil {
-		t.Fatal("corrupt blob not quarantined to fp.bad:", err)
+	if store.quarantined != 1 {
+		t.Fatalf("corrupt blob quarantined %d times, want 1", store.quarantined)
 	}
 
 	e2 := New[payload]()
-	e2.SetDir(d)
+	e2.SetStore(store)
 	got2, err := e2.Do("fp", func() (payload, error) {
 		t.Fatal("re-simulated a point the repaired blob should serve")
 		return payload{}, nil
@@ -77,12 +39,15 @@ func TestEngineQuarantinesCorruptBlob(t *testing.T) {
 	if st := e2.Stats(); st.DiskHits != 1 || st.BadBlobs != 0 {
 		t.Fatalf("second-run stats = %+v", st)
 	}
+	if store.quarantined != 1 {
+		t.Fatalf("repaired blob quarantined again: %d quarantines", store.quarantined)
+	}
 }
 
 // TestDoFeaturedThreadsFeatures: features submitted with a point reach the
 // store's Put, and re-submissions (memo hits) do not re-store.
 func TestDoFeaturedThreadsFeatures(t *testing.T) {
-	rec := &recordingStore{blobs: map[Fingerprint][]byte{}}
+	rec := newRecordingStore()
 	e := New[payload]()
 	e.SetStore(rec)
 	feat := Features{{Key: "workload", Value: "bm_cc"}}
@@ -104,11 +69,18 @@ func TestDoFeaturedThreadsFeatures(t *testing.T) {
 	}
 }
 
-// recordingStore is a Store that remembers what Put received.
+// recordingStore is an in-memory Store that remembers what Put received.
+// Tests share one between two engines to model a fresh process over the
+// same store, and seed corrupt bytes directly into blobs.
 type recordingStore struct {
-	blobs   map[Fingerprint][]byte
-	putFeat Features
-	puts    int
+	blobs       map[Fingerprint][]byte
+	putFeat     Features
+	puts        int
+	quarantined int
+}
+
+func newRecordingStore() *recordingStore {
+	return &recordingStore{blobs: map[Fingerprint][]byte{}}
 }
 
 func (r *recordingStore) Load(fp Fingerprint) ([]byte, bool) {
@@ -127,6 +99,7 @@ func (r *recordingStore) Location(fp Fingerprint) string { return "test store " 
 
 func (r *recordingStore) Quarantine(fp Fingerprint) error {
 	delete(r.blobs, fp)
+	r.quarantined++
 	return nil
 }
 

@@ -38,19 +38,19 @@ const blobBodyLimit = 16 << 20
 func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
 	store := s.eng.Store()
 	if store == nil {
-		s.writeError(w, http.StatusNotImplemented, "this daemon has no persistent store (start uopsimd with -cache or -warehouse)")
+		WriteError(w, http.StatusNotImplemented, "this daemon has no persistent store (start uopsimd with -warehouse)")
 		return
 	}
 	switch r.Method {
 	case http.MethodGet:
 		fp := r.URL.Query().Get("fp")
 		if fp == "" {
-			s.writeError(w, http.StatusBadRequest, "GET /v1/blob needs a ?fp=<fingerprint> parameter")
+			WriteError(w, http.StatusBadRequest, "GET /v1/blob needs a ?fp=<fingerprint> parameter")
 			return
 		}
 		blob, ok := store.Load(runcache.Fingerprint(fp))
 		if !ok {
-			s.writeError(w, http.StatusNotFound, "no stored blob for fingerprint %s", fp)
+			WriteError(w, http.StatusNotFound, "no stored blob for fingerprint %s", fp)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -58,25 +58,25 @@ func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
 		w.Write(blob) //nolint — the connection is gone if this fails
 	case http.MethodPost:
 		var req BlobPut
-		if err := decodeJSON(w, r, blobBodyLimit, &req); err != nil {
-			s.writeError(w, http.StatusBadRequest, "%v", err)
+		if err := DecodeJSON(w, r, blobBodyLimit, &req); err != nil {
+			WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		if req.Fingerprint == "" {
-			s.writeError(w, http.StatusBadRequest, "blob put needs a fingerprint")
+			WriteError(w, http.StatusBadRequest, "blob put needs a fingerprint")
 			return
 		}
 		if err := experiments.ValidateResultBlob(req.Blob); err != nil {
-			s.writeError(w, http.StatusBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		if err := store.Put(runcache.Fingerprint(req.Fingerprint), req.Features, req.Blob); err != nil {
-			s.writeError(w, http.StatusInternalServerError, "storing blob: %v", err)
+			WriteError(w, http.StatusInternalServerError, "storing blob: %v", err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
 	default:
-		s.writeError(w, http.StatusMethodNotAllowed, "GET a fingerprint or POST a BlobPut to this endpoint")
+		WriteError(w, http.StatusMethodNotAllowed, "GET a fingerprint or POST a BlobPut to this endpoint")
 	}
 }
 

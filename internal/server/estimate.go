@@ -69,26 +69,26 @@ type EstimateStats struct {
 // asked again is an exact fast-path hit.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "POST an EstimateRequest to this endpoint")
+		WriteError(w, http.StatusMethodNotAllowed, "POST an EstimateRequest to this endpoint")
 		return
 	}
 	if s.sur == nil {
-		s.writeError(w, http.StatusNotImplemented, "this daemon has no surrogate model (start uopsimd with -warehouse)")
+		WriteError(w, http.StatusNotImplemented, "this daemon has no surrogate model (start uopsimd with -warehouse)")
 		return
 	}
 	var req EstimateRequest
-	if err := decodeJSON(w, r, simulateBodyLimit, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+	if err := DecodeJSON(w, r, simulateBodyLimit, &req); err != nil {
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	pt := req.PointRequest.WithDefaults()
 	if err := s.validatePoint(pt); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	feat, err := pt.Features()
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.met.inc(cEstRequests)
@@ -101,7 +101,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if ok && pred.Confidence >= threshold {
 		elapsed := time.Since(start)
 		s.met.observeEstimate(elapsed, true)
-		writeJSON(w, http.StatusOK, &EstimateResponse{
+		WriteJSON(w, http.StatusOK, &EstimateResponse{
 			Workload:   pt.Workload,
 			Scheme:     pt.Scheme,
 			Capacity:   pt.Capacity,
@@ -124,12 +124,12 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		if code == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", s.retryAfter())
 		}
-		s.writeError(w, code, "%v", err)
+		WriteError(w, code, "%v", err)
 		return
 	}
 	elapsed := time.Since(start)
 	s.met.observeEstimate(elapsed, false)
-	writeJSON(w, http.StatusOK, &EstimateResponse{
+	WriteJSON(w, http.StatusOK, &EstimateResponse{
 		Workload:   pt.Workload,
 		Scheme:     pt.Scheme,
 		Capacity:   pt.Capacity,

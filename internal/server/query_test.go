@@ -24,7 +24,7 @@ func newWarehouseServer(t *testing.T, cfg Config) (*Server, *warehouse.Store, st
 	return s, ws, ts.URL
 }
 
-// TestQueryNotImplementedWithoutWarehouse: a flat-cache daemon answers 501
+// TestQueryNotImplementedWithoutWarehouse: an in-memory daemon answers 501
 // so clients can tell "no warehouse" from "no matches".
 func TestQueryNotImplementedWithoutWarehouse(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
@@ -126,6 +126,6 @@ func TestStatsCarriesWarehouse(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st2.Warehouse != nil {
-		t.Error("flat-cache daemon reports a warehouse section")
+		t.Error("in-memory daemon reports a warehouse section")
 	}
 }

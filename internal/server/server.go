@@ -44,9 +44,8 @@ type Config struct {
 	// MaxSweepPoints caps the points accepted per /v1/sweep call
 	// (default 1024).
 	MaxSweepPoints int
-	// Engine resolves points. Nil builds an in-process-only engine;
-	// attach one backed by a runcache.Dir or a warehouse to persist
-	// results.
+	// Engine resolves points. Nil builds an in-process-only engine; pass
+	// one from experiments.NewWarehouseEngine to persist results.
 	Engine *experiments.Engine
 	// Warehouse, when set, serves /v1/query and adds warehouse gauges to
 	// /v1/stats and /metrics. Pass the store backing Engine (see
@@ -153,8 +152,8 @@ func (s *Server) Surrogate() *surrogate.Model { return s.sur }
 
 // Drain stops admitting simulations and blocks until in-flight and queued
 // work completes. Call after http.Server.Shutdown has stopped new
-// connections; with a cache directory attached every completed point is
-// already fsynced to its blob, so draining is all the flushing there is.
+// connections; with a warehouse attached every completed point is already
+// fsynced to its segment, so draining is all the flushing there is.
 func (s *Server) Drain() { s.pool.Drain() }
 
 // SamplingRequest re-exports the wire form of the interval-sampling knobs
@@ -250,16 +249,19 @@ type StatsResponse struct {
 	UptimeSeconds float64          `json:"uptime_seconds"`
 }
 
-// errorBody is every non-2xx JSON payload.
+// errorBody is every non-2xx JSON payload, from a daemon or a gateway, so
+// clients see one error grammar whichever they talk to.
 type errorBody struct {
 	Error string `json:"error"`
 }
 
-func (s *Server) writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
+// WriteError answers code with an errorBody carrying the formatted message.
+func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
+	WriteJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers code with v as indented JSON.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -278,10 +280,12 @@ func (s *Server) sweepBodyLimit() int64 {
 	return simulateBodyLimit + int64(s.cfg.MaxSweepPoints)*(16<<10)
 }
 
-// decodeJSON parses a request body bounded by limit, strictly: unknown
+// DecodeJSON parses a request body bounded by limit, strictly: unknown
 // fields are a client error, not something to guess about. An over-limit
-// body is reported as such instead of surfacing as a truncation error.
-func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+// body is reported as such instead of surfacing as a truncation error. The
+// cluster gateway decodes with it too, so it rejects exactly what a shard
+// would.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -401,17 +405,17 @@ func (s *Server) resolveOne(ctx context.Context, pt experiments.PointRequest, wa
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "POST a SimulateRequest to this endpoint")
+		WriteError(w, http.StatusMethodNotAllowed, "POST a SimulateRequest to this endpoint")
 		return
 	}
 	var req SimulateRequest
-	if err := decodeJSON(w, r, simulateBodyLimit, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+	if err := DecodeJSON(w, r, simulateBodyLimit, &req); err != nil {
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	pt := req.PointRequest.WithDefaults()
 	if err := s.validatePoint(pt); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
@@ -421,35 +425,35 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		if code == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", s.retryAfter())
 		}
-		s.writeError(w, code, "%v", err)
+		WriteError(w, code, "%v", err)
 		return
 	}
-	writeJSON(w, code, resp)
+	WriteJSON(w, code, resp)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "POST a SweepRequest to this endpoint")
+		WriteError(w, http.StatusMethodNotAllowed, "POST a SweepRequest to this endpoint")
 		return
 	}
 	var req SweepRequest
-	if err := decodeJSON(w, r, s.sweepBodyLimit(), &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+	if err := DecodeJSON(w, r, s.sweepBodyLimit(), &req); err != nil {
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if len(req.Points) == 0 {
-		s.writeError(w, http.StatusBadRequest, "sweep needs at least one point")
+		WriteError(w, http.StatusBadRequest, "sweep needs at least one point")
 		return
 	}
 	if len(req.Points) > s.cfg.MaxSweepPoints {
-		s.writeError(w, http.StatusBadRequest, "sweep of %d points exceeds this server's cap of %d", len(req.Points), s.cfg.MaxSweepPoints)
+		WriteError(w, http.StatusBadRequest, "sweep of %d points exceeds this server's cap of %d", len(req.Points), s.cfg.MaxSweepPoints)
 		return
 	}
 	pts := make([]experiments.PointRequest, len(req.Points))
 	for i, p := range req.Points {
 		pts[i] = p.WithDefaults()
 		if err := s.validatePoint(pts[i]); err != nil {
-			s.writeError(w, http.StatusBadRequest, "points[%d]: %v", i, err)
+			WriteError(w, http.StatusBadRequest, "points[%d]: %v", i, err)
 			return
 		}
 	}
@@ -502,21 +506,21 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // backlog never blocks rendering a figure from data already on disk.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "POST a QueryRequest to this endpoint")
+		WriteError(w, http.StatusMethodNotAllowed, "POST a QueryRequest to this endpoint")
 		return
 	}
 	if s.ws == nil {
-		s.writeError(w, http.StatusNotImplemented, "this daemon has no warehouse attached (start uopsimd with -warehouse)")
+		WriteError(w, http.StatusNotImplemented, "this daemon has no warehouse attached (start uopsimd with -warehouse)")
 		return
 	}
 	var q QueryRequest
-	if err := decodeJSON(w, r, simulateBodyLimit, &q); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+	if err := DecodeJSON(w, r, simulateBodyLimit, &q); err != nil {
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	rows, err := experiments.QueryStore(s.ws, q)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -531,10 +535,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, "GET this endpoint")
+		WriteError(w, http.StatusMethodNotAllowed, "GET this endpoint")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.statsResponse())
+	WriteJSON(w, http.StatusOK, s.statsResponse())
 }
 
 func (s *Server) statsResponse() StatsResponse {
@@ -589,7 +593,7 @@ type HealthzInfo struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// Points is the stored design-point count: live warehouse records on a
 	// warehouse-backed daemon, otherwise the engine's process-lifetime
-	// unique-fingerprint count (a flat -cache dir keeps no cheap count).
+	// unique-fingerprint count.
 	Points int `json:"points"`
 	// Warehouse reports whether Points counts durable records.
 	Warehouse bool `json:"warehouse"`
@@ -611,7 +615,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	} else {
 		info.Points = int(s.eng.Stats().Unique)
 	}
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -153,18 +153,23 @@ func TestBackpressure429(t *testing.T) {
 		}(i)
 	}
 	<-started // worker busy; second request occupies the queue slot
-	// Poll until the queue slot is actually taken, then expect 429.
-	var se *StatusError
+	// Wait until the second request actually holds the queue slot. A probe
+	// sent earlier could take the slot itself and block on release, which
+	// only closes after the probe returns.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		_, err := client.Simulate(req)
-		if errors.As(err, &se) && se.Code == http.StatusTooManyRequests {
+		pool := s.statsResponse().Pool
+		if pool.Inflight == 1 && pool.QueueDepth == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("never saw a 429; last err: %v", err)
+			t.Fatalf("pool never reached 1 in flight + 1 queued: %+v", pool)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+	var se *StatusError
+	if _, err := client.Simulate(req); !errors.As(err, &se) || se.Code != http.StatusTooManyRequests {
+		t.Fatalf("probe against a full queue = %v, want 429", err)
 	}
 	if se.RetryAfter <= 0 || se.RetryAfter > time.Minute {
 		t.Fatalf("Retry-After hint %v outside (0, 60s]", se.RetryAfter)

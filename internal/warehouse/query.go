@@ -11,8 +11,7 @@ type Record struct {
 	// Fingerprint is the design point's content address.
 	Fingerprint runcache.Fingerprint
 	// Features is the canonical feature vector stored with the blob (nil
-	// for records migrated from a legacy flat dir, which never carried
-	// one).
+	// when the writer supplied none).
 	Features runcache.Features
 	// Blob is the stored payload (a PointResult JSON for this repo's
 	// engines). It does not alias store internals.

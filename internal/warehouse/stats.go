@@ -33,8 +33,6 @@ type Stats struct {
 	// compaction — data that was lost to the index, not trusted.
 	TornTails     uint64 `json:"torn_tails"`
 	CorruptFrames uint64 `json:"corrupt_frames"`
-	// Imported counts records migrated from a legacy flat blob dir.
-	Imported uint64 `json:"imported"`
 }
 
 // Stats returns a copy of the current counters and gauges.
@@ -73,5 +71,4 @@ func (s *Store) RegisterStats(sc stats.Scope) {
 	gauge("compact_errors", func(st Stats) float64 { return float64(st.CompactErrors) })
 	gauge("torn_tails", func(st Stats) float64 { return float64(st.TornTails) })
 	gauge("corrupt_frames", func(st Stats) float64 { return float64(st.CorruptFrames) })
-	gauge("imported", func(st Stats) float64 { return float64(st.Imported) })
 }

@@ -1,6 +1,6 @@
-// Package warehouse is the simulator's results warehouse: an indexed,
-// compacting, size-bounded replacement for the flat one-JSON-file-per-
-// fingerprint cache directory. Records — a fingerprint, the design point's
+// Package warehouse is the simulator's results warehouse: the indexed,
+// compacting, size-bounded store behind every persistent design-point
+// engine. Records — a fingerprint, the design point's
 // canonical feature vector, and the PointResult blob — append to
 // length+CRC framed segment files; an in-memory index (rebuilt by replaying
 // the segments on open) serves point loads, and the feature vector answers

@@ -3,8 +3,6 @@ package warehouse
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -232,48 +230,6 @@ func TestQuarantineTombstones(t *testing.T) {
 	}
 	if err := s.Quarantine(fpN(2)); err != nil {
 		t.Fatal("quarantining an absent record must be a no-op, got", err)
-	}
-}
-
-func TestImportDir(t *testing.T) {
-	legacy := t.TempDir()
-	d, err := runcache.OpenDir(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[runcache.Fingerprint][]byte{}
-	for i := 0; i < 5; i++ {
-		blob := []byte(fmt.Sprintf(`{"i":%d}`, i))
-		want[fpN(i)] = blob
-		if err := d.Store(fpN(i), blob); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Noise the import must skip: a quarantined blob and a temp file.
-	os.WriteFile(filepath.Join(legacy, string(fpN(9))+".bad"), []byte("junk"), 0o644)
-	os.WriteFile(filepath.Join(legacy, "tmp-123.json"), []byte("junk"), 0o644)
-
-	s := mustOpen(t, t.TempDir(), Options{})
-	if err := s.Put(fpN(0), runcache.Features{{Key: "k", Value: "v"}}, want[fpN(0)]); err != nil {
-		t.Fatal(err)
-	}
-	n, err := s.ImportDir(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 4 { // fp 0 already present, .bad and tmp skipped
-		t.Fatalf("imported %d, want 4", n)
-	}
-	for fp, blob := range want {
-		got, ok := s.Load(fp)
-		if !ok || !bytes.Equal(got, blob) {
-			t.Fatalf("fp %s: %q, %v", fp.Short(), got, ok)
-		}
-	}
-	// The pre-existing record kept its features.
-	recs, err := s.Select(Query{Where: map[string]string{"k": "v"}})
-	if err != nil || len(recs) != 1 || recs[0].Fingerprint != fpN(0) {
-		t.Fatalf("feature query after import: %v, %v", recs, err)
 	}
 }
 

@@ -78,8 +78,8 @@ type ExperimentRun = experiments.Run
 
 // RunEngine is the shared design-point engine: attach one to
 // ExperimentParams.Engine and every design point an experiment submits is
-// fingerprinted, simulated at most once per process, and — with a cache
-// directory — persisted as a JSON blob keyed by that fingerprint. The
+// fingerprinted, simulated at most once per process, and — with a
+// warehouse — persisted as a JSON blob keyed by that fingerprint. The
 // fingerprint covers the full pipeline configuration, the workload profile
 // (including its generation seed), the run lengths, and the simulator and
 // workload-generator version strings; bumping a version is the cache
@@ -94,13 +94,11 @@ type RunEngineStats = runcache.Stats
 // RunDesignPoints.
 type DesignPoint = experiments.Point
 
-// NewRunEngine builds a design-point engine. cacheDir == "" keeps results
-// in-process only; otherwise completed points persist under cacheDir and
-// later invocations load them back (corrupt blobs are re-simulated, never
-// trusted). verifyEvery > 0 re-simulates every n-th disk-served point and
-// fails it unless its blob matches the fresh result bit-for-bit.
-func NewRunEngine(cacheDir string, verifyEvery int) (*RunEngine, error) {
-	return experiments.NewEngine(cacheDir, verifyEvery)
+// NewRunEngine builds an in-process design-point engine: each unique point
+// simulates once per process. NewWarehouseRunEngine adds persistence.
+func NewRunEngine() *RunEngine {
+	e, _ := experiments.NewEngine("", 0) // no directory: cannot fail
+	return e
 }
 
 // ResultsWarehouse is the indexed design-point store: an append-only
@@ -120,10 +118,12 @@ type WarehouseQuery = warehouse.Query
 type WarehouseStats = warehouse.Stats
 
 // NewWarehouseRunEngine builds a design-point engine persisted in an
-// indexed warehouse instead of a flat blob directory. The returned store is
-// the caller's to query and Close; it is the same store the engine writes,
-// so a query sees every point the engine has resolved. Migrate a legacy
-// flat cache dir into it with ResultsWarehouse.ImportDir.
+// indexed warehouse at dir: later invocations load completed points back
+// (corrupt blobs are re-simulated, never trusted), and verifyEvery > 0
+// re-simulates every n-th disk-served point and fails it unless its blob
+// matches the fresh result bit-for-bit. The returned store is the caller's
+// to query and Close; it is the same store the engine writes, so a query
+// sees every point the engine has resolved.
 func NewWarehouseRunEngine(dir string, opts WarehouseOptions, verifyEvery int) (*RunEngine, *ResultsWarehouse, error) {
 	return experiments.NewWarehouseEngine(dir, opts, verifyEvery)
 }

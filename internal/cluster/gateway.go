@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -347,17 +348,20 @@ func (g *Gateway) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
+	body := getBody()
+	defer putBody(body)
 	cands := g.candidates(fp)
 	for i, name := range cands {
 		if i > 0 {
 			g.met.inc(cRetries)
 		}
 		t0 := time.Now()
-		resp, err := g.shards[name].client.Simulate(server.SimulateRequest{PointRequest: pt, TimeoutMS: req.TimeoutMS})
+		body.Reset()
+		err := g.shards[name].client.Post("/v1/simulate", server.SimulateRequest{PointRequest: pt, TimeoutMS: req.TimeoutMS}, body)
 		g.met.observeNode(name, time.Since(t0), err != nil)
 		if err == nil {
 			g.recordServed(fp, pt, name)
-			server.WriteJSON(w, http.StatusOK, resp)
+			writeBody(w, body)
 			return
 		}
 		if se, ok := passThrough(err); ok {
@@ -393,23 +397,32 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
+	body := getBody()
+	defer putBody(body)
+	fwd := req
+	fwd.PointRequest = pt
 	cands := g.candidates(fp)
 	for i, name := range cands {
 		if i > 0 {
 			g.met.inc(cRetries)
 		}
 		t0 := time.Now()
-		fwd := req
-		fwd.PointRequest = pt
-		resp, err := g.shards[name].client.Estimate(fwd)
+		body.Reset()
+		err := g.shards[name].client.Post("/v1/estimate", fwd, body)
+		var ans struct {
+			Source string `json:"source"`
+		}
+		if err == nil {
+			err = json.Unmarshal(body.Bytes(), &ans)
+		}
 		g.met.observeNode(name, time.Since(t0), err != nil)
 		if err == nil {
 			// Only a simulated answer persists a blob worth tracking; a
 			// surrogate prediction leaves nothing to replicate.
-			if resp.Source == "simulated" {
+			if ans.Source == "simulated" {
 				g.recordServed(fp, pt, name)
 			}
-			server.WriteJSON(w, http.StatusOK, resp)
+			writeBody(w, body)
 			return
 		}
 		if se, ok := passThrough(err); ok {
@@ -875,3 +888,27 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // simulateBodyLimit matches the daemon's single-point body bound.
 const simulateBodyLimit = 4 << 20
+
+// bodies pools the buffers shard answers are read into. A whole answer is
+// read before any byte goes to the client, so a shard that dies mid-body
+// fails over to the next candidate instead of leaving a truncated 200.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody bounds the buffer kept for reuse (see server.WriteJSON).
+const maxPooledBody = 1 << 20
+
+func getBody() *bytes.Buffer { return bodies.Get().(*bytes.Buffer) }
+
+func putBody(b *bytes.Buffer) {
+	if b.Cap() <= maxPooledBody {
+		b.Reset()
+		bodies.Put(b)
+	}
+}
+
+// writeBody forwards a shard's 200 JSON answer byte for byte.
+func writeBody(w http.ResponseWriter, body *bytes.Buffer) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body.Bytes()) //nolint — the connection is gone if this fails
+}

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -21,21 +23,55 @@ import (
 // gateway sees as a transport failure — the same signal a SIGKILLed
 // process produces. failSweeps severs only /v1/sweep calls, modeling a
 // node dying the moment a scatter batch lands on it.
+//
+// truncate instead lets the shard answer /v1/simulate in full, then sends
+// the status and only half the body before severing the connection: a
+// process dying mid-write. record keeps a copy of every /v1/simulate body the shard
+// sent, for byte-identity checks.
 type flakyHandler struct {
 	h          http.Handler
 	mu         sync.Mutex
 	down       bool
 	failSweeps bool
+	truncate   bool
+	truncated  int
+	record     bool
+	sent       [][]byte
 }
 
 func (f *flakyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	f.mu.Lock()
 	kill := f.down || (f.failSweeps && r.URL.Path == "/v1/sweep")
+	simulate := r.URL.Path == "/v1/simulate"
+	truncate, record := f.truncate && simulate, f.record && simulate
 	f.mu.Unlock()
 	if kill {
 		panic(http.ErrAbortHandler)
 	}
-	f.h.ServeHTTP(w, r)
+	if !truncate && !record {
+		f.h.ServeHTTP(w, r)
+		return
+	}
+	rec := httptest.NewRecorder()
+	f.h.ServeHTTP(rec, r)
+	for k, v := range rec.Header() {
+		w.Header()[k] = v
+	}
+	body := rec.Body.Bytes()
+	if truncate {
+		f.mu.Lock()
+		f.truncated++
+		f.mu.Unlock()
+		w.WriteHeader(rec.Code)
+		w.Write(body[:len(body)/2])
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler)
+	}
+	f.mu.Lock()
+	f.sent = append(f.sent, append([]byte(nil), body...))
+	f.mu.Unlock()
+	w.WriteHeader(rec.Code)
+	w.Write(body)
 }
 
 func (f *flakyHandler) setDown(v bool) {
@@ -438,5 +474,89 @@ func TestGatewayStatsEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestGatewayForwardsShardBodyVerbatim: the gateway's /v1/simulate answer
+// is the owner's body byte for byte, on a miss and on a memo hit.
+func TestGatewayForwardsShardBodyVerbatim(t *testing.T) {
+	gw, gwURL, shards := newTestCluster(t, 3)
+	pt := testPoints(1)[0]
+	owner, _ := shardFor(t, gw, shards, pt)
+	owner.fl.mu.Lock()
+	owner.fl.record = true
+	owner.fl.mu.Unlock()
+	body, err := json.Marshal(server.SimulateRequest{PointRequest: pt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"simulated", "memo"} {
+		resp, err := http.Post(gwURL+"/v1/simulate", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: HTTP %d: %s", i, resp.StatusCode, got)
+		}
+		owner.fl.mu.Lock()
+		sent := owner.fl.sent
+		owner.fl.mu.Unlock()
+		if len(sent) != i+1 {
+			t.Fatalf("owner sent %d bodies after %d requests", len(sent), i+1)
+		}
+		if !bytes.Equal(got, sent[i]) {
+			t.Fatalf("request %d: gateway body differs from the shard's:\n%s\nvs\n%s", i, got, sent[i])
+		}
+		var ans server.SimulateResponse
+		if err := json.Unmarshal(got, &ans); err != nil || ans.Resolution != want {
+			t.Fatalf("request %d: resolution %q (%v), want %q", i, ans.Resolution, err, want)
+		}
+	}
+}
+
+// TestGatewayRetriesShardDyingMidBody: an owner that sends 200 and half
+// its body before the connection drops is a failed shard, not an answer;
+// the gateway retries the next ring owner and returns a whole body.
+func TestGatewayRetriesShardDyingMidBody(t *testing.T) {
+	gw, gwURL, shards := newTestCluster(t, 3)
+	pt := testPoints(1)[0]
+	owner, _ := shardFor(t, gw, shards, pt)
+	owner.fl.mu.Lock()
+	owner.fl.truncate = true
+	owner.fl.mu.Unlock()
+
+	resp, err := server.NewClient(gwURL).Simulate(server.SimulateRequest{PointRequest: pt})
+	if err != nil {
+		t.Fatalf("simulate through a shard dying mid-body: %v", err)
+	}
+	fp, err := pt.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Fingerprint != string(fp) || resp.Result.Metrics.Cycles <= 0 {
+		t.Fatalf("answer %s with %d cycles, want a whole answer for %s", resp.Fingerprint, resp.Result.Metrics.Cycles, fp)
+	}
+	owner.fl.mu.Lock()
+	truncated := owner.fl.truncated
+	owner.fl.mu.Unlock()
+	if truncated != 1 {
+		t.Fatalf("owner cut %d answers short, want 1", truncated)
+	}
+	if _, errs, _, _, _, _, _, retries := gw.met.totals(); retries < 1 || errs != 0 {
+		t.Fatalf("gateway counted %d retries and %d errors, want a retry and no error", retries, errs)
+	}
+	var sim uint64
+	for _, sh := range shards {
+		if sh != owner {
+			sim += sh.srv.Engine().Stats().Simulated
+		}
+	}
+	if sim != 1 {
+		t.Fatalf("the next owners simulated %d times, want 1", sim)
 	}
 }

@@ -173,11 +173,8 @@ func point(p Params, name string, cfg pipeline.Config) (PointResult, error) {
 	if err != nil {
 		return PointResult{}, err
 	}
-	feat, err := pointFeatures(p, prof, cfg)
-	if err != nil {
-		return PointResult{}, err
-	}
-	res, _, err := p.Engine.DoFeatured(fp, feat, func() (PointResult, error) {
+	features := func() (runcache.Features, error) { return pointFeatures(p, prof, cfg) }
+	res, _, err := p.Engine.DoLazy(fp, features, func() (PointResult, error) {
 		return simulatePoint(p, name, cfg)
 	})
 	return res, err

@@ -166,44 +166,71 @@ func (r PointRequest) params() Params {
 // Fingerprint is the request's design-point identity: identical to the
 // fingerprint a sweep submits for the same (workload, config, lengths).
 func (r PointRequest) Fingerprint() (runcache.Fingerprint, error) {
-	prof, err := workload.ByName(r.Workload)
-	if err != nil {
-		return "", err
-	}
-	cfg, err := r.BuildConfig()
-	if err != nil {
-		return "", err
-	}
-	return pointFingerprint(r.params(), prof, cfg)
+	pp, err := r.Prepare()
+	return pp.Fingerprint, err
 }
 
-// Resolve computes the point through eng — deduped against every other
-// submitter and, with a warehouse attached, against disk — or
-// directly when eng is nil, reporting how the result was obtained.
+// Resolve prepares the request and resolves it through eng (see
+// PreparedPoint.Resolve).
 func (r PointRequest) Resolve(eng *Engine) (PointResult, runcache.Resolution, error) {
-	cfg, err := r.BuildConfig()
+	pp, err := r.Prepare()
 	if err != nil {
 		return PointResult{}, ResolvedCompute, err
 	}
-	if eng == nil {
-		res, err := simulatePoint(r.params(), r.Workload, cfg)
-		return res, ResolvedCompute, err
-	}
+	return pp.Resolve(eng)
+}
+
+// PreparedPoint is a PointRequest with its workload profile, machine
+// configuration and fingerprint resolved once. A server prepares each
+// request it receives and hands the prepared form down, so the memo lookup
+// and the engine share one fingerprint instead of each computing their own.
+type PreparedPoint struct {
+	// Request is the point as prepared, normally its WithDefaults form.
+	Request PointRequest
+	// Fingerprint is the point's design-point identity.
+	Fingerprint runcache.Fingerprint
+
+	prof *workload.Profile
+	cfg  pipeline.Config
+}
+
+// Prepare resolves the request's profile, configuration and fingerprint.
+// Call it on the WithDefaults form.
+func (r PointRequest) Prepare() (PreparedPoint, error) {
 	prof, err := workload.ByName(r.Workload)
 	if err != nil {
-		return PointResult{}, ResolvedCompute, err
+		return PreparedPoint{}, err
+	}
+	cfg, err := r.BuildConfig()
+	if err != nil {
+		return PreparedPoint{}, err
 	}
 	fp, err := pointFingerprint(r.params(), prof, cfg)
 	if err != nil {
-		return PointResult{}, ResolvedCompute, err
+		return PreparedPoint{}, err
 	}
-	feat, err := pointFeatures(r.params(), prof, cfg)
-	if err != nil {
-		return PointResult{}, ResolvedCompute, err
+	return PreparedPoint{Request: r, Fingerprint: fp, prof: prof, cfg: cfg}, nil
+}
+
+// Features builds the point's canonical feature vector from the prepared
+// profile and configuration; it equals PointRequest.Features.
+func (p PreparedPoint) Features() (runcache.Features, error) {
+	return pointFeatures(p.Request.params(), p.prof, p.cfg)
+}
+
+// Resolve computes the point through eng — deduped against every other
+// submitter and, with a warehouse attached, against disk — or directly
+// when eng is nil, reporting how the result was obtained. The feature
+// vector is built only when a simulated result is stored.
+func (p PreparedPoint) Resolve(eng *Engine) (PointResult, runcache.Resolution, error) {
+	compute := func() (PointResult, error) {
+		return simulatePoint(p.Request.params(), p.Request.Workload, p.cfg)
 	}
-	return eng.DoFeatured(fp, feat, func() (PointResult, error) {
-		return simulatePoint(r.params(), r.Workload, cfg)
-	})
+	if eng == nil {
+		res, err := compute()
+		return res, ResolvedCompute, err
+	}
+	return eng.DoLazy(p.Fingerprint, p.Features, compute)
 }
 
 // ResolvedCompute re-exports the direct-simulation resolution for callers

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -86,6 +87,40 @@ func TestRequestFingerprintMatchesSweep(t *testing.T) {
 			t.Fatalf("%s: request fingerprint %s != sweep fingerprint %s — daemon and sweep would not share blobs",
 				sc.Name, reqFP, sweepFP)
 		}
+	}
+}
+
+// TestPreparedPointMatchesRequest: preparing a request computes the same
+// fingerprint and feature vector the request computes on its own, and the
+// sweep's for the same point; an invalid request does not prepare.
+func TestPreparedPointMatchesRequest(t *testing.T) {
+	p := Params{WarmupInsts: 1_000, MeasureInsts: 2_000}
+	pt := Point{Workload: "bm_z", Scheme: Schemes(3)[4], Capacity: 4096}
+	req := RequestForPoint(pt, p).WithDefaults()
+	pp, err := req.Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := req.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pp.Fingerprint != fp || pp.Request != req {
+		t.Fatalf("prepared %s for %+v, request alone gives %s", pp.Fingerprint, pp.Request, fp)
+	}
+	got, err := pp.Features()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := FeaturesForPoint(pt, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("prepared features %v, sweep stores %v", got, want)
+	}
+	if _, err := (PointRequest{Workload: "bm_z", Scheme: "warp"}).WithDefaults().Prepare(); err == nil {
+		t.Fatal("an unknown scheme prepared")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"uopsim/internal/runcache"
 	"uopsim/internal/smt"
 	"uopsim/internal/stats"
 	"uopsim/internal/workload"
@@ -135,10 +136,7 @@ func smtPoint(p Params, sc Scheme, nameA, nameB string) (PointResult, error) {
 	if err != nil {
 		return PointResult{}, err
 	}
-	feat, err := smtFeatures(p, profA, profB, cfg)
-	if err != nil {
-		return PointResult{}, err
-	}
-	res, _, err := p.Engine.DoFeatured(fp, feat, compute)
+	features := func() (runcache.Features, error) { return smtFeatures(p, profA, profB, cfg) }
+	res, _, err := p.Engine.DoLazy(fp, features, compute)
 	return res, err
 }

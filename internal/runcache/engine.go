@@ -13,12 +13,12 @@ import (
 // split between Simulated and the hit counters is the dedupe/caching
 // evidence the experiment harness reports (and CI asserts on).
 type Stats struct {
-	// Submitted is the total number of Do calls.
+	// Submitted is the total number of Do calls plus Lookup hits.
 	Submitted uint64 `json:"submitted"`
 	// Unique is the number of distinct fingerprints submitted.
 	Unique uint64 `json:"unique"`
 	// MemoHits counts submissions that joined an existing in-process
-	// entry (completed or still in flight).
+	// entry (completed or still in flight), Lookup hits included.
 	MemoHits uint64 `json:"memo_hits"`
 	// Simulated counts points resolved by running compute.
 	Simulated uint64 `json:"simulated"`
@@ -172,7 +172,7 @@ func (e *Engine[T]) StatsSnapshot() stats.Snapshot {
 // Do resolves the design point at fp, running compute at most once per
 // fingerprint per process. Safe for concurrent use.
 func (e *Engine[T]) Do(fp Fingerprint, compute func() (T, error)) (T, error) {
-	v, _, err := e.DoFeatured(fp, nil, compute)
+	v, _, err := e.DoLazy(fp, nil, compute)
 	return v, err
 }
 
@@ -181,7 +181,7 @@ func (e *Engine[T]) Do(fp Fingerprint, compute func() (T, error)) (T, error) {
 // entry report ResolvedMemo regardless of how its first submitter
 // resolved it.
 func (e *Engine[T]) DoResolved(fp Fingerprint, compute func() (T, error)) (T, Resolution, error) {
-	return e.DoFeatured(fp, nil, compute)
+	return e.DoLazy(fp, nil, compute)
 }
 
 // DoFeatured is DoResolved carrying the point's canonical feature vector,
@@ -190,6 +190,14 @@ func (e *Engine[T]) DoResolved(fp Fingerprint, compute func() (T, error)) (T, Re
 // the fingerprint — submitting the same fp with and without them resolves
 // to one entry — and a featureless store drops them.
 func (e *Engine[T]) DoFeatured(fp Fingerprint, feat Features, compute func() (T, error)) (T, Resolution, error) {
+	return e.DoLazy(fp, func() (Features, error) { return feat, nil }, compute)
+}
+
+// DoLazy is DoFeatured with the feature vector built on demand: features
+// runs only when a freshly simulated result is about to be stored, so memo
+// and disk hits never pay for it. A features error fails the point and
+// stores nothing. A nil features stores the blob without a vector.
+func (e *Engine[T]) DoLazy(fp Fingerprint, features func() (Features, error), compute func() (T, error)) (T, Resolution, error) {
 	e.mu.Lock()
 	e.st.Submitted++
 	if en, ok := e.entries[fp]; ok {
@@ -203,12 +211,36 @@ func (e *Engine[T]) DoFeatured(fp Fingerprint, feat Features, compute func() (T,
 	e.st.Unique++
 	e.mu.Unlock()
 
-	en.val, en.res, en.err = e.resolve(fp, feat, compute)
+	en.val, en.res, en.err = e.resolve(fp, features, compute)
 	close(en.done)
 	return en.val, en.res, en.err
 }
 
-func (e *Engine[T]) resolve(fp Fingerprint, feat Features, compute func() (T, error)) (T, Resolution, error) {
+// Lookup answers fp from a completed, successful in-process entry without
+// blocking: ok is false when the point is unknown, still in flight, or
+// resolved to an error, and then nothing is counted. A hit counts as one
+// submission and one memo hit, exactly as the same DoLazy call would.
+func (e *Engine[T]) Lookup(fp Fingerprint) (v T, ok bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	en, found := e.entries[fp]
+	if !found {
+		return v, false
+	}
+	select {
+	case <-en.done:
+	default:
+		return v, false
+	}
+	if en.err != nil {
+		return v, false
+	}
+	e.st.Submitted++
+	e.st.MemoHits++
+	return en.val, true
+}
+
+func (e *Engine[T]) resolve(fp Fingerprint, features func() (Features, error), compute func() (T, error)) (T, Resolution, error) {
 	if e.store != nil {
 		if blob, ok := e.store.Load(fp); ok {
 			var v T
@@ -230,6 +262,13 @@ func (e *Engine[T]) resolve(fp Fingerprint, feat Features, compute func() (T, er
 	v, err := compute()
 	e.bump(func(s *Stats) { s.Simulated++ })
 	if err == nil && e.store != nil {
+		var feat Features
+		if features != nil {
+			if feat, err = features(); err != nil {
+				var zero T
+				return zero, ResolvedCompute, err
+			}
+		}
 		if blob, merr := json.Marshal(v); merr == nil && e.store.Put(fp, feat, blob) == nil {
 			e.bump(func(s *Stats) { s.DiskWrites++ })
 		}

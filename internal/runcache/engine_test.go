@@ -337,3 +337,96 @@ func TestStatsSnapshot(t *testing.T) {
 		}
 	}
 }
+
+// TestLookupCompletedOnly: Lookup answers only completed, successful
+// entries, never blocks on one in flight, and counts a hit exactly as a
+// memo-joining Do would.
+func TestLookupCompletedOnly(t *testing.T) {
+	e := New[payload]()
+	if _, ok := e.Lookup("absent"); ok {
+		t.Fatal("Lookup hit an unknown fingerprint")
+	}
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.Do("slow", func() (payload, error) { <-release; return payload{N: 3}, nil })
+	}()
+	for e.Stats().Submitted < 1 {
+		runtime.Gosched()
+	}
+	if _, ok := e.Lookup("slow"); ok {
+		t.Fatal("Lookup answered an entry still in flight")
+	}
+	close(release)
+	<-done
+	before := e.Stats()
+	v, ok := e.Lookup("slow")
+	if !ok || v.N != 3 {
+		t.Fatalf("Lookup of a completed entry = %+v, %v", v, ok)
+	}
+	after := e.Stats()
+	if after.Submitted != before.Submitted+1 || after.MemoHits != before.MemoHits+1 || after.Unique != before.Unique {
+		t.Fatalf("Lookup hit counted %+v -> %+v, want one submission and one memo hit", before, after)
+	}
+
+	boom := errors.New("boom")
+	e.Do("bad", func() (payload, error) { return payload{}, boom })
+	before = e.Stats()
+	if _, ok := e.Lookup("bad"); ok {
+		t.Fatal("Lookup answered an entry that resolved to an error")
+	}
+	if e.Stats() != before {
+		t.Fatal("a Lookup miss moved the counters")
+	}
+}
+
+// TestDoLazyBuildsFeaturesOnlyToStore: the feature vector is built once,
+// for the simulation that stores a blob, and never for memo or disk hits.
+func TestDoLazyBuildsFeaturesOnlyToStore(t *testing.T) {
+	store := newRecordingStore()
+	e := New[payload]()
+	e.SetStore(store)
+	builds := 0
+	feats := func() (Features, error) {
+		builds++
+		return Features{{Key: "k", Value: "v"}}, nil
+	}
+	compute := func() (payload, error) { return payload{N: 1}, nil }
+	for i := 0; i < 3; i++ {
+		if _, _, err := e.DoLazy("fp", feats, compute); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if builds != 1 || store.puts != 1 {
+		t.Fatalf("features built %d times for %d puts, want 1 and 1", builds, store.puts)
+	}
+	if v, ok := store.putFeat.Get("k"); !ok || v != "v" {
+		t.Fatalf("stored features %v, want k=v", store.putFeat)
+	}
+	fresh := New[payload]()
+	fresh.SetStore(store)
+	if _, how, err := fresh.DoLazy("fp", feats, compute); err != nil || how != ResolvedDisk {
+		t.Fatalf("disk hit = %v, %v", how, err)
+	}
+	if builds != 1 {
+		t.Fatalf("a disk hit built features (%d builds)", builds)
+	}
+}
+
+// TestDoLazyFeatureErrorStoresNothing: a feature-build failure fails the
+// point and leaves the store untouched.
+func TestDoLazyFeatureErrorStoresNothing(t *testing.T) {
+	store := newRecordingStore()
+	e := New[payload]()
+	e.SetStore(store)
+	boom := errors.New("no features")
+	_, _, err := e.DoLazy("fp", func() (Features, error) { return nil, boom },
+		func() (payload, error) { return payload{N: 1}, nil })
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the feature error", err)
+	}
+	if store.puts != 0 || len(store.blobs) != 0 {
+		t.Fatalf("store took %d puts after a feature error", store.puts)
+	}
+}

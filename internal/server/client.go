@@ -84,20 +84,42 @@ func (c *Client) postJSON(path string, body any) (*http.Response, error) {
 	return c.httpClient().Do(req)
 }
 
-// Simulate resolves one point. Non-2xx answers come back as *StatusError
-// so callers can switch on Code (429 → honor RetryAfter and retry).
-func (c *Client) Simulate(req SimulateRequest) (*SimulateResponse, error) {
-	resp, err := c.postJSON("/v1/simulate", req)
+// Post sends req as JSON to path and appends a 200 answer's whole body to
+// dst. Non-2xx answers come back as *StatusError. A body cut short fails
+// the call, so a caller that forwards dst never forwards half an answer.
+func (c *Client) Post(path string, req any, dst *bytes.Buffer) error {
+	resp, err := c.postJSON(path, req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, statusError(resp)
+		return statusError(resp)
 	}
+	if _, err := dst.ReadFrom(resp.Body); err != nil {
+		return fmt.Errorf("server: reading %s response: %w", path, err)
+	}
+	return nil
+}
+
+// call posts req to path and decodes the 200 body into out.
+func (c *Client) call(path string, req, out any) error {
+	var buf bytes.Buffer
+	if err := c.Post(path, req, &buf); err != nil {
+		return err
+	}
+	if err := json.Unmarshal(buf.Bytes(), out); err != nil {
+		return fmt.Errorf("server: decoding %s response: %w", path, err)
+	}
+	return nil
+}
+
+// Simulate resolves one point. Non-2xx answers come back as *StatusError
+// so callers can switch on Code (429 → honor RetryAfter and retry).
+func (c *Client) Simulate(req SimulateRequest) (*SimulateResponse, error) {
 	var out SimulateResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("server: decoding simulate response: %w", err)
+	if err := c.call("/v1/simulate", req, &out); err != nil {
+		return nil, err
 	}
 	return &out, nil
 }

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -117,9 +115,14 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 
 	// Not confident enough: resolve for real, under the same admission
 	// policy as /v1/simulate (fail-fast 429 when the queue is full).
+	pp, err := pt.Prepare()
+	if err != nil {
+		WriteError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
 	defer cancel()
-	resp, code, err := s.resolveOne(ctx, pt, false)
+	resp, code, err := s.resolveOne(ctx, pp, false)
 	if err != nil {
 		if code == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", s.retryAfter())
@@ -146,17 +149,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 // Estimate asks the fast tier for one point. Non-2xx answers come back as
 // *StatusError; a daemon without a warehouse answers 501.
 func (c *Client) Estimate(req EstimateRequest) (*EstimateResponse, error) {
-	resp, err := c.postJSON("/v1/estimate", req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, statusError(resp)
-	}
 	var out EstimateResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("server: decoding estimate response: %w", err)
+	if err := c.call("/v1/estimate", req, &out); err != nil {
+		return nil, err
 	}
 	return &out, nil
 }

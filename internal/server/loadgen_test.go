@@ -47,7 +47,7 @@ func TestLoadConfigPoints(t *testing.T) {
 func TestRunLoadSaturation(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	var calls atomic.Int64
-	s.resolve = func(experiments.PointRequest) (experiments.PointResult, runcache.Resolution, error) {
+	s.resolve = func(experiments.PreparedPoint) (experiments.PointResult, runcache.Resolution, error) {
 		calls.Add(1)
 		time.Sleep(10 * time.Millisecond) // slow enough that 8 clients pile up
 		return experiments.PointResult{}, runcache.ResolvedMemo, nil

@@ -21,6 +21,7 @@ type metrics struct {
 	reg *stats.Registry
 
 	admitted      stats.Counter //uopvet:guardedby mu
+	fastHits      stats.Counter //uopvet:guardedby mu
 	rejected      stats.Counter //uopvet:guardedby mu
 	rejectedDrain stats.Counter //uopvet:guardedby mu
 	completed     stats.Counter //uopvet:guardedby mu
@@ -39,7 +40,8 @@ type metrics struct {
 }
 
 // The fields above, in registration order: admitted (requests accepted
-// into the queue), rejected (429: admission queue full), rejectedDrain
+// into the queue), fastHits (memo hits answered before admission),
+// rejected (429: admission queue full), rejectedDrain
 // (503: submitted while draining), completed (simulations resolved),
 // failed (resolutions that errored), expired (deadline passed before a
 // worker picked it up), timeouts (handler stopped waiting, 504),
@@ -55,6 +57,7 @@ type counterID uint8
 
 const (
 	cAdmitted counterID = iota
+	cFastHits
 	cRejected
 	cRejectedDrain
 	cExpired
@@ -72,6 +75,7 @@ func newMetrics(eng *experiments.Engine, p *pool, ws *warehouse.Store, sur *surr
 	}
 	sc := m.reg.Scope("server")
 	sc.RegisterCounter("admitted", &m.admitted)
+	sc.RegisterCounter("fast_hits", &m.fastHits)
 	sc.RegisterCounter("rejected", &m.rejected)
 	sc.RegisterCounter("rejected_draining", &m.rejectedDrain)
 	sc.RegisterCounter("completed", &m.completed)
@@ -108,6 +112,8 @@ func (m *metrics) inc(id counterID) {
 	switch id {
 	case cAdmitted:
 		m.admitted.Inc()
+	case cFastHits:
+		m.fastHits.Inc()
 	case cRejected:
 		m.rejected.Inc()
 	case cRejectedDrain:

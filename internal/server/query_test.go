@@ -2,10 +2,12 @@ package server
 
 import (
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
 	"uopsim/internal/experiments"
+	"uopsim/internal/runcache"
 	"uopsim/internal/warehouse"
 )
 
@@ -127,5 +129,45 @@ func TestStatsCarriesWarehouse(t *testing.T) {
 	}
 	if st2.Warehouse != nil {
 		t.Error("in-memory daemon reports a warehouse section")
+	}
+}
+
+// TestStoredFeaturesMatchRequest: the feature vector is built lazily, only
+// when a simulated point is stored, and it is the request's own
+// PointRequest.Features — for a named scheme and for a sampled point.
+func TestStoredFeaturesMatchRequest(t *testing.T) {
+	_, ws, url := newWarehouseServer(t, Config{Workers: 2, MaxInsts: 500_000})
+	client := NewClient(url)
+	pts := []experiments.PointRequest{
+		{Workload: "bm_ds", Scheme: "F-PWAC", Capacity: 1024, Warmup: 1_000, Measure: 4_000},
+		{Workload: "redis", Warmup: 2_000, Measure: 60_000,
+			Sampling: &SamplingRequest{Intervals: 3, IntervalInsts: 4_000, WarmupInsts: 1_000}},
+	}
+	for _, pt := range pts {
+		resp, err := client.Simulate(SimulateRequest{PointRequest: pt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := pt.WithDefaults().Features()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got runcache.Features
+		found := false
+		err = ws.Iter(func(rec warehouse.Record) error {
+			if string(rec.Fingerprint) == resp.Fingerprint {
+				got, found = rec.Features, true
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !found {
+			t.Fatalf("%s/%s: no stored record for %s", pt.Workload, pt.Scheme, resp.Fingerprint)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s/%s: stored features\n%v\nwant\n%v", pt.Workload, pt.Scheme, got, want)
+		}
 	}
 }

@@ -11,6 +11,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -99,9 +100,10 @@ type Server struct {
 	mux   *http.ServeMux
 	start time.Time
 
-	// resolve is the simulation back end. Tests stub it to control timing
-	// and failures without running the simulator.
-	resolve func(experiments.PointRequest) (experiments.PointResult, runcache.Resolution, error)
+	// resolve is the simulation back end for points the memo cannot answer
+	// before admission. Tests stub it to control timing and failures
+	// without running the simulator.
+	resolve func(experiments.PreparedPoint) (experiments.PointResult, runcache.Resolution, error)
 }
 
 // New builds a server. The returned server is serving-ready; wire it into
@@ -125,8 +127,8 @@ func New(cfg Config) *Server {
 		}
 	}
 	s.met = newMetrics(eng, s.pool, s.ws, s.sur)
-	s.resolve = func(req experiments.PointRequest) (experiments.PointResult, runcache.Resolution, error) {
-		return req.Resolve(eng)
+	s.resolve = func(pp experiments.PreparedPoint) (experiments.PointResult, runcache.Resolution, error) {
+		return pp.Resolve(eng)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/simulate", s.handleSimulate)
@@ -224,6 +226,10 @@ type PoolStats struct {
 	Failed           uint64 `json:"failed"`
 	Expired          uint64 `json:"expired"`
 	Timeouts         uint64 `json:"timeouts"`
+
+	// FastHits counts requests answered from a completed memo entry before
+	// admission: they take no worker slot and are never refused with 429.
+	FastHits uint64 `json:"fast_hits"`
 }
 
 // SimulationModes splits completed resolutions by simulation mode;
@@ -260,13 +266,42 @@ func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
 	WriteJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// WriteJSON answers code with v as indented JSON.
+// WriteJSON answers code with v as indented JSON: the bytes
+// json.MarshalIndent(v, "", "  ") gives, plus a newline.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
+	je := jsonEncoders.Get().(*jsonEncoder)
+	defer je.release()
+	je.enc.Encode(v) //nolint — only an unencodable v fails, and then the body is empty
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint — the connection is gone if this fails
+	w.Write(je.buf.Bytes()) //nolint — the connection is gone if this fails
+}
+
+// jsonEncoder is an indenting encoder over its own buffer. Pooling both
+// keeps the encoder's indent scratch and the buffer across answers, so a
+// warm hit does not regrow a snapshot-sized body twice per request.
+type jsonEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonEncoders = sync.Pool{New: func() any {
+	je := &jsonEncoder{}
+	je.enc = json.NewEncoder(&je.buf)
+	je.enc.SetIndent("", "  ")
+	return je
+}}
+
+// maxPooledJSON bounds the buffer an encoder keeps: a rare huge answer
+// (a wide /v1/stats) is not pinned in the pool for the process lifetime.
+const maxPooledJSON = 1 << 20
+
+func (je *jsonEncoder) release() {
+	if je.buf.Cap() > maxPooledJSON {
+		return
+	}
+	je.buf.Reset()
+	jsonEncoders.Put(je)
 }
 
 // simulateBodyLimit bounds a /v1/simulate body: one point plus one config
@@ -309,6 +344,20 @@ func (s *Server) validatePoint(pt experiments.PointRequest) error {
 	return nil
 }
 
+// preparePoint validates one wire point (400 on failure) and prepares it
+// (500 on failure: a valid point that cannot be fingerprinted is a bug).
+func (s *Server) preparePoint(pt experiments.PointRequest) (experiments.PreparedPoint, int, error) {
+	pt = pt.WithDefaults()
+	if err := s.validatePoint(pt); err != nil {
+		return experiments.PreparedPoint{}, http.StatusBadRequest, err
+	}
+	pp, err := pt.Prepare()
+	if err != nil {
+		return experiments.PreparedPoint{}, http.StatusInternalServerError, err
+	}
+	return pp, http.StatusOK, nil
+}
+
 // requestContext derives the working deadline: the client's timeout_ms
 // capped by MaxDeadline, or the whole cap when the client named none.
 func (s *Server) requestContext(parent context.Context, timeoutMS int64) (context.Context, context.CancelFunc) {
@@ -342,25 +391,28 @@ func (s *Server) retryAfter() string {
 	return strconv.Itoa(secs)
 }
 
-// resolveOne pushes one validated point through the pool and waits for it
-// under ctx. It returns the response, or an HTTP status code and error.
-// wait selects the admission mode: fail-fast (simulate, 429) or blocking
-// (sweep points trickle in as capacity frees).
-func (s *Server) resolveOne(ctx context.Context, pt experiments.PointRequest, wait bool) (*SimulateResponse, int, error) {
-	fp, err := pt.Fingerprint()
-	if err != nil {
-		return nil, http.StatusInternalServerError, err
+// resolveOne answers one validated, prepared point. A completed memo
+// entry answers at once, before admission: it takes no worker slot and
+// cannot be refused. Everything else — disk hits, joiners of an in-flight
+// entry, simulations — goes through the pool and is waited for under ctx.
+// It returns the response, or an HTTP status code and error. wait selects
+// the admission mode: fail-fast (simulate, 429) or blocking (sweep points
+// trickle in as capacity frees).
+func (s *Server) resolveOne(ctx context.Context, pp experiments.PreparedPoint, wait bool) (*SimulateResponse, int, error) {
+	start := time.Now()
+	if res, ok := s.eng.Lookup(pp.Fingerprint); ok {
+		s.met.inc(cFastHits)
+		return simulateResponse(pp, runcache.ResolvedMemo, res, start), http.StatusOK, nil
 	}
 	var (
 		res  experiments.PointResult
 		how  runcache.Resolution
 		rerr error
 	)
-	mode := pt.Mode()
-	start := time.Now()
+	mode := pp.Request.Mode()
 	t, err := s.pool.submit(ctx, func() {
 		t0 := time.Now()
-		res, how, rerr = s.resolve(pt)
+		res, how, rerr = s.resolve(pp)
 		s.met.observe(time.Since(t0), mode, rerr)
 	}, wait)
 	if err != nil {
@@ -391,16 +443,22 @@ func (s *Server) resolveOne(ctx context.Context, pt experiments.PointRequest, wa
 	if rerr != nil {
 		return nil, http.StatusInternalServerError, rerr
 	}
+	return simulateResponse(pp, how, res, start), http.StatusOK, nil
+}
+
+// simulateResponse is /v1/simulate's answer for a resolved point.
+func simulateResponse(pp experiments.PreparedPoint, how runcache.Resolution, res experiments.PointResult, start time.Time) *SimulateResponse {
+	pt := pp.Request
 	return &SimulateResponse{
 		Workload:    pt.Workload,
 		Scheme:      pt.Scheme,
 		Capacity:    pt.Capacity,
-		Fingerprint: string(fp),
+		Fingerprint: string(pp.Fingerprint),
 		Resolution:  how.String(),
-		Mode:        mode,
+		Mode:        pt.Mode(),
 		ElapsedMS:   float64(time.Since(start)) / float64(time.Millisecond),
 		Result:      res,
-	}, http.StatusOK, nil
+	}
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -413,14 +471,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	pt := req.PointRequest.WithDefaults()
-	if err := s.validatePoint(pt); err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
+	pp, code, err := s.preparePoint(req.PointRequest)
+	if err != nil {
+		WriteError(w, code, "%v", err)
 		return
 	}
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
 	defer cancel()
-	resp, code, err := s.resolveOne(ctx, pt, false)
+	resp, code, err := s.resolveOne(ctx, pp, false)
 	if err != nil {
 		if code == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", s.retryAfter())
@@ -449,13 +507,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "sweep of %d points exceeds this server's cap of %d", len(req.Points), s.cfg.MaxSweepPoints)
 		return
 	}
-	pts := make([]experiments.PointRequest, len(req.Points))
+	pts := make([]experiments.PreparedPoint, len(req.Points))
 	for i, p := range req.Points {
-		pts[i] = p.WithDefaults()
-		if err := s.validatePoint(pts[i]); err != nil {
-			WriteError(w, http.StatusBadRequest, "points[%d]: %v", i, err)
+		pp, code, err := s.preparePoint(p)
+		if err != nil {
+			WriteError(w, code, "points[%d]: %v", i, err)
 			return
 		}
+		pts[i] = pp
 	}
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
 	defer cancel()
@@ -472,10 +531,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var wg sync.WaitGroup
 	for i := range pts {
 		wg.Add(1)
-		go func(i int, pt experiments.PointRequest) {
+		go func(i int, pp experiments.PreparedPoint) {
 			defer wg.Done()
-			line := SweepLine{Index: i, Workload: pt.Workload, Scheme: pt.Scheme}
-			resp, _, err := s.resolveOne(ctx, pt, true)
+			line := SweepLine{Index: i, Workload: pp.Request.Workload, Scheme: pp.Request.Scheme}
+			resp, _, err := s.resolveOne(ctx, pp, true)
 			if err != nil {
 				line.Error = err.Error()
 			} else {
@@ -550,6 +609,7 @@ func (s *Server) statsResponse() StatsResponse {
 		QueueDepth:       len(s.pool.tasks),
 		Inflight:         int(s.pool.inflight.Load()),
 		Admitted:         m.admitted.Value(),
+		FastHits:         m.fastHits.Value(),
 		Rejected:         m.rejected.Value(),
 		RejectedDraining: m.rejectedDrain.Value(),
 		Completed:        m.completed.Value(),

@@ -132,7 +132,7 @@ func TestBackpressure429(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
-	s.resolve = func(experiments.PointRequest) (experiments.PointResult, runcache.Resolution, error) {
+	s.resolve = func(experiments.PreparedPoint) (experiments.PointResult, runcache.Resolution, error) {
 		select {
 		case started <- struct{}{}:
 		default:
@@ -153,20 +153,7 @@ func TestBackpressure429(t *testing.T) {
 		}(i)
 	}
 	<-started // worker busy; second request occupies the queue slot
-	// Wait until the second request actually holds the queue slot. A probe
-	// sent earlier could take the slot itself and block on release, which
-	// only closes after the probe returns.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		pool := s.statsResponse().Pool
-		if pool.Inflight == 1 && pool.QueueDepth == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pool never reached 1 in flight + 1 queued: %+v", pool)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitSaturated(t, s)
 	var se *StatusError
 	if _, err := client.Simulate(req); !errors.As(err, &se) || se.Code != http.StatusTooManyRequests {
 		t.Fatalf("probe against a full queue = %v, want 429", err)
@@ -191,13 +178,31 @@ func TestBackpressure429(t *testing.T) {
 	}
 }
 
+// waitSaturated waits until one task runs and one holds the only queue
+// slot. A probe sent earlier could take the slot itself and block on the
+// stub's release, which only closes after the probe returns.
+func waitSaturated(t *testing.T, s *Server) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		pool := s.statsResponse().Pool
+		if pool.Inflight == 1 && pool.QueueDepth == 1 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pool never reached 1 in flight + 1 queued: %+v", pool)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // TestSweepNDJSON drives /v1/sweep through a stub that fails one point and
 // staggers completion order, checking content type, index integrity, the
 // per-line error contract, and that every point is answered exactly once.
 func TestSweepNDJSON(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 8})
-	s.resolve = func(pt experiments.PointRequest) (experiments.PointResult, runcache.Resolution, error) {
-		if pt.Workload == "redis" {
+	s.resolve = func(pp experiments.PreparedPoint) (experiments.PointResult, runcache.Resolution, error) {
+		if pp.Request.Workload == "redis" {
 			return experiments.PointResult{}, runcache.ResolvedCompute, fmt.Errorf("injected failure")
 		}
 		return experiments.PointResult{Suite: "test"}, runcache.ResolvedMemo, nil
@@ -265,7 +270,7 @@ func TestGracefulDrain(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
 	var once sync.Once
-	s.resolve = func(experiments.PointRequest) (experiments.PointResult, runcache.Resolution, error) {
+	s.resolve = func(experiments.PreparedPoint) (experiments.PointResult, runcache.Resolution, error) {
 		once.Do(func() { close(started) })
 		<-release
 		return experiments.PointResult{Suite: "drained"}, runcache.ResolvedCompute, nil
@@ -433,10 +438,147 @@ func TestSweepDedupe50x10(t *testing.T) {
 	if wire.Engine.Simulated != 10 || wire.Engine.Submitted != 50 || wire.Engine.MemoHits != 40 {
 		t.Fatalf("/v1/stats engine = %+v, want simulated=10 submitted=50 memo_hits=40", wire.Engine)
 	}
-	if wire.Pool.Admitted != 50 || wire.Pool.Completed != 50 {
-		t.Fatalf("/v1/stats pool = %+v, want admitted=50 completed=50", wire.Pool)
+	// A repeat that finds its point completed is answered before admission;
+	// every other request takes a pool slot. Either way each is answered once.
+	if wire.Pool.Admitted+wire.Pool.FastHits != 50 || wire.Pool.Completed != wire.Pool.Admitted {
+		t.Fatalf("/v1/stats pool = %+v, want admitted+fast_hits=50 and completed=admitted", wire.Pool)
+	}
+	if wire.Simulations.Sampled+wire.Simulations.Full != wire.Pool.Completed {
+		t.Fatalf("mode split %+v does not sum to completed=%d", wire.Simulations, wire.Pool.Completed)
 	}
 }
+
+// TestMemoHitSkipsAdmission: a repeat of a completed point is answered
+// from the memo before admission. It takes no pool slot, shows as a fast
+// hit in /v1/stats and /metrics, and still reports resolution=memo.
+func TestMemoHitSkipsAdmission(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	client := NewClient(ts.URL)
+	req := SimulateRequest{PointRequest: experiments.PointRequest{Workload: "bm_ds", Warmup: 500, Measure: 1_000}}
+	first, err := client.Simulate(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := client.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		again, err := client.Simulate(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.Resolution != "memo" || again.Fingerprint != first.Fingerprint || again.Result.Metrics != first.Result.Metrics {
+			t.Fatalf("repeat %d answered %s/%s, want the memo copy of %s", i, again.Resolution, again.Fingerprint, first.Fingerprint)
+		}
+	}
+	after, err := client.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Pool.Admitted != before.Pool.Admitted {
+		t.Fatalf("memo hits were admitted: %d -> %d", before.Pool.Admitted, after.Pool.Admitted)
+	}
+	if after.Pool.FastHits != before.Pool.FastHits+3 {
+		t.Fatalf("fast hits %d -> %d, want +3", before.Pool.FastHits, after.Pool.FastHits)
+	}
+	if after.Engine.MemoHits != before.Engine.MemoHits+3 || after.Engine.Submitted != before.Engine.Submitted+3 {
+		t.Fatalf("engine counters %+v -> %+v, want 3 more submissions and memo hits", before.Engine, after.Engine)
+	}
+	if after.Simulations.Sampled+after.Simulations.Full != after.Pool.Completed {
+		t.Fatalf("mode split %+v does not sum to completed=%d", after.Simulations, after.Pool.Completed)
+	}
+	if st := s.Engine().Stats(); st.Simulated != 1 {
+		t.Fatalf("engine simulated %d times, want 1", st.Simulated)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	buf := new(bytes.Buffer)
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "uopsimd_server_fast_hits 3\n") {
+		t.Fatalf("/metrics does not report 3 fast hits:\n%s", buf.String())
+	}
+}
+
+// TestMemoHitNotRefusedWhenSaturated: with the only worker busy and the
+// only queue slot taken, a new point gets 429 but a completed one is still
+// answered.
+func TestMemoHitNotRefusedWhenSaturated(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	client := NewClient(ts.URL)
+	warm := SimulateRequest{PointRequest: experiments.PointRequest{Workload: "redis", Warmup: 500, Measure: 1_000}}
+	if _, err := client.Simulate(warm); err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	started := make(chan struct{}, 1)
+	s.resolve = func(experiments.PreparedPoint) (experiments.PointResult, runcache.Resolution, error) {
+		select {
+		case started <- struct{}{}:
+		default:
+		}
+		<-release
+		return experiments.PointResult{}, runcache.ResolvedCompute, nil
+	}
+	var wg sync.WaitGroup
+	for _, wl := range []string{"bm_cc", "jvm"} {
+		wg.Add(1)
+		go func(wl string) {
+			defer wg.Done()
+			client.Simulate(SimulateRequest{PointRequest: experiments.PointRequest{Workload: wl}})
+		}(wl)
+	}
+	<-started
+	waitSaturated(t, s)
+	var se *StatusError
+	if _, err := client.Simulate(SimulateRequest{PointRequest: experiments.PointRequest{Workload: "nutch"}}); !errors.As(err, &se) || se.Code != http.StatusTooManyRequests {
+		t.Fatalf("new point against a full queue = %v, want 429", err)
+	}
+	if resp, err := client.Simulate(warm); err != nil || resp.Resolution != "memo" {
+		t.Fatalf("completed point against a full queue = %v, %v, want a memo answer", resp, err)
+	}
+	close(release)
+	wg.Wait()
+}
+
+// TestMemoHitAllocs bounds the allocations of one memo-hit /v1/simulate
+// through the handler. One fingerprint costs about a hundred allocations,
+// so computing it twice per request again fails this bound.
+func TestMemoHitAllocs(t *testing.T) {
+	s := New(Config{Workers: 1})
+	t.Cleanup(s.Drain)
+	body := `{"workload":"bm_ds","warmup":500,"measure":1000}`
+	serve := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(body)))
+		return rec
+	}
+	if rec := serve(); rec.Code != http.StatusOK {
+		t.Fatalf("first simulate = %d: %s", rec.Code, rec.Body)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if rec := serve(); rec.Code != http.StatusOK {
+			t.Fatalf("memo-hit simulate = %d", rec.Code)
+		}
+	})
+	t.Logf("memo-hit /v1/simulate: %.0f allocs", allocs)
+	if allocs > memoHitAllocBound {
+		t.Fatalf("memo-hit /v1/simulate allocates %.0f times, bound %d", allocs, memoHitAllocBound)
+	}
+	if got := s.statsResponse().Pool.Admitted; got != 1 {
+		t.Fatalf("admitted = %d after one simulation and memo hits, want 1", got)
+	}
+}
+
+// memoHitAllocBound is the measured memo-hit cost plus headroom well below
+// one extra fingerprint.
+const memoHitAllocBound = 180
 
 // TestMetricsEndpoint spot-checks the Prometheus exposition: server scope,
 // runcache scope, and parseable sample lines.
@@ -576,4 +718,46 @@ func TestSampledRequestValidation(t *testing.T) {
 	if !strings.Contains(eb.Error, "stride") {
 		t.Fatalf("error %q does not explain the stride violation", eb.Error)
 	}
+}
+
+// TestWriteJSONMatchesMarshalIndent: the pooled encoder writes exactly what
+// json.MarshalIndent gives plus a newline, from many goroutines at once.
+func TestWriteJSONMatchesMarshalIndent(t *testing.T) {
+	values := []any{
+		errorBody{Error: "bad <input> & more"},
+		map[string]float64{"upc": 3.25, "ipc": 1e-9, "oc_hit_rate": 0.5},
+		&SimulateResponse{Workload: "bm_cc", Scheme: "F-PWAC", Capacity: 2048, Fingerprint: "ab12", Resolution: "memo", Mode: "full", ElapsedMS: 0.125},
+		[]int{},
+		HealthzInfo{Status: "ok", Node: "n1", Points: 7, Warehouse: true},
+		strings.Repeat("x", maxPooledJSON), // larger than a pooled buffer may stay
+	}
+	want := make([][]byte, len(values))
+	for i, v := range values {
+		b, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = append(b, '\n')
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < 2*len(values); rep++ {
+				i := (g + rep) % len(values)
+				rec := httptest.NewRecorder()
+				WriteJSON(rec, http.StatusAccepted, values[i])
+				if rec.Code != http.StatusAccepted || rec.Header().Get("Content-Type") != "application/json" {
+					t.Errorf("value %d: status %d, content type %q", i, rec.Code, rec.Header().Get("Content-Type"))
+					return
+				}
+				if !bytes.Equal(rec.Body.Bytes(), want[i]) {
+					t.Errorf("value %d: WriteJSON wrote %q, want %q", i, rec.Body.Bytes(), want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -258,11 +258,18 @@ func Profiles() []*Profile {
 	return ps
 }
 
-// ByName returns the profile with the given name.
+// table is the Table II set, built once: every request resolves its
+// workload by name, so ByName and Names read this instead of rebuilding
+// all 13 profiles per call.
+var table = Profiles()
+
+// ByName returns a copy of the profile with the given name; the caller may
+// modify it without affecting later lookups.
 func ByName(name string) (*Profile, error) {
-	for _, p := range Profiles() {
+	for _, p := range table {
 		if p.Name == name {
-			return p, nil
+			cp := *p
+			return &cp, nil
 		}
 	}
 	return nil, fmt.Errorf("workload: unknown profile %q (have %v)", name, Names())
@@ -270,9 +277,8 @@ func ByName(name string) (*Profile, error) {
 
 // Names lists all profile names in figure order.
 func Names() []string {
-	ps := Profiles()
-	names := make([]string, len(ps))
-	for i, p := range ps {
+	names := make([]string, len(table))
+	for i, p := range table {
 		names[i] = p.Name
 	}
 	return names

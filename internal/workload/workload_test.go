@@ -43,6 +43,41 @@ func TestByNameUnknown(t *testing.T) {
 	}
 }
 
+// TestByNameReturnsCopy: a caller that edits the profile it got must not
+// change what the next lookup returns.
+func TestByNameReturnsCopy(t *testing.T) {
+	p, err := ByName("bm_cc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := *p
+	p.Seed++
+	p.ChaoticFrac = 0.99
+	p.Mix.ALU = -1
+	again, err := ByName("bm_cc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *again != want {
+		t.Fatalf("mutating a returned profile changed the table: got %+v, want %+v", *again, want)
+	}
+	if *Profiles()[8] != want {
+		t.Fatal("ByName(bm_cc) differs from the freshly built Table II profile")
+	}
+}
+
+// TestByNameAllocs pins the lookup to the one copy it hands out; every
+// request resolves its workload through it.
+func TestByNameAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := ByName("bm_z"); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Fatalf("ByName allocates %.0f times per call, want <= 1", n)
+	}
+}
+
 func TestBuildDeterminism(t *testing.T) {
 	prof, _ := ByName("bm_ds")
 	a, err := Build(prof)

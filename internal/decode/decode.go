@@ -103,8 +103,15 @@ func (p *Pipe[T]) PopReady(cycle int64) (T, bool) {
 // Len returns the number of in-flight items.
 func (p *Pipe[T]) Len() int { return p.count }
 
-// Flush discards all in-flight items (pipeline redirect).
-func (p *Pipe[T]) Flush() {
+// Flush discards all in-flight items (pipeline redirect). When release is
+// non-nil it receives each in-flight value exactly once, oldest first, so an
+// owner can recycle what the values hold.
+func (p *Pipe[T]) Flush(release func(T)) {
+	if release != nil {
+		for i := 0; i < p.count; i++ {
+			release(p.slots[(p.head+i)%len(p.slots)].value)
+		}
+	}
 	for i := range p.slots {
 		p.slots[i] = pipeSlot[T]{}
 	}

@@ -1,6 +1,9 @@
 package decode
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestPipeLatency(t *testing.T) {
 	p := NewPipe[int](3, 2, 16)
@@ -82,7 +85,7 @@ func TestPipeFlush(t *testing.T) {
 	p := NewPipe[int](2, 2, 8)
 	p.Push(0, 1)
 	p.Push(0, 2)
-	p.Flush()
+	p.Flush(nil)
 	if p.Len() != 0 {
 		t.Fatal("flush incomplete")
 	}
@@ -94,6 +97,48 @@ func TestPipeFlush(t *testing.T) {
 	p.Push(0, 4)
 	if p.CanPush(0) {
 		t.Fatal("width limit should apply after flush")
+	}
+}
+
+// TestPipeFlushReleasesInFlight checks the release callback on a ring that
+// has wrapped: every in-flight value is handed back exactly once, oldest
+// first, and the pipe is empty afterwards.
+func TestPipeFlushReleasesInFlight(t *testing.T) {
+	p := NewPipe[int](1, 2, 4)
+	next := 0
+	var live []int
+	for c := int64(0); c < 5; c++ {
+		// Pop one, push up to two: the head walks around the 4-slot ring.
+		if v, ok := p.PopReady(c); ok {
+			if v != live[0] {
+				t.Fatalf("cycle %d popped %d, want %d", c, v, live[0])
+			}
+			live = live[1:]
+		}
+		for p.CanPush(c) {
+			p.Push(c, next)
+			live = append(live, next)
+			next++
+		}
+	}
+	if p.Len() != len(live) || len(live) < 2 {
+		t.Fatalf("setup: %d in flight, tracked %v", p.Len(), live)
+	}
+	var got []int
+	p.Flush(func(v int) { got = append(got, v) })
+	if !reflect.DeepEqual(got, live) {
+		t.Errorf("flush released %v, want in-flight FIFO %v", got, live)
+	}
+	if p.Len() != 0 {
+		t.Errorf("flush left %d in flight", p.Len())
+	}
+	if _, ok := p.PopReady(100); ok {
+		t.Error("flushed pipe returned an item")
+	}
+	got = got[:0]
+	p.Flush(func(v int) { got = append(got, v) })
+	if len(got) != 0 {
+		t.Errorf("flushing an empty pipe released %v", got)
 	}
 }
 

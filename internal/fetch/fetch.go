@@ -106,12 +106,17 @@ func NewBuilder(cfg Config, pred *bpred.Predictor) *Builder {
 
 func lineOf(addr uint64) uint64 { return addr &^ uint64(ICLineBytes-1) }
 
-// Build constructs the next PW starting at startPC along the speculative
-// path, advancing speculative history/RAS for every predicted branch.
-func (b *Builder) Build(startPC uint64) PW {
+// Build constructs the next PW starting at startPC into the caller-owned
+// pw, advancing speculative history/RAS for every predicted branch. Every
+// field is overwritten; pw's Conds backing array is reused, so a caller that
+// recycles its windows builds without allocating once the backing has grown
+// to the largest window seen.
+//
+//uopvet:hotpath
+func (b *Builder) Build(pw *PW, startPC uint64) {
 	b.instance++
 	b.built.Inc()
-	pw := PW{ID: startPC, Instance: b.instance, Start: startPC}
+	*pw = PW{ID: startPC, Instance: b.instance, Start: startPC, Conds: pw.Conds[:0]}
 	line := lineOf(startPC)
 	lineEnd := line + ICLineBytes
 	cur := startPC
@@ -125,7 +130,7 @@ func (b *Builder) Build(startPC uint64) PW {
 			pw.NextPC = lineEnd
 			pw.Term = TermLineEnd
 			b.lineTerm.Inc()
-			return pw
+			return
 		}
 		brPC := br.PC(line)
 		fall := br.FallThrough(line)
@@ -133,6 +138,7 @@ func (b *Builder) Build(startPC uint64) PW {
 			p := b.pred.PredictCond(brPC)
 			b.pred.SpecShift(p.Taken)
 			b.specShifts.Inc()
+			//uopvet:ignore hotpath -- a value copied into the reused Conds backing, which allocates only while it grows (TestBuildIntoReusedPW)
 			pw.Conds = append(pw.Conds, CondAt{PC: brPC, Pred: p, Taken: p.Taken})
 			if !p.Taken {
 				nt++
@@ -141,7 +147,7 @@ func (b *Builder) Build(startPC uint64) PW {
 					pw.NextPC = fall
 					pw.Term = TermMaxNT
 					b.ntTermed.Inc()
-					return pw
+					return
 				}
 				cur = fall
 				if cur >= lineEnd {
@@ -149,7 +155,7 @@ func (b *Builder) Build(startPC uint64) PW {
 					pw.NextPC = lineEnd
 					pw.Term = TermLineEnd
 					b.lineTerm.Inc()
-					return pw
+					return
 				}
 				continue
 			}
@@ -162,7 +168,7 @@ func (b *Builder) Build(startPC uint64) PW {
 			pw.NextPC = target
 			pw.Term = TermTaken
 			b.takenTerm.Inc()
-			return pw
+			return
 		}
 
 		// Unconditional control transfer terminates the PW.
@@ -182,7 +188,7 @@ func (b *Builder) Build(startPC uint64) PW {
 		pw.NextPC = target
 		pw.Term = TermTaken
 		b.takenTerm.Inc()
-		return pw
+		return
 	}
 }
 

@@ -43,7 +43,8 @@ type Loop struct {
 type LoopCache struct {
 	cfg Config
 
-	current    *Loop
+	current    *Loop // nil or &loop
+	loop       Loop  // the captured loop; its InstIDs backing is reused
 	trainPC    uint64
 	trainCount int
 
@@ -101,15 +102,18 @@ func (lc *LoopCache) ObserveOther() {
 	lc.trainPC = 0
 }
 
-// Install captures a loop; it returns false (and captures nothing) when the
-// body exceeds the buffer.
+// Install captures a loop, copying its body into storage the loop cache
+// owns (the caller may reuse l.InstIDs); it returns false (and captures
+// nothing) when the body exceeds the buffer. A Loop returned by an earlier
+// Lookup is overwritten.
 func (lc *LoopCache) Install(l Loop) bool {
 	if !lc.cfg.Enabled || l.NumUops > lc.cfg.MaxUops || len(l.InstIDs) == 0 {
 		return false
 	}
-	cp := l
-	cp.InstIDs = append([]uint32(nil), l.InstIDs...)
-	lc.current = &cp
+	ids := append(lc.loop.InstIDs[:0], l.InstIDs...)
+	lc.loop = l
+	lc.loop.InstIDs = ids
+	lc.current = &lc.loop
 	lc.captures.Inc()
 	lc.replToggles.Inc()
 	return true

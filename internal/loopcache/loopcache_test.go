@@ -95,3 +95,25 @@ func TestStats(t *testing.T) {
 		t.Errorf("stats = %d/%d", captures, served)
 	}
 }
+
+// TestInstallCopiesBody checks that Install owns its copy of the body: the
+// caller's scratch can be rewritten, and reinstalling reuses the backing.
+func TestInstallCopiesBody(t *testing.T) {
+	lc := New(DefaultConfig())
+	scratch := []uint32{1, 2, 3}
+	lc.Install(Loop{Start: 0x80, BranchPC: 0x100, InstIDs: scratch, NumUops: 3})
+	scratch[0] = 99
+	got, _ := lc.Lookup(0x80)
+	if got.InstIDs[0] != 1 {
+		t.Fatalf("installed body aliases the caller's slice: %v", got.InstIDs)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		lc.Install(Loop{Start: 0x80, BranchPC: 0x100, InstIDs: scratch[:2], NumUops: 2})
+	})
+	if allocs != 0 {
+		t.Errorf("reinstalling a loop allocates %.1f objects, want 0", allocs)
+	}
+	if got, _ := lc.Lookup(0x80); len(got.InstIDs) != 2 || got.InstIDs[0] != 99 {
+		t.Errorf("reinstalled body = %v, want [99 2]", got.InstIDs)
+	}
+}

@@ -87,7 +87,7 @@ func (m *counters) register(r *stats.Registry) {
 
 // step advances the machine one cycle. It runs once per simulated cycle
 // for every design point, so it must stay allocation-free (see
-// TestCycleLoopAllocations).
+// TestCycleLoopAllocLean).
 //
 //uopvet:hotpath
 func (s *Sim) step() {
@@ -296,9 +296,9 @@ func (s *Sim) flushFrontEnd(c int64, target uint64, flushUQ bool) {
 		}
 		s.obs.Event(Event{Cycle: c, Kind: EvRedirect, Addr: target, A: misp})
 	}
-	s.ocPipe.Flush()
-	s.dcPipe.Flush()
-	s.lcPipe.Flush()
+	s.ocPipe.Flush(s.putGroup)
+	s.dcPipe.Flush(nil)
+	s.lcPipe.Flush(s.putGroup)
 	if flushUQ {
 		s.uq.Flush()
 		s.ocb.Flush()
@@ -357,9 +357,8 @@ func (s *Sim) acquirePW(c int64) bool {
 				continue // window fully absorbed
 			}
 		}
-		s.pwCur = *pw
+		s.setCur(pw)
 		s.pwPopN(1)
-		s.pw = &s.pwCur
 		s.curAddr = s.pwCur.Start
 		if s.fetchAddr > s.curAddr {
 			s.curAddr = s.fetchAddr
@@ -396,6 +395,7 @@ func (s *Sim) ocStep(c int64) {
 	if !s.ocPipe.CanPush(c) {
 		return
 	}
+	// entry stays valid for this cycle only: the next fill may recycle it.
 	entry, hit := s.oc.Lookup(s.curAddr)
 	if !hit {
 		s.setMode(c, modeIC)
@@ -412,7 +412,7 @@ func (s *Sim) ocStep(c int64) {
 	consumed := 0 // PWs taken from the queue beyond s.pw
 	finishedTaken := false
 	outOfGuidance := false
-	for _, id := range entry.InstIDs {
+	for _, id := range entry.InstIDs() {
 		in := s.prog.Inst(id)
 		if in.Addr < s.curAddr {
 			continue
@@ -451,9 +451,8 @@ func (s *Sim) ocStep(c int64) {
 
 	// Commit cursor state: windows strictly before cur are fully fetched.
 	if consumed > 0 {
-		s.pwCur = *s.pwAt(consumed - 1)
+		s.setCur(s.pwAt(consumed - 1))
 		s.pwPopN(consumed)
-		s.pw = &s.pwCur
 	}
 	cur2 := s.pw // cur aliases either old s.pw or the new copy's original slot
 	switch {
@@ -561,9 +560,12 @@ func (s *Sim) finishPW(next uint64) {
 func (s *Sim) captureLoop(pw *fetch.PW) { s.captureLoopAt(pw.Start, pw.TakenPC) }
 
 // captureLoopAt is the window-free form: the sampled-run warming path
-// drives it from the architectural stream, where no PW exists.
+// drives it from the architectural stream, where no PW exists. The body is
+// gathered in the Sim's loopIDs scratch; Install copies it.
+//
+//uopvet:hotpath
 func (s *Sim) captureLoopAt(start, takenPC uint64) {
-	var ids []uint32
+	s.loopIDs = s.loopIDs[:0]
 	uops := 0
 	addr := start
 	for {
@@ -571,7 +573,7 @@ func (s *Sim) captureLoopAt(start, takenPC uint64) {
 		if in == nil {
 			return
 		}
-		ids = append(ids, in.ID)
+		s.loopIDs = append(s.loopIDs, in.ID)
 		uops += int(in.NumUops)
 		if uops > s.lc.MaxUops() {
 			return
@@ -584,19 +586,20 @@ func (s *Sim) captureLoopAt(start, takenPC uint64) {
 		}
 		addr = in.End()
 	}
-	s.lc.Install(loopcache.Loop{Start: start, BranchPC: takenPC, InstIDs: ids, NumUops: uops})
+	s.lc.Install(loopcache.Loop{Start: start, BranchPC: takenPC, InstIDs: s.loopIDs, NumUops: uops})
 }
 
 func (s *Sim) bpuStep(c int64) {
 	if s.bpuStall > c || s.pwCount >= s.cfg.PWQueueSize {
 		return
 	}
-	pw := s.pwb.Build(s.bpuPC)
+	pw := s.pwAt(s.pwCount) // the free slot behind the queue tail
+	s.pwb.Build(pw, s.bpuPC)
+	s.pwCount++
 	if pw.Penalty > 0 {
 		s.bpuStall = c + int64(pw.Penalty)
 	}
 	s.hier.PrefetchInst(pw.Start)
-	s.pwPush(pw)
 	if s.obs != nil {
 		taken := int32(0)
 		if pw.EndsTaken {

@@ -176,14 +176,16 @@ type Sim struct {
 	cycle int64
 
 	// Fetch-side state. The PW queue is a fixed ring (head/count over pwQ)
-	// and the current window lives in pwCur: both avoid the per-window heap
-	// traffic a sliced queue and an escaping copy would cause on this path.
+	// that bpuStep builds windows into in place, reusing each slot's Conds
+	// backing. The current window lives in pwCur, a copy with its own Conds
+	// backing (setCur): a slot popped by fetch may be rebuilt by bpuStep in
+	// the same cycle while pwCur is still being fetched.
 	seq          uint64
 	nextPopSeq   uint64
 	pwQ          []fetch.PW // ring buffer, capacity PWQueueSize
 	pwHead       int
 	pwCount      int
-	pwCur        fetch.PW  // backing store for pw
+	pwCur        fetch.PW  // backing store for pw; never aliases a pwQ slot
 	pw           *fetch.PW // nil or &pwCur
 	pwFromOC     bool      // current PW has had at least one OC hit (switch penalty)
 	pwMode       fetchMode
@@ -198,9 +200,14 @@ type Sim struct {
 	wrongPath    bool
 	nextOraclePC uint64
 
-	// itemFree recycles fGroup item slices between front-end pipe pushes
-	// and drains (groups dropped by a flush are simply reallocated later).
+	// itemFree recycles fGroup item slices: a group's slice returns here
+	// when the group drains, or when a redirect flushes it from its pipe
+	// (flushFrontEnd), so no slice is ever dropped for the GC.
 	itemFree [][]fItem
+
+	// loopIDs is captureLoopAt's scratch for a loop body; the loop cache
+	// copies what it installs.
+	loopIDs []uint32
 
 	redirect        pendingRedirect
 	redirectPending bool
@@ -291,7 +298,7 @@ func newSim(cfg Config, wl *workload.Workload, oracle trace.Stream, ocCache *uop
 		pwQ:    make([]fetch.PW, maxInt(cfg.PWQueueSize, 1)),
 	}
 	s.pwb = fetch.NewBuilder(cfg.Fetch, s.pred)
-	s.ocb = uopcache.NewBuilder(cfg.Limits, s.oc.Stats, func(e *uopcache.Entry) {
+	s.ocb = uopcache.NewBuilder(cfg.Limits, s.oc, func(e *uopcache.Entry) {
 		s.oc.Fill(e)
 		if s.obs != nil {
 			s.obs.Event(Event{Cycle: s.cycle, Kind: EvFill, Addr: e.Start, A: int32(e.NumUops)})
@@ -372,7 +379,8 @@ func (s *Sim) InvalidateCodeLine(addr uint64) int {
 }
 
 // PW ring-buffer accessors. Indices are relative to the queue head; callers
-// never hold more than pwCount entries, so a single wrap subtraction suffices.
+// never index past pwCount (pwAt(pwCount) is the free slot bpuStep builds
+// into), so a single wrap subtraction suffices.
 
 func (s *Sim) pwAt(i int) *fetch.PW {
 	j := s.pwHead + i
@@ -382,13 +390,13 @@ func (s *Sim) pwAt(i int) *fetch.PW {
 	return &s.pwQ[j]
 }
 
-func (s *Sim) pwPush(pw fetch.PW) {
-	j := s.pwHead + s.pwCount
-	if j >= len(s.pwQ) {
-		j -= len(s.pwQ)
-	}
-	s.pwQ[j] = pw
-	s.pwCount++
+// setCur makes pw the current window. It copies pw into pwCur but keeps
+// pwCur's own Conds backing, so the ring slot can be rebuilt right away.
+func (s *Sim) setCur(pw *fetch.PW) {
+	conds := append(s.pwCur.Conds[:0], pw.Conds...)
+	s.pwCur = *pw
+	s.pwCur.Conds = conds
+	s.pw = &s.pwCur
 }
 
 func (s *Sim) pwPopN(n int) {
@@ -424,6 +432,9 @@ func (s *Sim) putItems(items []fItem) {
 	}
 	s.itemFree = append(s.itemFree, items[:0])
 }
+
+// putGroup recycles the items of a group a redirect flushed from its pipe.
+func (s *Sim) putGroup(g fGroup) { s.putItems(g.items) }
 
 func maxInt(a, b int) int {
 	if a > b {

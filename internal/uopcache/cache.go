@@ -98,6 +98,11 @@ type Cache struct {
 	lines []line // sets * ways
 	tick  uint64
 
+	// free holds entries the cache has dropped (evicted, deduped,
+	// invalidated or flushed) for the builders that fill it to rebuild. It lives here rather than in a builder because SMT threads
+	// fill one shared cache through their own builders.
+	free []*Entry
+
 	// Stats is the observable sink; never nil.
 	Stats *Stats
 }
@@ -135,9 +140,25 @@ func (c *Cache) touch(l *line) {
 	l.tick = c.tick
 }
 
+// release returns a dropped entry to the free list.
+func (c *Cache) release(e *Entry) { c.free = append(c.free, e) }
+
+// takeEntry pops a zeroed entry from the free list, allocating when empty.
+func (c *Cache) takeEntry() *Entry {
+	n := len(c.free)
+	if n == 0 {
+		return new(Entry)
+	}
+	e := c.free[n-1]
+	c.free = c.free[:n-1]
+	*e = Entry{}
+	return e
+}
+
 // Lookup finds the entry starting exactly at addr (the PW fetch address) and
 // promotes its line. The hit entry is returned by pointer; callers must not
-// mutate it.
+// mutate it, and must not hold it past the next Fill, InvalidateCodeLine or
+// FlushAll, which may drop it and recycle its storage.
 func (c *Cache) Lookup(addr uint64) (*Entry, bool) {
 	c.Stats.Lookups.Inc()
 	ways := c.setLines(c.setOf(addr))
@@ -154,7 +175,7 @@ func (c *Cache) Lookup(addr uint64) (*Entry, bool) {
 }
 
 // Probe reports whether an entry starting at addr exists, without touching
-// replacement state or counters.
+// replacement state or counters. The returned pointer is valid as Lookup's.
 func (c *Cache) Probe(addr uint64) (*Entry, bool) {
 	ways := c.setLines(c.setOf(addr))
 	for w := range ways {
@@ -168,7 +189,8 @@ func (c *Cache) Probe(addr uint64) (*Entry, bool) {
 }
 
 // Fill installs a terminated entry according to the configured allocation
-// policy. Entries wider than a line are rejected (builder bug guard).
+// policy. Entries wider than a line are rejected (builder bug guard). Fill
+// takes ownership of e: once the cache drops it, its storage is recycled.
 func (c *Cache) Fill(e *Entry) {
 	if e.Bytes() > LineBytes {
 		panic(fmt.Sprintf("uopcache: entry of %d bytes exceeds line", e.Bytes()))
@@ -214,6 +236,7 @@ func (c *Cache) dedupe(set int, e *Entry) {
 		for i, old := range l.entries {
 			if old.Start == e.Start {
 				l.entries = append(l.entries[:i], l.entries[i+1:]...)
+				c.release(old)
 				c.Stats.FillsDeduped.Inc()
 				return
 			}
@@ -242,6 +265,9 @@ func (c *Cache) fillAlone(set int, e *Entry) {
 		c.Stats.EntryEvict.Add(uint64(len(ways[victim].entries)))
 	}
 	l := &ways[victim]
+	for _, old := range l.entries {
+		c.release(old)
+	}
 	l.entries = l.entries[:0]
 	l.entries = append(l.entries, e)
 	c.touch(l)
@@ -323,6 +349,9 @@ func (c *Cache) tryForcedPWAC(set int, e *Entry) bool {
 			c.Stats.LineEvictions.Inc()
 			c.Stats.EntryEvict.Add(uint64(len(dst.entries)))
 		}
+		for _, old := range dst.entries {
+			c.release(old)
+		}
 		dst.entries = dst.entries[:0]
 		for i, old := range l.entries {
 			if i != si {
@@ -370,6 +399,7 @@ func (c *Cache) InvalidateCodeLine(lineAddr uint64) int {
 			for _, e := range l.entries {
 				if e.OverlapsLine(lineAddr) {
 					invalidated++
+					c.release(e)
 				} else {
 					kept = append(kept, e)
 				}
@@ -384,7 +414,10 @@ func (c *Cache) InvalidateCodeLine(lineAddr uint64) int {
 // FlushAll empties the cache (used by tests and SMC fallback comparisons).
 func (c *Cache) FlushAll() {
 	for i := range c.lines {
-		c.lines[i].entries = nil
+		for _, e := range c.lines[i].entries {
+			c.release(e)
+		}
+		c.lines[i].entries = c.lines[i].entries[:0]
 		c.lines[i].tick = 0
 	}
 }

@@ -12,7 +12,7 @@ func entryAt(addr uint64, uops int, pwid uint64) *Entry {
 	return &Entry{
 		Start:   addr,
 		End:     addr + uint64(uops*4),
-		InstIDs: make([]uint32, uops),
+		nInsts:  uint8(min(uops, MaxEntryInsts)),
 		NumUops: uint8(uops),
 		PWID:    pwid,
 		Term:    TermTakenBranch,
@@ -269,7 +269,7 @@ func TestInvalidateCLASPSpanningEntry(t *testing.T) {
 	cfg.MaxICLines = 2
 	c := newCache(t, cfg)
 	// Entry starting in line 0x1000 spanning into line 0x1040.
-	e := &Entry{Start: 0x1030, End: 0x1050, InstIDs: []uint32{1, 2}, NumUops: 4, SpansBoundary: true, Term: TermICBoundary}
+	e := &Entry{Start: 0x1030, End: 0x1050, ids: [MaxEntryInsts]uint32{1, 2}, nInsts: 2, NumUops: 4, SpansBoundary: true, Term: TermICBoundary}
 	c.Fill(e)
 	// An SMC write to line 0x1040 must find the entry via the preceding
 	// set probe.

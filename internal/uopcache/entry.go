@@ -24,6 +24,10 @@ const (
 	CtrBytes = 2
 	// ICLineBytes is the I-cache line size entries are built against.
 	ICLineBytes = 64
+	// MaxEntryInsts bounds the instructions of one entry: every instruction
+	// decodes to at least one uop, and a line holds at most
+	// (LineBytes-CtrBytes)/UopBytes = 8 uops.
+	MaxEntryInsts = (LineBytes - CtrBytes) / UopBytes
 )
 
 // TermReason records why an entry was terminated (§II-B2).
@@ -61,6 +65,8 @@ func (t TermReason) String() string {
 
 // Entry is one uop cache entry: the uops of a run of consecutively fetched
 // instructions plus the metadata needed to address them (§II-B2, Fig 11).
+// Its instruction IDs are stored inline, so an entry is a single fixed-size
+// object that a Cache can recycle (see Cache.Fill and NewBuilder).
 type Entry struct {
 	// Start is the address of the first instruction (the lookup key: tag +
 	// set index derive from it).
@@ -68,8 +74,9 @@ type Entry struct {
 	// End is the address one past the last instruction's final byte; it is
 	// the next fetch address on a hit (unless the entry ends taken).
 	End uint64
-	// InstIDs are the static instruction IDs in fetch order.
-	InstIDs []uint32
+	// ids[:nInsts] are the static instruction IDs in fetch order.
+	ids    [MaxEntryInsts]uint32
+	nInsts uint8
 	// NumUops and NumImm are the stored uop and imm/disp field counts.
 	NumUops, NumImm uint8
 	// NumUcoded counts microcoded instructions in the entry.
@@ -92,7 +99,11 @@ func (e *Entry) Bytes() int {
 }
 
 // NumInsts returns the instruction count.
-func (e *Entry) NumInsts() int { return len(e.InstIDs) }
+func (e *Entry) NumInsts() int { return int(e.nInsts) }
+
+// InstIDs returns the static instruction IDs in fetch order. The slice views
+// the entry's own storage: it is valid only as long as the entry is.
+func (e *Entry) InstIDs() []uint32 { return e.ids[:e.nInsts] }
 
 // Contains reports whether the entry covers code address addr (used by SMC
 // invalidation probes).
@@ -132,6 +143,9 @@ type Builder struct {
 
 	open      *Entry
 	openLines int // I-cache lines touched by the open entry
+	// cache supplies new entries from its free list and takes back the
+	// ones a flush abandons.
+	cache *Cache
 
 	emit  func(*Entry)
 	stats *Stats
@@ -146,17 +160,16 @@ type Builder struct {
 	abandoned uint64
 }
 
-// NewBuilder creates a builder with the given limits; emit is invoked for
-// every terminated entry, and per-PW distribution statistics are recorded in
-// st (which may be the cache's Stats).
-func NewBuilder(limits BuildLimits, st *Stats, emit func(*Entry)) *Builder {
+// NewBuilder creates a builder that fills c: it takes new entries from c's
+// free list, emit is invoked for every terminated entry and must install it
+// into c (which recycles an entry once it drops it), and per-PW
+// distribution statistics are recorded in c.Stats. Several builders may fill
+// one cache (SMT threads sharing it).
+func NewBuilder(limits BuildLimits, c *Cache, emit func(*Entry)) *Builder {
 	if limits.MaxICLines < 1 {
 		limits.MaxICLines = 1
 	}
-	if st == nil {
-		st = NewStats()
-	}
-	return &Builder{limits: limits, stats: st, emit: emit}
+	return &Builder{limits: limits, cache: c, stats: c.Stats, emit: emit}
 }
 
 func icLine(addr uint64) uint64 { return addr &^ uint64(ICLineBytes-1) }
@@ -167,6 +180,8 @@ func icLine(addr uint64) uint64 { return addr &^ uint64(ICLineBytes-1) }
 // unique number per dynamic PW (Fig 12 accounting), and predictedTaken marks
 // instructions that end their PW as a predicted taken branch (which also
 // terminates the entry).
+//
+//uopvet:hotpath
 func (b *Builder) Add(in *isa.Inst, pwID, pwInstance uint64, predictedTaken bool) {
 	if pwInstance != b.curPWInstance {
 		if b.curPWInstance != 0 && b.entriesForPW > 0 {
@@ -216,7 +231,8 @@ func (b *Builder) Add(in *isa.Inst, pwID, pwInstance uint64, predictedTaken bool
 	}
 
 	if b.open == nil {
-		b.open = &Entry{Start: in.Addr, End: in.Addr, PWID: pwID}
+		b.open = b.cache.takeEntry()
+		b.open.Start, b.open.End, b.open.PWID = in.Addr, in.Addr, pwID
 		b.openLines = 1
 		b.countedThisEntry = false
 	}
@@ -225,7 +241,8 @@ func (b *Builder) Add(in *isa.Inst, pwID, pwInstance uint64, predictedTaken bool
 		b.entriesForPW++
 		b.countedThisEntry = true
 	}
-	e.InstIDs = append(e.InstIDs, in.ID)
+	e.ids[e.nInsts] = in.ID
+	e.nInsts++
 	e.NumUops += uint8(uops)
 	e.NumImm += uint8(imms)
 	e.NumUcoded += uint8(ucoded)
@@ -246,7 +263,7 @@ func (b *Builder) terminate(reason TermReason) {
 	e := b.open
 	b.open = nil
 	b.openLines = 0
-	if e == nil || len(e.InstIDs) == 0 {
+	if e == nil || e.nInsts == 0 {
 		return
 	}
 	e.Term = reason
@@ -266,10 +283,14 @@ func (b *Builder) TerminateTaken() {
 
 // Flush discards any partial entry (pipeline redirect). Real hardware drops
 // the accumulation buffer contents on a flush rather than installing a
-// half-built entry.
+// half-built entry. The abandoned entry goes back to the cache's free list,
+// so the next entry built reuses it.
 func (b *Builder) Flush() {
-	if b.open != nil && len(b.open.InstIDs) > 0 {
-		b.abandoned++
+	if b.open != nil {
+		if b.open.nInsts > 0 {
+			b.abandoned++
+		}
+		b.cache.release(b.open)
 	}
 	b.open = nil
 	b.openLines = 0

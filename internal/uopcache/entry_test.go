@@ -28,14 +28,14 @@ func seqInsts(base uint64, n int, length, uops, imm uint8) []*isa.Inst {
 	return insts
 }
 
-func collectEntries(limits BuildLimits) (*Builder, *[]*Entry) {
+func collectEntries(t *testing.T, limits BuildLimits) (*Builder, *[]*Entry) {
 	var out []*Entry
-	b := NewBuilder(limits, nil, func(e *Entry) { out = append(out, e) })
+	b := NewBuilder(limits, newCache(t, DefaultConfig()), func(e *Entry) { out = append(out, e) })
 	return b, &out
 }
 
 func TestBuilderTakenBranchTermination(t *testing.T) {
-	b, out := collectEntries(DefaultLimits())
+	b, out := collectEntries(t, DefaultLimits())
 	insts := seqInsts(0x1000, 3, 4, 1, 0)
 	b.Add(insts[0], 0x1000, 1, false)
 	b.Add(insts[1], 0x1000, 1, false)
@@ -56,7 +56,7 @@ func TestBuilderTakenBranchTermination(t *testing.T) {
 }
 
 func TestBuilderICBoundaryTermination(t *testing.T) {
-	b, out := collectEntries(DefaultLimits())
+	b, out := collectEntries(t, DefaultLimits())
 	// Instructions of 10 bytes starting at 0x1030: the 2nd starts at 0x103a
 	// (same line), the 3rd at 0x1044 (next line) -> terminate.
 	insts := seqInsts(0x1030, 3, 10, 1, 0)
@@ -81,7 +81,7 @@ func TestBuilderICBoundaryTermination(t *testing.T) {
 func TestBuilderCLASPSpansOneBoundary(t *testing.T) {
 	limits := DefaultLimits()
 	limits.MaxICLines = 2
-	b, out := collectEntries(limits)
+	b, out := collectEntries(t, limits)
 	// 7 x 10B from 0x1030: line crossings at inst 3 (0x1044) and inst 8...
 	// With a 2-line span the entry may cover lines 0x1000 and 0x1040 but
 	// must terminate when an instruction starts in line 0x1080.
@@ -106,7 +106,7 @@ func TestBuilderCLASPSpansOneBoundary(t *testing.T) {
 }
 
 func TestBuilderMaxUopsTermination(t *testing.T) {
-	b, out := collectEntries(DefaultLimits())
+	b, out := collectEntries(t, DefaultLimits())
 	insts := seqInsts(0x2000, 3, 4, 3, 0) // 3 uops each; 3rd would exceed 8
 	for _, in := range insts {
 		b.Add(in, 0x2000, 1, false)
@@ -123,7 +123,7 @@ func TestBuilderMaxUopsTermination(t *testing.T) {
 }
 
 func TestBuilderMaxImmTermination(t *testing.T) {
-	b, out := collectEntries(DefaultLimits())
+	b, out := collectEntries(t, DefaultLimits())
 	insts := seqInsts(0x2000, 3, 4, 1, 2) // 2 imm fields each; 3rd exceeds 4
 	for _, in := range insts {
 		b.Add(in, 0x2000, 1, false)
@@ -134,7 +134,7 @@ func TestBuilderMaxImmTermination(t *testing.T) {
 }
 
 func TestBuilderMaxUcodeTermination(t *testing.T) {
-	b, out := collectEntries(DefaultLimits())
+	b, out := collectEntries(t, DefaultLimits())
 	addr := uint64(0x2000)
 	for i := 0; i < 5; i++ {
 		in := mkInst(uint32(i), addr, 2, 1, 0, true)
@@ -150,7 +150,7 @@ func TestBuilderMaxUcodeTermination(t *testing.T) {
 }
 
 func TestBuilderCapacityTermination(t *testing.T) {
-	b, out := collectEntries(DefaultLimits())
+	b, out := collectEntries(t, DefaultLimits())
 	// 7 uops + 4 imm = 49 + 16 + 2 = 67 > 64: the 4th inst (2 uops, 1 imm)
 	// cannot fit after 3 insts of (2 uops, 1 imm) = 6 uops + 3 imm = 56B.
 	insts := seqInsts(0x3000, 4, 6, 2, 1)
@@ -166,7 +166,7 @@ func TestBuilderCapacityTermination(t *testing.T) {
 }
 
 func TestBuilderNonContiguousAutoTerminates(t *testing.T) {
-	b, out := collectEntries(DefaultLimits())
+	b, out := collectEntries(t, DefaultLimits())
 	b.Add(mkInst(0, 0x1000, 4, 1, 0, false), 0x1000, 1, false)
 	b.Add(mkInst(9, 0x5000, 4, 1, 0, false), 0x5000, 2, false) // jump elsewhere
 	if len(*out) != 1 {
@@ -175,7 +175,7 @@ func TestBuilderNonContiguousAutoTerminates(t *testing.T) {
 }
 
 func TestBuilderFlushDropsPartial(t *testing.T) {
-	b, out := collectEntries(DefaultLimits())
+	b, out := collectEntries(t, DefaultLimits())
 	b.Add(mkInst(0, 0x1000, 4, 1, 0, false), 0x1000, 1, false)
 	b.Flush()
 	if len(*out) != 0 {
@@ -187,7 +187,7 @@ func TestBuilderFlushDropsPartial(t *testing.T) {
 }
 
 func TestBuilderTerminateTaken(t *testing.T) {
-	b, out := collectEntries(DefaultLimits())
+	b, out := collectEntries(t, DefaultLimits())
 	b.Add(mkInst(0, 0x1000, 4, 1, 0, false), 0x1000, 1, false)
 	b.TerminateTaken()
 	if len(*out) != 1 || !(*out)[0].EndsTaken {
@@ -196,9 +196,10 @@ func TestBuilderTerminateTaken(t *testing.T) {
 }
 
 func TestEntriesPerPWAccounting(t *testing.T) {
-	st := NewStats()
+	c := newCache(t, DefaultConfig())
+	st := c.Stats
 	var out []*Entry
-	b := NewBuilder(DefaultLimits(), st, func(e *Entry) { out = append(out, e) })
+	b := NewBuilder(DefaultLimits(), c, func(e *Entry) { out = append(out, e) })
 	// PW 1: 4 insts of 3 uops -> splits into two entries (8-uop limit).
 	insts := seqInsts(0x1000, 4, 4, 3, 0)
 	for _, in := range insts {
@@ -230,7 +231,7 @@ func TestEntryNeverOverflowsLine(t *testing.T) {
 		}
 		ok := true
 		var emitted []*Entry
-		b := NewBuilder(limits, nil, func(e *Entry) { emitted = append(emitted, e) })
+		b := NewBuilder(limits, newCache(t, DefaultConfig()), func(e *Entry) { emitted = append(emitted, e) })
 		addr := uint64(0x1000)
 		pw := uint64(0x1000)
 		pwInst := uint64(1)

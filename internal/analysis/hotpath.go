@@ -15,8 +15,11 @@ import (
 //     hot function — each call allocates at least the result,
 //   - string concatenation inside a loop, which reallocates the buffer
 //     every iteration, and
-//   - composite literals escaping to the heap in a loop: &T{...}, or a
-//     T{...} / &T{...} argument to append.
+//   - composite literals that allocate their own storage in a loop: &T{...}
+//     anywhere, and slice or map literals passed to append. A struct or
+//     array value passed to append is copied into the slice's backing and
+//     allocates nothing beyond the append's own growth, so it is not
+//     reported.
 //
 // The analyzer is deliberately shallow — the AllocsPerRun tests remain the
 // ground truth — but it catches the regressions reviewers actually write.
@@ -89,9 +92,9 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
 			if isBuiltinAppend(pass, n) && inAny(loops, n.Pos()) {
 				// &T{...} args are covered by the UnaryExpr case below.
 				for _, arg := range n.Args[1:] {
-					if _, ok := arg.(*ast.CompositeLit); ok {
+					if lit, ok := arg.(*ast.CompositeLit); ok && ownsStorage(info.TypeOf(lit)) {
 						pass.Reportf(arg.Pos(),
-							"appending a composite literal in a loop inside hot function %s allocates per iteration; reuse a pooled slice or write into preallocated storage", fd.Name.Name)
+							"appending a slice or map literal in a loop inside hot function %s allocates per iteration; reuse a pooled slice or write into preallocated storage", fd.Name.Name)
 					}
 				}
 			}
@@ -115,4 +118,18 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
 		}
 		return true
 	})
+}
+
+// ownsStorage reports whether a composite literal of type t allocates
+// backing storage of its own: slice and map literals do, struct and array
+// values do not.
+func ownsStorage(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	switch t.Underlying().(type) {
+	case *types.Slice, *types.Map:
+		return true
+	}
+	return false
 }

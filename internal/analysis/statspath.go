@@ -20,7 +20,8 @@ var metricPathRE = regexp.MustCompile(`^[a-z0-9_]+(\.[a-z0-9_]+)*$`)
 // registerMethods are Registry/Scope calls that create a registration; a
 // duplicate full path among them panics at simulator construction, so the
 // same literal registered twice on the same receiver is reported at lint
-// time.
+// time. Family reserves a labelled counter family's name; its members'
+// label values (Family.RegisterCounter) are free text, not paths.
 var registerMethods = map[string]bool{
 	"Counter":         true,
 	"RegisterCounter": true,
@@ -28,6 +29,7 @@ var registerMethods = map[string]bool{
 	"RegisterMean":    true,
 	"RegisterHist":    true,
 	"RegisterDist":    true,
+	"Family":          true,
 }
 
 // pathMethods additionally take a metric path (or scope prefix) first

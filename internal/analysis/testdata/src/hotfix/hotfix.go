@@ -35,15 +35,19 @@ func HotConcatExpr(names []string) []string {
 	return res
 }
 
-// HotCompositeAppend appends fresh composite literals per iteration.
+// HotCompositeAppend appends struct values and slice literals per
+// iteration: the struct is copied into out's backing (nothing beyond the
+// append's growth), while each slice literal allocates its own array.
 //
 //uopvet:hotpath
-func HotCompositeAppend(ids []int) []item {
+func HotCompositeAppend(ids []int) ([]item, [][]int) {
 	var out []item
+	var groups [][]int
 	for _, id := range ids {
-		out = append(out, item{id: id}) // want `appending a composite literal in a loop inside hot function HotCompositeAppend`
+		out = append(out, item{id: id})
+		groups = append(groups, []int{id}) // want `appending a slice or map literal in a loop inside hot function HotCompositeAppend`
 	}
-	return out
+	return out, groups
 }
 
 // HotPtrComposite heap-allocates per iteration.

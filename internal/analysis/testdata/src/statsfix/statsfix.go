@@ -62,3 +62,12 @@ func Estimate(r *stats.Registry, s stats.Snapshot) float64 {
 	v += s.Value("server.estimate.latency-us") // want `metric path "server\.estimate\.latency-us" does not match`
 	return v
 }
+
+// Families mirrors the serving stack's labelled counters: a family name is
+// a registration like any other, while member label values (shard URLs)
+// are free text.
+func Families(r *stats.Registry) {
+	var c stats.AtomicCounter
+	r.Family("node_requests_total", "node").RegisterCounter("http://127.0.0.1:8091", &c)
+	r.Family("node_requests_total", "node") // want `metric path "node_requests_total" is registered twice on r`
+}

@@ -204,10 +204,10 @@ func (g *Gateway) recordServed(fp runcache.Fingerprint, pt experiments.PointRequ
 	g.placed[fp] = placement{node: servedBy, pt: pt}
 	g.mu.Unlock()
 	if g.mem.alive(owner) {
-		g.met.inc(cPeerReads)
+		g.met.peerReads.Inc()
 		g.enqueueRepl(replJob{fp: fp, from: servedBy, to: owner, pt: pt})
 	} else {
-		g.met.inc(cSpills)
+		g.met.spills.Inc()
 	}
 }
 
@@ -269,10 +269,10 @@ func (g *Gateway) replicate(j replJob) {
 	}
 	g.mu.Unlock()
 	if err != nil {
-		g.met.inc(cReplFailed)
+		g.met.replFailed.Inc()
 		return
 	}
-	g.met.inc(cReplications)
+	g.met.replications.Inc()
 }
 
 // onRejoin is the membership's recovery hook: every placement whose ring
@@ -332,7 +332,7 @@ func (g *Gateway) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusMethodNotAllowed, "POST a SimulateRequest to this endpoint")
 		return
 	}
-	g.met.inc(cRequests)
+	g.met.requests.Inc()
 	var req server.SimulateRequest
 	if err := server.DecodeJSON(w, r, simulateBodyLimit, &req); err != nil {
 		server.WriteError(w, http.StatusBadRequest, "%v", err)
@@ -353,7 +353,7 @@ func (g *Gateway) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	cands := g.candidates(fp)
 	for i, name := range cands {
 		if i > 0 {
-			g.met.inc(cRetries)
+			g.met.retries.Inc()
 		}
 		t0 := time.Now()
 		body.Reset()
@@ -365,13 +365,13 @@ func (g *Gateway) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if se, ok := passThrough(err); ok {
-			g.met.inc(cErrors)
+			g.met.errors.Inc()
 			g.forwardStatusError(w, se)
 			return
 		}
 		g.mem.reportFailure(name)
 	}
-	g.met.inc(cErrors)
+	g.met.errors.Inc()
 	server.WriteError(w, http.StatusBadGateway, "no live shard could serve the point (%d tried, %d/%d nodes alive)",
 		len(cands), g.mem.aliveCount(), g.ring.Len())
 }
@@ -381,7 +381,7 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusMethodNotAllowed, "POST an EstimateRequest to this endpoint")
 		return
 	}
-	g.met.inc(cRequests)
+	g.met.requests.Inc()
 	var req server.EstimateRequest
 	if err := server.DecodeJSON(w, r, simulateBodyLimit, &req); err != nil {
 		server.WriteError(w, http.StatusBadRequest, "%v", err)
@@ -404,7 +404,7 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	cands := g.candidates(fp)
 	for i, name := range cands {
 		if i > 0 {
-			g.met.inc(cRetries)
+			g.met.retries.Inc()
 		}
 		t0 := time.Now()
 		body.Reset()
@@ -426,13 +426,13 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if se, ok := passThrough(err); ok {
-			g.met.inc(cErrors)
+			g.met.errors.Inc()
 			g.forwardStatusError(w, se)
 			return
 		}
 		g.mem.reportFailure(name)
 	}
-	g.met.inc(cErrors)
+	g.met.errors.Inc()
 	server.WriteError(w, http.StatusBadGateway, "no live shard could serve the estimate (%d tried, %d/%d nodes alive)",
 		len(cands), g.mem.aliveCount(), g.ring.Len())
 }
@@ -447,7 +447,7 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusMethodNotAllowed, "POST a SweepRequest to this endpoint")
 		return
 	}
-	g.met.inc(cRequests)
+	g.met.requests.Inc()
 	var req server.SweepRequest
 	if err := server.DecodeJSON(w, r, g.sweepBodyLimit(), &req); err != nil {
 		server.WriteError(w, http.StatusBadRequest, "%v", err)
@@ -534,7 +534,7 @@ func (g *Gateway) scatterSweep(pts []experiments.PointRequest, fps []runcache.Fi
 			groups[target] = append(groups[target], idx)
 		}
 		for _, idx := range exhausted {
-			g.met.inc(cErrors)
+			g.met.errors.Inc()
 			lines <- server.SweepLine{
 				Index:    idx,
 				Workload: pts[idx].Workload,
@@ -572,8 +572,9 @@ func (g *Gateway) scatterSweep(pts []experiments.PointRequest, fps []runcache.Fi
 					if sl.Error == "" {
 						g.recordServed(fps[idx], pts[idx], name)
 					}
-					g.met.inc(cSweepLines)
-					g.met.countNodeLine(name)
+					g.met.sweepLines.Inc()
+					// Lines stream, so they count with no latency.
+					g.met.perNode[name].requests.Inc()
 					lines <- sl
 					return nil
 				})
@@ -582,7 +583,7 @@ func (g *Gateway) scatterSweep(pts []experiments.PointRequest, fps []runcache.Fi
 					// suspect; whatever it left unanswered goes back into
 					// the next round.
 					g.mem.reportFailure(name)
-					g.met.inc(cRetries)
+					g.met.retries.Inc()
 				}
 			}(name, idxs)
 		}
@@ -600,7 +601,7 @@ func (g *Gateway) scatterSweep(pts []experiments.PointRequest, fps []runcache.Fi
 	// Anything still pending exhausted the round bound (every shard tried
 	// or down): emit error lines so the caller gets one line per point.
 	for _, idx := range pending {
-		g.met.inc(cErrors)
+		g.met.errors.Inc()
 		lines <- server.SweepLine{
 			Index:    idx,
 			Workload: pts[idx].Workload,
@@ -629,7 +630,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusMethodNotAllowed, "POST a QueryRequest to this endpoint")
 		return
 	}
-	g.met.inc(cRequests)
+	g.met.requests.Inc()
 	var q server.QueryRequest
 	if err := server.DecodeJSON(w, r, simulateBodyLimit, &q); err != nil {
 		server.WriteError(w, http.StatusBadRequest, "%v", err)
@@ -681,12 +682,12 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		merged = append(merged, results[i].rows...)
 	}
 	if badRequest != nil {
-		g.met.inc(cErrors)
+		g.met.errors.Inc()
 		g.forwardStatusError(w, badRequest)
 		return
 	}
 	if reached == 0 {
-		g.met.inc(cErrors)
+		g.met.errors.Inc()
 		server.WriteError(w, http.StatusBadGateway, "no shard could serve the query (%d/%d nodes alive)",
 			g.mem.aliveCount(), g.ring.Len())
 		return
@@ -786,16 +787,27 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) statsResponse() StatsResponse {
+	met, mem := g.met, g.mem
 	resp := StatsResponse{
-		Ring:          RingInfo{Nodes: g.ring.Len(), VNodes: g.ring.VNodes(), Points: g.ring.Points()},
-		NodesAlive:    g.mem.aliveCount(),
-		Balance:       g.met.balance(),
+		Ring:       RingInfo{Nodes: g.ring.Len(), VNodes: g.ring.VNodes(), Points: g.ring.Points()},
+		NodesAlive: mem.aliveCount(),
+		Gateway: GatewayCounters{
+			Requests:     met.requests.Value(),
+			Errors:       met.errors.Value(),
+			Retries:      met.retries.Value(),
+			Spills:       met.spills.Value(),
+			PeerReads:    met.peerReads.Value(),
+			Replications: met.replications.Value(),
+			ReplFailed:   met.replFailed.Value(),
+			SweepLines:   met.sweepLines.Value(),
+			Markdowns:    mem.markdowns.Value(),
+			Rejoins:      mem.rejoins.Value(),
+			ProbeRounds:  mem.probes.Value(),
+		},
+		Balance:       met.balance(),
 		Nodes:         make([]NodeStatus, 0, len(g.names)),
 		UptimeSeconds: time.Since(g.start).Seconds(),
 	}
-	resp.Gateway.Requests, resp.Gateway.Errors, resp.Gateway.Spills, resp.Gateway.PeerReads,
-		resp.Gateway.Replications, resp.Gateway.ReplFailed, resp.Gateway.SweepLines, resp.Gateway.Retries = g.met.totals()
-	resp.Gateway.Markdowns, resp.Gateway.Rejoins, resp.Gateway.ProbeRounds = g.mem.counters()
 	g.mu.Lock()
 	resp.Gateway.PlacedPoints = len(g.placed)
 	g.mu.Unlock()
@@ -820,14 +832,14 @@ func (g *Gateway) statsResponse() StatsResponse {
 	}
 	wg.Wait()
 	for i, name := range g.names {
-		nv := g.met.nodeSnapshot(name)
+		nc := met.perNode[name]
 		ns := NodeStatus{
 			Name:         name,
-			Requests:     nv.requests,
-			Errors:       nv.errors,
-			LatencyP50MS: nv.p50ms,
-			LatencyP95MS: nv.p95ms,
-			LatencyP99MS: nv.p99ms,
+			Requests:     nc.requests.Value(),
+			Errors:       nc.errors.Value(),
+			LatencyP50MS: nc.lat.Quantile(0.50),
+			LatencyP95MS: nc.lat.Quantile(0.95),
+			LatencyP99MS: nc.lat.Quantile(0.99),
 		}
 		if h, ok := g.mem.healthOf(name); ok {
 			ns.Alive = h.Alive
@@ -883,7 +895,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	g.met.writePrometheus(w)
+	g.met.reg.Snapshot().WritePrometheus(w, "uopgate")
 }
 
 // simulateBodyLimit matches the daemon's single-point body bound.

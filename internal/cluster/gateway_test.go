@@ -251,7 +251,7 @@ func TestGatewaySpillReadThroughAndReplication(t *testing.T) {
 	if resp.Resolution != "simulated" {
 		t.Fatalf("spill resolution = %s, want simulated", resp.Resolution)
 	}
-	if _, _, spills, _, _, _, _, _ := gw.met.totals(); spills == 0 {
+	if spills := gw.met.spills.Value(); spills == 0 {
 		t.Fatal("no spill counted after off-owner serve")
 	}
 	if owner.srv.Engine().Stats().Simulated != 0 {
@@ -263,7 +263,7 @@ func TestGatewaySpillReadThroughAndReplication(t *testing.T) {
 	owner.fl.setDown(false)
 	waitFor(t, "owner rejoin", func() bool { return gw.mem.alive(owner.url) })
 	waitFor(t, "replication", func() bool {
-		_, _, _, _, repl, _, _, _ := gw.met.totals()
+		repl := gw.met.replications.Value()
 		return repl >= 1
 	})
 
@@ -427,7 +427,7 @@ func TestMembershipStrikes(t *testing.T) {
 	if !ok || h.Info.Node != "shard-a" || h.Info.Points != 7 {
 		t.Fatalf("healthOf lost the probe payload: %+v", h)
 	}
-	md, rj, _ := m.counters()
+	md, rj := m.markdowns.Value(), m.rejoins.Value()
 	if md != 1 || rj != 1 {
 		t.Fatalf("counters markdowns=%d rejoins=%d, want 1/1", md, rj)
 	}
@@ -547,7 +547,7 @@ func TestGatewayRetriesShardDyingMidBody(t *testing.T) {
 	if truncated != 1 {
 		t.Fatalf("owner cut %d answers short, want 1", truncated)
 	}
-	if _, errs, _, _, _, _, _, retries := gw.met.totals(); retries < 1 || errs != 0 {
+	if errs, retries := gw.met.errors.Value(), gw.met.retries.Value(); retries < 1 || errs != 0 {
 		t.Fatalf("gateway counted %d retries and %d errors, want a retry and no error", retries, errs)
 	}
 	var sim uint64

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"uopsim/internal/server"
+	"uopsim/internal/stats"
 )
 
 // shard is one uopsimd node the gateway fronts: its configured name (the
@@ -43,11 +44,11 @@ type membership struct {
 	quit chan struct{}
 	wg   sync.WaitGroup
 
-	mu        sync.Mutex
-	health    map[string]*shardHealth //uopvet:guardedby mu
-	markdowns uint64                  //uopvet:guardedby mu
-	rejoins   uint64                  //uopvet:guardedby mu
-	probes    uint64                  //uopvet:guardedby mu
+	// Cumulative markdowns, rejoins and probe rounds.
+	markdowns, rejoins, probes stats.AtomicCounter
+
+	mu     sync.Mutex
+	health map[string]*shardHealth //uopvet:guardedby mu
 }
 
 // newMembership builds the tracker with every shard optimistically alive
@@ -105,9 +106,7 @@ func (m *membership) probeAll() {
 		}
 		m.reportSuccess(s.name, *info)
 	}
-	m.mu.Lock()
-	m.probes++
-	m.mu.Unlock()
+	m.probes.Inc()
 }
 
 // reportSuccess resets the shard's strike count and rejoins it if it was
@@ -124,7 +123,7 @@ func (m *membership) reportSuccess(name string, info server.HealthzInfo) {
 	rejoined := !h.Alive
 	if rejoined {
 		h.Alive = true
-		m.rejoins++
+		m.rejoins.Inc()
 	}
 	m.mu.Unlock()
 	if rejoined && m.onRejoin != nil {
@@ -146,7 +145,7 @@ func (m *membership) reportFailure(name string) {
 	h.Strikes++
 	if h.Alive && h.Strikes >= m.failAfter {
 		h.Alive = false
-		m.markdowns++
+		m.markdowns.Inc()
 	}
 }
 
@@ -180,11 +179,4 @@ func (m *membership) healthOf(name string) (shardHealth, bool) {
 		return shardHealth{}, false
 	}
 	return *h, true
-}
-
-// counters returns the cumulative markdown/rejoin/probe-round counts.
-func (m *membership) counters() (markdowns, rejoins, probes uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.markdowns, m.rejoins, m.probes
 }

@@ -1,77 +1,52 @@
 package cluster
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
 	"time"
 
 	"uopsim/internal/stats"
 )
 
-// gwMetrics owns the gateway's stats.Registry plus the per-shard
-// instruments. Shard names are URLs — not legal registry path segments —
-// so per-shard counters and latency histograms live beside the registry
-// in a name-keyed map (fixed at construction) and are exported by hand as
-// labeled Prometheus lines, the same way uopsimd labels its per-mode
-// counters. Everything mutates under one mutex, mirroring the server
-// package's metrics discipline.
+// gwMetrics owns the gateway's stats.Registry. Its instruments are stats'
+// concurrency-safe ones and perNode is fixed at construction, so request
+// handlers bump them with no lock and any goroutine may snapshot. Shard
+// names are URLs, not legal path segments, so per-shard request and error
+// counts are members of the node_requests_total and node_errors_total
+// families, labelled node="<url>"; per-shard latency feeds /v1/stats only.
 type gwMetrics struct {
-	mu  sync.Mutex
 	reg *stats.Registry
 
-	requests     stats.Counter //uopvet:guardedby mu
-	errors       stats.Counter //uopvet:guardedby mu
-	spills       stats.Counter //uopvet:guardedby mu
-	peerReads    stats.Counter //uopvet:guardedby mu
-	replications stats.Counter //uopvet:guardedby mu
-	replFailed   stats.Counter //uopvet:guardedby mu
-	sweepLines   stats.Counter //uopvet:guardedby mu
-	retries      stats.Counter //uopvet:guardedby mu
+	requests     stats.AtomicCounter // API requests routed
+	errors       stats.AtomicCounter // requests no shard could serve, or that a shard failed
+	spills       stats.AtomicCounter // points served by a non-owner because the owner was down
+	peerReads    stats.AtomicCounter // points read through from a spill-over neighbour
+	replications stats.AtomicCounter // spilled blobs copied back to their owner
+	replFailed   stats.AtomicCounter // ... and copies that failed
+	sweepLines   stats.AtomicCounter // scatter-gather lines merged
+	retries      stats.AtomicCounter // per-point reroutes after a shard failure
 
-	perNode map[string]*nodeCounters //uopvet:guardedby mu
+	perNode map[string]*nodeCounters
 }
-
-// The counters above: requests (API requests routed), errors (requests no
-// shard could serve, or that a shard failed), spills (points served by a
-// non-owner because the owner was down), peer_reads (points served from a
-// spill-over neighbor while the owner was back up — the read-through
-// path), replications / repl_failed (spilled blobs copied back to their
-// owner), sweep_lines (scatter-gather lines merged), retries (per-point
-// reroutes after a shard failure).
 
 // nodeCounters is one shard's traffic as seen from the gateway.
 type nodeCounters struct {
-	requests uint64
-	errors   uint64
-	lat      *stats.Hist // proxied-request latency, ms
+	requests, errors stats.AtomicCounter
+	lat              *stats.SyncHistogram // proxied-request latency, ms
 }
-
-// counterID names a gateway counter for inc, so callers never hold a
-// pointer to a guarded field outside the lock.
-type counterID uint8
-
-const (
-	cRequests counterID = iota
-	cErrors
-	cSpills
-	cPeerReads
-	cReplications
-	cReplFailed
-	cSweepLines
-	cRetries
-)
 
 func newGwMetrics(nodeNames []string, ring *Ring, mem *membership) *gwMetrics {
 	m := &gwMetrics{
 		reg:     stats.NewRegistry(),
 		perNode: make(map[string]*nodeCounters, len(nodeNames)),
 	}
+	nodeReqs := m.reg.Family("node_requests_total", "node")
+	nodeErrs := m.reg.Family("node_errors_total", "node")
 	for _, name := range nodeNames {
-		m.perNode[name] = &nodeCounters{
-			lat: stats.NewHistogram(1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000, 60000),
+		nc := &nodeCounters{
+			lat: stats.NewSyncHistogram(1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000, 60000),
 		}
+		m.perNode[name] = nc
+		nodeReqs.RegisterCounter(name, &nc.requests)
+		nodeErrs.RegisterCounter(name, &nc.errors)
 	}
 	sc := m.reg.Scope("gateway")
 	sc.RegisterCounter("requests", &m.requests)
@@ -86,94 +61,33 @@ func newGwMetrics(nodeNames []string, ring *Ring, mem *membership) *gwMetrics {
 	sc.RegisterGauge("ring_vnodes", func() float64 { return float64(ring.VNodes()) })
 	sc.RegisterGauge("ring_points", func() float64 { return float64(ring.Points()) })
 	sc.RegisterGauge("nodes_alive", func() float64 { return float64(mem.aliveCount()) })
-	sc.RegisterGauge("markdowns", func() float64 { md, _, _ := mem.counters(); return float64(md) })
-	sc.RegisterGauge("rejoins", func() float64 { _, rj, _ := mem.counters(); return float64(rj) })
-	sc.RegisterGauge("probe_rounds", func() float64 { _, _, pr := mem.counters(); return float64(pr) })
+	sc.RegisterGauge("markdowns", func() float64 { return float64(mem.markdowns.Value()) })
+	sc.RegisterGauge("rejoins", func() float64 { return float64(mem.rejoins.Value()) })
+	sc.RegisterGauge("probe_rounds", func() float64 { return float64(mem.probes.Value()) })
 	return m
-}
-
-// inc bumps one counter under the lock.
-func (m *gwMetrics) inc(id counterID) {
-	m.mu.Lock()
-	switch id {
-	case cRequests:
-		m.requests.Inc()
-	case cErrors:
-		m.errors.Inc()
-	case cSpills:
-		m.spills.Inc()
-	case cPeerReads:
-		m.peerReads.Inc()
-	case cReplications:
-		m.replications.Inc()
-	case cReplFailed:
-		m.replFailed.Inc()
-	case cSweepLines:
-		m.sweepLines.Inc()
-	case cRetries:
-		m.retries.Inc()
-	}
-	m.mu.Unlock()
 }
 
 // observeNode records one proxied request to a shard: outcome plus
 // end-to-end latency (queueing on the shard included — that is what the
 // gateway's caller experiences).
 func (m *gwMetrics) observeNode(name string, d time.Duration, failed bool) {
-	m.mu.Lock()
-	if nc, ok := m.perNode[name]; ok {
-		nc.requests++
-		if failed {
-			nc.errors++
-		}
-		nc.lat.Observe(int(d.Milliseconds()))
+	nc := m.perNode[name]
+	nc.requests.Inc()
+	if failed {
+		nc.errors.Inc()
 	}
-	m.mu.Unlock()
-}
-
-// countNodeLine attributes one merged sweep line to the shard that
-// produced it (no latency: lines stream, the batch has one wall clock).
-func (m *gwMetrics) countNodeLine(name string) {
-	m.mu.Lock()
-	if nc, ok := m.perNode[name]; ok {
-		nc.requests++
-	}
-	m.mu.Unlock()
-}
-
-// nodeView is a copied-out snapshot of one shard's counters.
-type nodeView struct {
-	requests, errors    uint64
-	p50ms, p95ms, p99ms float64
-}
-
-// nodeSnapshot copies one shard's counters out under the lock.
-func (m *gwMetrics) nodeSnapshot(name string) nodeView {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	nc, ok := m.perNode[name]
-	if !ok {
-		return nodeView{}
-	}
-	return nodeView{
-		requests: nc.requests,
-		errors:   nc.errors,
-		p50ms:    nc.lat.Quantile(0.50),
-		p95ms:    nc.lat.Quantile(0.95),
-		p99ms:    nc.lat.Quantile(0.99),
-	}
+	nc.lat.Observe(int(d.Milliseconds()))
 }
 
 // balance is the max/mean ratio of per-shard request counts (1.0 =
 // perfectly even; 0 before any traffic).
 func (m *gwMetrics) balance() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var total, max uint64
 	for _, nc := range m.perNode {
-		total += nc.requests
-		if nc.requests > max {
-			max = nc.requests
+		n := nc.requests.Value()
+		total += n
+		if n > max {
+			max = n
 		}
 	}
 	if total == 0 || len(m.perNode) == 0 {
@@ -181,42 +95,4 @@ func (m *gwMetrics) balance() float64 {
 	}
 	mean := float64(total) / float64(len(m.perNode))
 	return float64(max) / mean
-}
-
-// totals copies the gateway counters out under the lock.
-func (m *gwMetrics) totals() (requests, errs, spills, peerReads, repl, replFailed, sweepLines, retries uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.requests.Value(), m.errors.Value(), m.spills.Value(), m.peerReads.Value(),
-		m.replications.Value(), m.replFailed.Value(), m.sweepLines.Value(), m.retries.Value()
-}
-
-// snapshot reads the registry.
-func (m *gwMetrics) snapshot() stats.Snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.reg.Snapshot()
-}
-
-// writePrometheus renders the registry plus the hand-labeled per-shard
-// lines (shard names are URLs, so they travel as label values, not paths).
-func (m *gwMetrics) writePrometheus(w io.Writer) {
-	m.snapshot().WritePrometheus(w, "uopgate")
-	m.mu.Lock()
-	names := make([]string, 0, len(m.perNode))
-	for name := range m.perNode {
-		names = append(names, name)
-	}
-	m.mu.Unlock()
-	sort.Strings(names)
-	fmt.Fprintf(w, "# TYPE uopgate_node_requests_total counter\n")
-	for _, name := range names {
-		nv := m.nodeSnapshot(name)
-		fmt.Fprintf(w, "uopgate_node_requests_total{node=%q} %d\n", name, nv.requests)
-	}
-	fmt.Fprintf(w, "# TYPE uopgate_node_errors_total counter\n")
-	for _, name := range names {
-		nv := m.nodeSnapshot(name)
-		fmt.Fprintf(w, "uopgate_node_errors_total{node=%q} %d\n", name, nv.errors)
-	}
 }

@@ -138,7 +138,6 @@ func (b *Builder) Build(pw *PW, startPC uint64) {
 			p := b.pred.PredictCond(brPC)
 			b.pred.SpecShift(p.Taken)
 			b.specShifts.Inc()
-			//uopvet:ignore hotpath -- a value copied into the reused Conds backing, which allocates only while it grows (TestBuildIntoReusedPW)
 			pw.Conds = append(pw.Conds, CondAt{PC: brPC, Pred: p, Taken: p.Taken})
 			if !p.Taken {
 				nt++

@@ -89,7 +89,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.met.inc(cEstRequests)
+	s.met.estRequests.Inc()
 	threshold := s.cfg.EstimateConfidence
 	if req.MinConfidence > 0 {
 		threshold = req.MinConfidence

@@ -375,7 +375,7 @@ func (s *Server) requestContext(parent context.Context, timeoutMS int64) (contex
 // resolution latency. Clamped to [1s, 60s]; before any completion the
 // estimate is a flat second.
 func (s *Server) retryAfter() string {
-	mean := s.met.meanLatency()
+	mean := time.Duration(s.met.latency.Mean() * float64(time.Millisecond))
 	if mean <= 0 {
 		mean = time.Second
 	}
@@ -401,7 +401,7 @@ func (s *Server) retryAfter() string {
 func (s *Server) resolveOne(ctx context.Context, pp experiments.PreparedPoint, wait bool) (*SimulateResponse, int, error) {
 	start := time.Now()
 	if res, ok := s.eng.Lookup(pp.Fingerprint); ok {
-		s.met.inc(cFastHits)
+		s.met.fastHits.Inc()
 		return simulateResponse(pp, runcache.ResolvedMemo, res, start), http.StatusOK, nil
 	}
 	var (
@@ -418,26 +418,26 @@ func (s *Server) resolveOne(ctx context.Context, pp experiments.PreparedPoint, w
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrSaturated):
-			s.met.inc(cRejected)
+			s.met.rejected.Inc()
 			return nil, http.StatusTooManyRequests, err
 		case errors.Is(err, ErrDraining):
-			s.met.inc(cRejectedDrain)
+			s.met.rejectedDrain.Inc()
 			return nil, http.StatusServiceUnavailable, err
 		default: // deadline expired while blocked on admission
-			s.met.inc(cTimeouts)
+			s.met.timeouts.Inc()
 			return nil, http.StatusGatewayTimeout, fmt.Errorf("deadline expired awaiting admission: %w", err)
 		}
 	}
-	s.met.inc(cAdmitted)
+	s.met.admitted.Inc()
 	select {
 	case <-t.done:
 	case <-ctx.Done():
-		s.met.inc(cTimeouts)
+		s.met.timeouts.Inc()
 		return nil, http.StatusGatewayTimeout, fmt.Errorf(
 			"deadline exceeded after %dms; a simulation that was already executing may still finish and warm the cache for a retry", time.Since(start).Milliseconds())
 	}
 	if !t.ran {
-		s.met.inc(cExpired)
+		s.met.expired.Inc()
 		return nil, http.StatusGatewayTimeout, fmt.Errorf("deadline expired before a worker picked the request up")
 	}
 	if rerr != nil {
@@ -602,32 +602,24 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) statsResponse() StatsResponse {
 	m := s.met
-	m.mu.Lock()
-	pool := PoolStats{
-		Workers:          s.pool.workers,
-		QueueCapacity:    cap(s.pool.tasks),
-		QueueDepth:       len(s.pool.tasks),
-		Inflight:         int(s.pool.inflight.Load()),
-		Admitted:         m.admitted.Value(),
-		FastHits:         m.fastHits.Value(),
-		Rejected:         m.rejected.Value(),
-		RejectedDraining: m.rejectedDrain.Value(),
-		Completed:        m.completed.Value(),
-		Failed:           m.failed.Value(),
-		Expired:          m.expired.Value(),
-		Timeouts:         m.timeouts.Value(),
-	}
-	modes := SimulationModes{Sampled: m.simSampled.Value(), Full: m.simFull.Value()}
-	est := EstimateStats{
-		Requests:    m.estRequests.Value(),
-		Served:      m.estServed.Value(),
-		Fallthrough: m.estFallthrough.Value(),
-	}
-	m.mu.Unlock()
+	sampled, full := m.simSampled.Value(), m.simFull.Value()
 	resp := StatsResponse{
-		Engine:        s.eng.Stats(),
-		Pool:          pool,
-		Simulations:   modes,
+		Engine: s.eng.Stats(),
+		Pool: PoolStats{
+			Workers:          s.pool.workers,
+			QueueCapacity:    cap(s.pool.tasks),
+			QueueDepth:       len(s.pool.tasks),
+			Inflight:         int(s.pool.inflight.Load()),
+			Admitted:         m.admitted.Value(),
+			FastHits:         m.fastHits.Value(),
+			Rejected:         m.rejected.Value(),
+			RejectedDraining: m.rejectedDrain.Value(),
+			Completed:        sampled + full,
+			Failed:           m.failed.Value(),
+			Expired:          m.expired.Value(),
+			Timeouts:         m.timeouts.Value(),
+		},
+		Simulations:   SimulationModes{Sampled: sampled, Full: full},
 		UptimeSeconds: time.Since(s.start).Seconds(),
 	}
 	if s.ws != nil {
@@ -635,7 +627,11 @@ func (s *Server) statsResponse() StatsResponse {
 		resp.Warehouse = &st
 	}
 	if s.sur != nil {
-		resp.Estimate = &est
+		resp.Estimate = &EstimateStats{
+			Requests:    m.estRequests.Value(),
+			Served:      m.estServed.Value(),
+			Fallthrough: m.estFallthrough.Value(),
+		}
 		ss := s.sur.Stats()
 		resp.Surrogate = &ss
 	}
@@ -680,11 +676,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.met.snapshot().WritePrometheus(w, "uopsimd")
-	// The registry's exposition has no label support; the per-mode split is
-	// the one place a label is the idiomatic shape, so append it by hand.
-	sampled, full := s.met.modes()
-	fmt.Fprintf(w, "# TYPE uopsimd_simulations_total counter\n")
-	fmt.Fprintf(w, "uopsimd_simulations_total{mode=\"sampled\"} %d\n", sampled)
-	fmt.Fprintf(w, "uopsimd_simulations_total{mode=\"full\"} %d\n", full)
+	s.met.reg.Snapshot().WritePrometheus(w, "uopsimd")
 }

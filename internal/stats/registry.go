@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -36,36 +37,48 @@ func (k Kind) String() string {
 	return "kind?"
 }
 
-// Hist is the registry-facing name of the bucketed histogram instrument.
-type Hist = Histogram
+// CounterReader is the read side of a registered counter: *Counter and
+// *AtomicCounter both satisfy it.
+type CounterReader interface{ Value() uint64 }
 
-// instrument binds one dotted path to one live instrument. Exactly one of
-// the typed pointers is set, selected by kind.
+// HistReader is the read side of a registered histogram: *Histogram and
+// *SyncHistogram.
+type HistReader interface {
+	readHist() (total uint64, buckets []Bucket)
+}
+
+// MeanReader is the read side of a registered mean: *Mean, and
+// *SyncHistogram, whose running sum makes it a mean too.
+type MeanReader interface {
+	readMean() (mean float64, count uint64)
+}
+
+// instrument binds one path to one live instrument: val is the
+// CounterReader, MeanReader, HistReader, *Distribution or func() float64
+// that kind names. A family member's path is the family path plus its
+// label pair, such as simulations_total{mode="full"}.
 type instrument struct {
-	path    string
-	kind    Kind
-	counter *Counter
-	mean    *Mean
-	hist    *Histogram
-	dist    *Distribution
-	gauge   func() float64
+	path string
+	kind Kind
+	val  any
 }
 
 // Registry is a hierarchical collection of named instruments. Components
 // register their instruments once at construction under dotted paths
 // ("oc.hits", "bpu.tage.mispredicts"); the hot path keeps incrementing the
-// same plain-value instruments directly, so observability adds no locks and
-// no indirection to the cycle loop. Snapshot reads every instrument into a
-// stable-ordered value that the JSON and Prometheus exporters serialize.
+// same instruments directly, so observability adds no indirection to the
+// cycle loop. Snapshot reads every instrument into a stable-ordered value
+// that the JSON and Prometheus exporters serialize.
 //
 // The registry structure — registration, lookup, and the snapshot's
 // ordering state — is goroutine-safe behind one mutex. Instrument values
-// are not: counters and histograms are plain values by design (the cycle
-// loop increments them with no lock and no indirection), so concurrent
-// mutation and snapshotting still needs external synchronization, which
-// the serving layer provides (see uopsimd's metrics.mu). Single-goroutine
-// simulators pay one uncontended lock per registration/snapshot, never on
-// the hot path.
+// are goroutine-safe only when their type is. The simulator's Counter,
+// Mean, Histogram and Distribution are plain values that the cycle loop
+// bumps with no lock, so a registry of them is snapshotted by the
+// goroutine running the simulation. The serving stack registers
+// AtomicCounter and SyncHistogram instead: handler goroutines update them
+// while any other goroutine snapshots. Registration and snapshots take one
+// uncontended lock, never the hot path.
 type Registry struct {
 	mu     sync.Mutex
 	byPath map[string]*instrument //uopvet:guardedby mu
@@ -79,17 +92,25 @@ func NewRegistry() *Registry {
 }
 
 func (r *Registry) add(in *instrument) {
-	if in.path == "" {
-		panic("stats: empty metric path")
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.byPath[in.path]; dup {
-		panic(fmt.Sprintf("stats: duplicate metric path %q", in.path))
-	}
-	r.byPath[in.path] = in
+	r.claim(in.path, in)
 	r.insts = append(r.insts, in)
 	r.sorted = false
+}
+
+// claim records key as taken; a family reserves its bare path with a nil
+// instrument, so no plain instrument or second family can reuse it.
+//
+//uopvet:locked mu
+func (r *Registry) claim(key string, in *instrument) {
+	if key == "" {
+		panic("stats: empty metric path")
+	}
+	if _, dup := r.byPath[key]; dup {
+		panic(fmt.Sprintf("stats: duplicate metric path %q", key))
+	}
+	r.byPath[key] = in
 }
 
 // Counter registers a new counter at path and returns it.
@@ -100,30 +121,54 @@ func (r *Registry) Counter(path string) *Counter {
 }
 
 // RegisterCounter registers an existing counter at path. Components that
-// embed plain-value counters register pointers to them so the hot path needs
-// no registry involvement.
-func (r *Registry) RegisterCounter(path string, c *Counter) {
-	r.add(&instrument{path: path, kind: KindCounter, counter: c})
+// embed counters register pointers to them so the hot path needs no
+// registry involvement.
+func (r *Registry) RegisterCounter(path string, c CounterReader) {
+	r.add(&instrument{path: path, kind: KindCounter, val: c})
 }
 
 // RegisterGauge registers a derived value read through fn at snapshot time.
 func (r *Registry) RegisterGauge(path string, fn func() float64) {
-	r.add(&instrument{path: path, kind: KindGauge, gauge: fn})
+	r.add(&instrument{path: path, kind: KindGauge, val: fn})
 }
 
 // RegisterMean registers an existing running mean at path.
-func (r *Registry) RegisterMean(path string, m *Mean) {
-	r.add(&instrument{path: path, kind: KindMean, mean: m})
+func (r *Registry) RegisterMean(path string, m MeanReader) {
+	r.add(&instrument{path: path, kind: KindMean, val: m})
 }
 
 // RegisterHist registers an existing histogram at path.
-func (r *Registry) RegisterHist(path string, h *Histogram) {
-	r.add(&instrument{path: path, kind: KindHist, hist: h})
+func (r *Registry) RegisterHist(path string, h HistReader) {
+	r.add(&instrument{path: path, kind: KindHist, val: h})
+}
+
+// Family is a counter family: the counters of one exported metric whose
+// series differ in a single label, such as simulations_total{mode="full"}.
+// Label values are free text (shard URLs are), which paths may not be.
+type Family struct {
+	r     *Registry
+	path  string
+	label string
+}
+
+// Family reserves path for a counter family labelled by label. The path
+// follows the same grammar and uniqueness rules as any registration.
+func (r *Registry) Family(path, label string) Family {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.claim(path, nil)
+	return Family{r: r, path: path, label: label}
+}
+
+// RegisterCounter registers c as the family's series label="value", at
+// path family{label="value"}.
+func (f Family) RegisterCounter(value string, c CounterReader) {
+	f.r.add(&instrument{path: f.path + "{" + f.label + "=" + strconv.Quote(value) + "}", kind: KindCounter, val: c})
 }
 
 // RegisterDist registers an existing distribution at path.
 func (r *Registry) RegisterDist(path string, d *Distribution) {
-	r.add(&instrument{path: path, kind: KindDist, dist: d})
+	r.add(&instrument{path: path, kind: KindDist, val: d})
 }
 
 // CounterValue returns the live value of the counter at path. It panics when
@@ -136,7 +181,7 @@ func (r *Registry) CounterValue(path string) uint64 {
 	if in == nil || in.kind != KindCounter {
 		panic(fmt.Sprintf("stats: %q is not a registered counter", path))
 	}
-	return in.counter.Value()
+	return in.val.(CounterReader).Value()
 }
 
 // GaugeValue returns the live value of the gauge at path (same panic
@@ -151,7 +196,7 @@ func (r *Registry) GaugeValue(path string) float64 {
 	// The gauge closure runs after unlock: it may read arbitrary locked
 	// subsystem state (engine stats, warehouse stats) and must not be able
 	// to deadlock back into this registry.
-	return in.gauge()
+	return in.val.(func() float64)()
 }
 
 // Scope returns a registration view that prefixes every path with
@@ -179,16 +224,16 @@ func (s Scope) Scope(prefix string) Scope {
 func (s Scope) Counter(path string) *Counter { return s.r.Counter(s.prefix + path) }
 
 // RegisterCounter registers an existing counter under the scope.
-func (s Scope) RegisterCounter(path string, c *Counter) { s.r.RegisterCounter(s.prefix+path, c) }
+func (s Scope) RegisterCounter(path string, c CounterReader) { s.r.RegisterCounter(s.prefix+path, c) }
 
 // RegisterGauge registers a derived value under the scope.
 func (s Scope) RegisterGauge(path string, fn func() float64) { s.r.RegisterGauge(s.prefix+path, fn) }
 
 // RegisterMean registers an existing mean under the scope.
-func (s Scope) RegisterMean(path string, m *Mean) { s.r.RegisterMean(s.prefix+path, m) }
+func (s Scope) RegisterMean(path string, m MeanReader) { s.r.RegisterMean(s.prefix+path, m) }
 
 // RegisterHist registers an existing histogram under the scope.
-func (s Scope) RegisterHist(path string, h *Histogram) { s.r.RegisterHist(s.prefix+path, h) }
+func (s Scope) RegisterHist(path string, h HistReader) { s.r.RegisterHist(s.prefix+path, h) }
 
 // RegisterDist registers an existing distribution under the scope.
 func (s Scope) RegisterDist(path string, d *Distribution) { s.r.RegisterDist(s.prefix+path, d) }
@@ -203,7 +248,7 @@ type Bucket struct {
 
 // Sample is one instrument's state at snapshot time. Counter counts are
 // carried in Count exactly (Value mirrors them as float64 for uniform
-// consumers); gauges and means carry Value only.
+// consumers); gauges carry Value only, means Value and Count.
 type Sample struct {
 	Path    string   `json:"path"`
 	Kind    string   `json:"kind"`
@@ -240,28 +285,18 @@ func (r *Registry) Snapshot() Snapshot {
 		s := Sample{Path: in.path, Kind: in.kind.String()}
 		switch in.kind {
 		case KindCounter:
-			n := in.counter.Value()
+			n := in.val.(CounterReader).Value()
 			s.Count = n
 			s.Value = float64(n)
 		case KindGauge:
-			s.Value = in.gauge()
+			s.Value = in.val.(func() float64)()
 		case KindMean:
-			s.Value = in.mean.Value()
-			s.Count = in.mean.Count()
+			s.Value, s.Count = in.val.(MeanReader).readMean()
 		case KindHist:
-			h := in.hist
-			s.Count = h.Total()
-			s.Value = float64(h.Total())
-			s.Buckets = make([]Bucket, h.Buckets())
-			for i := 0; i < h.Buckets(); i++ {
-				le := int64(math.MaxInt64)
-				if i < len(h.bounds) {
-					le = int64(h.bounds[i])
-				}
-				s.Buckets[i] = Bucket{Le: le, Count: h.Count(i)}
-			}
+			s.Count, s.Buckets = in.val.(HistReader).readHist()
+			s.Value = float64(s.Count)
 		case KindDist:
-			d := in.dist
+			d := in.val.(*Distribution)
 			s.Count = d.Total()
 			s.Value = float64(d.Total())
 			keys := d.Keys()
@@ -355,16 +390,29 @@ func promName(namespace, path string) string {
 }
 
 // WritePrometheus serializes the snapshot in the Prometheus text exposition
-// format. Counters and gauges map directly; means become summaries
-// (_sum/_count); histograms become cumulative-bucket histograms; exact
-// distributions are emitted as one labeled gauge series per key.
+// format. Counters and gauges map directly, a counter family as one TYPE
+// line over its labelled series; means become summaries (_sum/_count);
+// histograms become cumulative-bucket histograms; exact distributions are
+// emitted as one labeled gauge series per key.
 func (s Snapshot) WritePrometheus(w io.Writer, namespace string) error {
+	prev := "" // the previous sample's path, less any family labels
 	for _, sm := range s.Samples {
-		name := promName(namespace, sm.Path)
+		path, labels, labelled := strings.Cut(sm.Path, "{")
+		name := promName(namespace, path)
 		var err error
 		switch sm.Kind {
 		case "counter":
-			_, err = fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, sm.Count)
+			// A family's members sort together and share one TYPE line.
+			if path != prev {
+				if _, err = fmt.Fprintf(w, "# TYPE %s counter\n", name); err != nil {
+					return err
+				}
+			}
+			series := name
+			if labelled {
+				series += "{" + labels
+			}
+			_, err = fmt.Fprintf(w, "%s %d\n", series, sm.Count)
 		case "gauge":
 			_, err = fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", name, name, sm.Value)
 		case "mean":
@@ -399,6 +447,7 @@ func (s Snapshot) WritePrometheus(w io.Writer, namespace string) error {
 		if err != nil {
 			return err
 		}
+		prev = path
 	}
 	return nil
 }

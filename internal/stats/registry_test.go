@@ -3,8 +3,10 @@ package stats
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -248,4 +250,138 @@ func rep(x, n int) []int {
 		out[i] = x
 	}
 	return out
+}
+
+// TestFamilyExposition: a counter family exports one TYPE line over its
+// labelled series, sorted by label, with label values quoted.
+func TestFamilyExposition(t *testing.T) {
+	r := NewRegistry()
+	var sampled, full Counter
+	var node AtomicCounter
+	modes := r.Family("simulations_total", "mode")
+	modes.RegisterCounter("sampled", &sampled)
+	modes.RegisterCounter("full", &full)
+	r.Family("node_requests_total", "node").RegisterCounter("http://127.0.0.1:8091", &node)
+	r.Counter("server.completed").Add(3)
+	sampled.Add(2)
+	full.Inc()
+	node.Add(4)
+
+	snap := r.Snapshot()
+	if err := snap.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := snap.WritePrometheus(&buf, "uopsimd"); err != nil {
+		t.Fatal(err)
+	}
+	want := `# TYPE uopsimd_node_requests_total counter
+uopsimd_node_requests_total{node="http://127.0.0.1:8091"} 4
+# TYPE uopsimd_server_completed counter
+uopsimd_server_completed 3
+# TYPE uopsimd_simulations_total counter
+uopsimd_simulations_total{mode="full"} 1
+uopsimd_simulations_total{mode="sampled"} 2
+`
+	if got := buf.String(); got != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestFamilyReservesPath: a family's name collides with a plain
+// registration or a second family exactly as two plain paths do, and so
+// does a repeated label value.
+func TestFamilyReservesPath(t *testing.T) {
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	r := NewRegistry()
+	f := r.Family("x", "mode")
+	f.RegisterCounter("a", &Counter{})
+	mustPanic("plain path over a family", func() { r.Counter("x") })
+	mustPanic("second family", func() { r.Family("x", "node") })
+	mustPanic("repeated label value", func() { f.RegisterCounter("a", &Counter{}) })
+	r.Counter("y")
+	mustPanic("family over a plain path", func() { r.Family("y", "mode") })
+}
+
+// TestConcurrentInstruments drives AtomicCounter, a counter family and
+// SyncHistogram from many goroutines while others snapshot and render
+// Prometheus text; run under -race. Final totals must be exact.
+func TestConcurrentInstruments(t *testing.T) {
+	const writers, perWriter = 8, 2000
+	r := NewRegistry()
+	var hits AtomicCounter
+	var modes [2]AtomicCounter
+	lat := NewSyncHistogram(1, 10, 100)
+	r.RegisterCounter("hits", &hits)
+	fam := r.Family("sims_total", "mode")
+	fam.RegisterCounter("full", &modes[0])
+	fam.RegisterCounter("sampled", &modes[1])
+	r.RegisterHist("lat", lat)
+	r.RegisterMean("lat_mean", lat)
+
+	stop := make(chan struct{})
+	var readers, wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap := r.Snapshot()
+				if err := snap.WritePrometheus(io.Discard, "t"); err != nil {
+					t.Error(err)
+					return
+				}
+				if h, m := snap.Counter("lat"), snap.Counter("lat_mean"); m < h {
+					t.Errorf("mean read %d samples after the histogram read %d", m, h)
+					return
+				}
+			}
+		}()
+	}
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				hits.Inc()
+				modes[i%2].Add(2)
+				lat.Observe(w)
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+
+	snap := r.Snapshot()
+	total := uint64(writers * perWriter)
+	if got := snap.Counter("hits"); got != total {
+		t.Errorf("hits = %d, want %d", got, total)
+	}
+	if got := modes[0].Value() + modes[1].Value(); got != 2*total {
+		t.Errorf("family sum = %d, want %d", got, 2*total)
+	}
+	if got := snap.Counter("lat"); got != total {
+		t.Errorf("histogram total = %d, want %d", got, total)
+	}
+	// Writers observe 0..7, perWriter times each: mean 3.5.
+	if got := snap.Value("lat_mean"); got != 3.5 {
+		t.Errorf("mean = %v, want 3.5", got)
+	}
+	if got := lat.Mean(); got != 3.5 {
+		t.Errorf("Mean() = %v, want 3.5", got)
+	}
 }

@@ -3,13 +3,17 @@
 // output.
 //
 // All types are plain values with useful zero states so components can embed
-// them without constructors.
+// them without constructors. The plain instruments are single-goroutine, so
+// the cycle loop pays nothing for them; AtomicCounter and SyncHistogram are
+// their concurrency-safe twins for the serving stack.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // Counter is a monotonically increasing event count.
@@ -28,6 +32,21 @@ func (c *Counter) Value() uint64 { return c.n }
 
 // Reset zeroes the counter.
 func (c *Counter) Reset() { c.n = 0 }
+
+// AtomicCounter is a Counter that any number of goroutines may bump and
+// read at once.
+type AtomicCounter struct {
+	n atomic.Uint64
+}
+
+// Add increments the counter by d.
+func (c *AtomicCounter) Add(d uint64) { c.n.Add(d) }
+
+// Inc increments the counter by one.
+func (c *AtomicCounter) Inc() { c.n.Add(1) }
+
+// Value returns the current count.
+func (c *AtomicCounter) Value() uint64 { return c.n.Load() }
 
 // Ratio returns a/b as float64, or 0 when b is zero.
 func Ratio(a, b uint64) float64 {
@@ -71,6 +90,8 @@ func (m *Mean) Sum() float64 { return m.sum }
 
 // Reset discards all samples.
 func (m *Mean) Reset() { *m = Mean{} }
+
+func (m *Mean) readMean() (float64, uint64) { return m.Value(), m.count }
 
 // Histogram is a bucketed distribution over non-negative integer samples.
 // Bucket boundaries are fixed at construction: bucket i holds samples x with
@@ -173,6 +194,69 @@ func (h *Histogram) Reset() {
 		h.counts[i] = 0
 	}
 	h.total = 0
+}
+
+func (h *Histogram) readHist() (uint64, []Bucket) {
+	buckets := make([]Bucket, len(h.counts))
+	for i, n := range h.counts {
+		le := int64(math.MaxInt64)
+		if i < len(h.bounds) {
+			le = int64(h.bounds[i])
+		}
+		buckets[i] = Bucket{Le: le, Count: n}
+	}
+	return h.total, buckets
+}
+
+// SyncHistogram is a Histogram that any number of goroutines may observe
+// into and read at once. It also keeps the running sum of its samples, so
+// one instrument is both a latency histogram and its mean.
+type SyncHistogram struct {
+	mu  sync.Mutex
+	h   *Histogram //uopvet:guardedby mu
+	sum int64      //uopvet:guardedby mu
+}
+
+// NewSyncHistogram builds a histogram with the given ascending inclusive
+// upper bounds (see NewHistogram).
+func NewSyncHistogram(bounds ...int) *SyncHistogram {
+	return &SyncHistogram{h: NewHistogram(bounds...)}
+}
+
+// Observe records one sample.
+func (h *SyncHistogram) Observe(x int) {
+	h.mu.Lock()
+	h.h.Observe(x)
+	h.sum += int64(x)
+	h.mu.Unlock()
+}
+
+// Mean returns the mean sample, or 0 with no samples.
+func (h *SyncHistogram) Mean() float64 {
+	mean, _ := h.readMean()
+	return mean
+}
+
+// Quantile estimates the q-quantile (see Histogram.Quantile).
+func (h *SyncHistogram) Quantile(q float64) float64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.h.Quantile(q)
+}
+
+func (h *SyncHistogram) readHist() (uint64, []Bucket) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.h.readHist()
+}
+
+func (h *SyncHistogram) readMean() (float64, uint64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.h.total == 0 {
+		return 0, 0
+	}
+	return float64(h.sum) / float64(h.h.total), h.h.total
 }
 
 // Distribution is a dense distribution over small integer keys (e.g. "OC

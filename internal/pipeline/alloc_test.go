@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"uopsim/internal/workload"
@@ -123,4 +125,35 @@ func TestRingObserverAllocLean(t *testing.T) {
 		t.Error("ring observer saw no events over 120k traced cycles")
 	}
 	t.Logf("ring-observer allocations: %.4f objects/cycle over %d events", perCycle, ring.Total())
+}
+
+// newBytesBound caps what pipeline.New allocates for bm_cc once the shared
+// workload build exists. The walker sizes its state by the instructions
+// that carry behaviour, so construction is the uop cache, BTB, TAGE and
+// memory hierarchy tables plus about 0.3 MB of walker state (1.8 MB in
+// all); with walker state sized by program length it measured 4.8 MB.
+const newBytesBound = 2_500_000
+
+// TestNewAllocBound bounds the bytes one cold design point spends building
+// its Sim, measured as the TotalAlloc delta around New (the best of three,
+// so a stray background allocation cannot fail it).
+func TestNewAllocBound(t *testing.T) {
+	wl, err := workload.Shared("bm_cc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := New(DefaultConfig(), wl); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	if best > newBytesBound {
+		t.Errorf("pipeline.New(bm_cc) allocated %d bytes, want <= %d", best, newBytesBound)
+	}
+	t.Logf("pipeline.New(bm_cc): %d bytes", best)
 }

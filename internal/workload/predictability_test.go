@@ -36,7 +36,7 @@ func offlineAccuracy(t *testing.T, name string, n int, verbose bool) float64 {
 			conds++
 			p := tg.Predict(in.Addr, h)
 			tg.Update(in.Addr, h, p, rec.Taken)
-			if cb := wl.Behaviors.Cond[in.ID]; cb != nil {
+			if cb := wl.CondOf(in.ID); cb != nil {
 				dynByKind[cb.Kind]++
 				if p.Taken != rec.Taken {
 					missByKind[cb.Kind]++

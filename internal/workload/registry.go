@@ -3,10 +3,11 @@ package workload
 import "sync"
 
 // Built workloads are immutable: the Program is immutable by construction,
-// and the Behaviors maps are only ever read after Build returns (all dynamic
-// state lives in per-run Walkers). That makes one build shareable by any
-// number of concurrent simulations, so the experiment sweeps do not pay the
-// synthesis cost once per scheme x capacity job.
+// and the Behaviors slot index and tables are only ever read after Build
+// returns (all dynamic state lives in per-run Walkers, sized by those
+// tables). That makes one build shareable by any number of concurrent
+// simulations, so the experiment sweeps do not pay the synthesis cost once
+// per scheme x capacity job.
 //
 // The registry caches builds keyed by (profile value, code base) behind a
 // per-key sync.Once; the first caller builds, everyone else waits and

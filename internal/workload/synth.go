@@ -65,12 +65,17 @@ type MemBehavior struct {
 	Stride uint32
 }
 
-// Behaviors attaches dynamic semantics to a synthesized program. Maps are
-// keyed by static instruction ID.
+// Behaviors attaches dynamic semantics to a synthesized program. Each
+// static instruction has one slot: 0 when it carries no behaviour, else 1 +
+// its index into the table of its kind. One slot suffices because the
+// instruction's class fixes the kind: conditional branches index Cond,
+// indirect branches and calls index Indirect, loads and stores index Mem.
+// Tables are in block and instruction-ID order.
 type Behaviors struct {
-	Cond     map[uint32]*CondBehavior
-	Indirect map[uint32]*IndirectBehavior
-	Mem      map[uint32]*MemBehavior
+	slot     []uint32
+	Cond     []CondBehavior
+	Indirect []IndirectBehavior
+	Mem      []MemBehavior
 	// DispatchBlock is the block ID of the dispatcher loop head (walker
 	// restart point).
 	DispatchBlock int
@@ -85,10 +90,16 @@ type Workload struct {
 	Profile   *Profile
 	Program   *program.Program
 	Behaviors *Behaviors
+}
 
-	// idx is the dense behaviour index shared by every walker over this
-	// build (nil for hand-assembled workloads; NewWalker then builds one).
-	idx *behaviorIndex
+// CondOf returns the outcome model of conditional branch id, or nil when id
+// is not an annotated conditional branch.
+func (w *Workload) CondOf(id uint32) *CondBehavior {
+	s := w.Behaviors.slot[id]
+	if s == 0 || w.Program.Inst(id).Branch != isa.BranchCond {
+		return nil
+	}
+	return &w.Behaviors.Cond[s-1]
 }
 
 // Data-region bases; code occupies a disjoint region at CodeBase.
@@ -133,16 +144,12 @@ func BuildAt(p *Profile, base uint64) (*Workload, error) {
 	structR := r.Derive(2)
 	behR := r.Derive(3)
 
-	beh := &Behaviors{
-		Cond:     make(map[uint32]*CondBehavior),
-		Indirect: make(map[uint32]*IndirectBehavior),
-		Mem:      make(map[uint32]*MemBehavior),
-	}
+	beh := &Behaviors{}
 
-	// Behaviour annotations are collected per block (instruction IDs do not
+	// Branch behaviours are collected per block (instruction IDs do not
 	// exist until Finish) and converted afterwards.
-	condByBlock := make(map[int]*CondBehavior)
-	indByBlock := make(map[int]*IndirectBehavior)
+	condByBlock := make(map[int]CondBehavior)
+	indByBlock := make(map[int]IndirectBehavior)
 	type callPatch struct {
 		block  int
 		callee int
@@ -188,7 +195,7 @@ func BuildAt(p *Profile, base uint64) (*Workload, error) {
 	perm := structR.Perm(p.NumFuncs)
 	dispatchTargets := make([]int, p.NumFuncs)
 	copy(dispatchTargets, funcEntries)
-	indByBlock[d0] = &IndirectBehavior{
+	indByBlock[d0] = IndirectBehavior{
 		TargetBlocks: dispatchTargets,
 		Weights:      zipfWeights(p.NumFuncs, p.ZipfS, perm),
 		RunLen:       p.FuncRunLen,
@@ -198,7 +205,7 @@ func BuildAt(p *Profile, base uint64) (*Workload, error) {
 		for i, c := range ip.callees {
 			targets[i] = funcEntries[c]
 		}
-		indByBlock[ip.block] = &IndirectBehavior{TargetBlocks: targets, Weights: ip.weights, RunLen: ip.runLen}
+		indByBlock[ip.block] = IndirectBehavior{TargetBlocks: targets, Weights: ip.weights, RunLen: ip.runLen}
 	}
 
 	prog, err := b.Finish(d0)
@@ -206,37 +213,44 @@ func BuildAt(p *Profile, base uint64) (*Workload, error) {
 		return nil, fmt.Errorf("workload %s: %w", p.Name, err)
 	}
 
-	// Convert block-keyed behaviours to instruction-ID keys (the branch is
-	// always the last instruction of its block).
-	lastInst := func(blockID int) uint32 {
-		blk := &prog.Blocks[blockID]
-		return uint32(blk.First + blk.N - 1)
-	}
-	for blockID, cb := range condByBlock {
-		beh.Cond[lastInst(blockID)] = cb
-	}
-	for blockID, ib := range indByBlock {
-		beh.Indirect[lastInst(blockID)] = ib
-	}
-
-	// Memory behaviours: assigned per static memory instruction from a
-	// derived stream so they are independent of structure generation.
-	memR := r.Derive(4)
+	// Memory behaviours: one per static memory instruction in ID order,
+	// drawn from a derived stream so they are independent of structure
+	// generation.
+	beh.slot = make([]uint32, prog.NumInsts())
+	nMem := 0
 	for i := range prog.Insts {
-		in := &prog.Insts[i]
-		switch in.Class {
+		switch prog.Insts[i].Class {
 		case isa.ClassLoad, isa.ClassStore, isa.ClassLoadOp:
-			beh.Mem[in.ID] = newMemBehavior(p, memR)
+			nMem++
+			beh.slot[i] = uint32(nMem)
 		}
 	}
+	memR := r.Derive(4)
+	beh.Mem = make([]MemBehavior, nMem)
+	for i := range beh.Mem {
+		beh.Mem[i] = newMemBehavior(p, memR)
+	}
 
-	wl := &Workload{Profile: p, Program: prog, Behaviors: beh}
-	wl.idx = newBehaviorIndex(prog, beh)
-	return wl, nil
+	// Branch behaviours move to the tables in block order (the branch is
+	// always the last instruction of its block).
+	beh.Cond = make([]CondBehavior, 0, len(condByBlock))
+	beh.Indirect = make([]IndirectBehavior, 0, len(indByBlock))
+	for blockID := range prog.Blocks {
+		blk := &prog.Blocks[blockID]
+		last := blk.First + blk.N - 1
+		if cb, ok := condByBlock[blockID]; ok {
+			beh.Cond = append(beh.Cond, cb)
+			beh.slot[last] = uint32(len(beh.Cond))
+		} else if ib, ok := indByBlock[blockID]; ok {
+			beh.Indirect = append(beh.Indirect, ib)
+			beh.slot[last] = uint32(len(beh.Indirect))
+		}
+	}
+	return &Workload{Profile: p, Program: prog, Behaviors: beh}, nil
 }
 
-func newMemBehavior(p *Profile, r *rng.Source) *MemBehavior {
-	mb := &MemBehavior{}
+func newMemBehavior(p *Profile, r *rng.Source) MemBehavior {
+	var mb MemBehavior
 	x := r.Float64()
 	switch {
 	case x < p.ColdFrac:
@@ -264,8 +278,8 @@ func buildFunc(
 	b *program.Builder,
 	structR, behR *rng.Source,
 	f int,
-	condByBlock map[int]*CondBehavior,
-	indByBlock map[int]*IndirectBehavior,
+	condByBlock map[int]CondBehavior,
+	indByBlock map[int]IndirectBehavior,
 	patchCall func(block, callee int),
 	patchIndirectCall func(block int, callees []int, weights []float64, runLen float64),
 ) (entry int, err error) {
@@ -376,12 +390,12 @@ func buildFunc(
 // profile's fractions shifts classification thresholds monotonically without
 // reshuffling every later branch's assignment — which keeps per-profile MPKI
 // calibration stable.
-func newCondBehavior(p *Profile, r *rng.Source) *CondBehavior {
+func newCondBehavior(p *Profile, r *rng.Source) CondBehavior {
 	x := r.Float64()
 	aux := r.Uint64()
 	switch {
 	case x < p.ChaoticFrac:
-		return &CondBehavior{Kind: BehChaotic, P: p.ChaoticP}
+		return CondBehavior{Kind: BehChaotic, P: p.ChaoticP}
 	case x < p.ChaoticFrac+p.PatternFrac:
 		// Short periods with exactly one minority outcome (e.g. TNNN,
 		// NTTTT) — the shapes real periodic branches take.
@@ -394,7 +408,7 @@ func newCondBehavior(p *Profile, r *rng.Source) *CondBehavior {
 		} else {
 			pat = 1 << minority // mostly not taken
 		}
-		return &CondBehavior{Kind: BehPattern, Pattern: pat, PatLen: n}
+		return CondBehavior{Kind: BehPattern, Pattern: pat, PatLen: n}
 	default:
 		// Mostly-taken branches fall through ~BiasP of the time; mostly
 		// not-taken branches are error/slow paths taken far more rarely
@@ -403,15 +417,15 @@ func newCondBehavior(p *Profile, r *rng.Source) *CondBehavior {
 		if aux%100 < 62 { // most biased branches are mostly taken
 			pTaken = 1 - p.BiasP
 		}
-		return &CondBehavior{Kind: BehBiased, P: pTaken}
+		return CondBehavior{Kind: BehBiased, P: pTaken}
 	}
 }
 
 // newLoopBehavior consumes exactly two draws (see newCondBehavior).
-func newLoopBehavior(p *Profile, r *rng.Source) *CondBehavior {
+func newLoopBehavior(p *Profile, r *rng.Source) CondBehavior {
 	x := r.Float64()
 	aux := r.Uint64()
-	cb := &CondBehavior{Kind: BehLoop, TripMean: p.TripMean}
+	cb := CondBehavior{Kind: BehLoop, TripMean: p.TripMean}
 	fixedFrac := p.FixedTripFrac
 	if fixedFrac == 0 {
 		fixedFrac = 0.75

@@ -7,52 +7,26 @@ import (
 	"uopsim/internal/trace"
 )
 
-// behaviorIndex re-keys the Behaviors maps as dense slices indexed by static
-// instruction ID so the walker's per-instruction path does no map lookups.
-// It is built once per workload build (BuildAt) and shared by every walker.
-type behaviorIndex struct {
-	cond []*CondBehavior
-	ind  []*IndirectBehavior
-	mem  []*MemBehavior
-}
-
-func newBehaviorIndex(prog *program.Program, beh *Behaviors) *behaviorIndex {
-	n := prog.NumInsts()
-	idx := &behaviorIndex{
-		cond: make([]*CondBehavior, n),
-		ind:  make([]*IndirectBehavior, n),
-		mem:  make([]*MemBehavior, n),
-	}
-	for id, cb := range beh.Cond {
-		idx.cond[id] = cb
-	}
-	for id, ib := range beh.Indirect {
-		idx.ind[id] = ib
-	}
-	for id, mb := range beh.Mem {
-		idx.mem[id] = mb
-	}
-	return idx
-}
-
 // Walker executes a Workload architecturally, producing the oracle dynamic
 // instruction stream. It is deterministic for a given workload seed.
 //
-// All walker state is dense, indexed by static instruction ID: the walker
-// runs once per fetched instruction, and map-backed state dominated the
-// simulator's profile before the conversion.
+// All walker state is dense, indexed by behaviour slot (Behaviors): the
+// walker runs once per fetched instruction, so it does no map lookups, and
+// a new walker allocates only for the instructions that carry behaviour.
 type Walker struct {
 	prog *program.Program
-	idx  *behaviorIndex
+	beh  *Behaviors
 	rnd  *rng.Source
 
 	cur   uint32   // current static instruction ID
 	stack []uint32 // call stack of resume instruction IDs
 
-	trips    []int32       // live loop back-edge counters (0 = not live)
-	patPos   []uint32      // pattern positions per branch
-	indRun   []indirectRun // indirect-target run state per branch
-	memPos   []uint64      // per-instruction stream offsets
+	// condPos is per Cond slot: a loop back-edge's remaining trips (0 = not
+	// live) or a pattern branch's position. A branch has one kind, so the
+	// two never share a slot.
+	condPos  []uint32
+	indRun   []indirectRun // per Indirect slot: the current target run
+	memPos   []uint64      // per Mem slot: the stream offset
 	executed uint64
 }
 
@@ -63,22 +37,15 @@ type indirectRun struct {
 
 // NewWalker positions a walker at the workload's dispatcher.
 func NewWalker(w *Workload) *Walker {
-	entryBlock := &w.Program.Blocks[w.Behaviors.DispatchBlock]
-	idx := w.idx
-	if idx == nil {
-		// Hand-built or replay workloads that bypassed BuildAt.
-		idx = newBehaviorIndex(w.Program, w.Behaviors)
-	}
-	n := w.Program.NumInsts()
+	beh := w.Behaviors
 	return &Walker{
-		prog:   w.Program,
-		idx:    idx,
-		rnd:    rng.New(w.Profile.Seed).Derive(5),
-		cur:    uint32(entryBlock.First),
-		trips:  make([]int32, n),
-		patPos: make([]uint32, n),
-		indRun: make([]indirectRun, n),
-		memPos: make([]uint64, n),
+		prog:    w.Program,
+		beh:     beh,
+		rnd:     rng.New(w.Profile.Seed).Derive(5),
+		cur:     uint32(w.Program.Blocks[beh.DispatchBlock].First),
+		condPos: make([]uint32, len(beh.Cond)),
+		indRun:  make([]indirectRun, len(beh.Indirect)),
+		memPos:  make([]uint64, len(beh.Mem)),
 	}
 }
 
@@ -100,11 +67,6 @@ func (w *Walker) Next() (trace.Rec, bool) {
 		w.stepBranch(in, &rec)
 	default:
 		rec.Next = in.End()
-		if w.prog.At(rec.Next) == nil {
-			// Fell off the end of the code region (cannot happen with the
-			// synthesizer's layout, but keep replayed traces safe).
-			rec.Next = w.prog.Entry
-		}
 		switch in.Class {
 		case isa.ClassLoad, isa.ClassStore, isa.ClassLoadOp:
 			rec.MemAddr = w.memAddr(in)
@@ -113,6 +75,8 @@ func (w *Walker) Next() (trace.Rec, bool) {
 
 	next := w.prog.At(rec.Next)
 	if next == nil {
+		// Fell off the end of the code region (cannot happen with the
+		// synthesizer's layout): restart at the entry.
 		rec.Next = w.prog.Entry
 		next = w.prog.At(rec.Next)
 	}
@@ -168,30 +132,29 @@ func (w *Walker) push(resumeID uint32) {
 }
 
 func (w *Walker) condOutcome(in *isa.Inst) bool {
-	cb := w.idx.cond[in.ID]
-	if cb == nil {
-		// Unannotated conditional (replayed or hand-built programs):
-		// fall through.
-		return false
+	s := w.beh.slot[in.ID]
+	if s == 0 {
+		return false // unannotated conditional: fall through
 	}
+	cb, pos := &w.beh.Cond[s-1], &w.condPos[s-1]
 	switch cb.Kind {
 	case BehChaotic, BehBiased:
 		return w.rnd.Bool(cb.P)
 	case BehPattern:
-		pos := w.patPos[in.ID]
-		w.patPos[in.ID] = pos + 1
-		return cb.Pattern>>(pos%uint32(cb.PatLen))&1 == 1
+		p := *pos
+		*pos = p + 1
+		return cb.Pattern>>(p%uint32(cb.PatLen))&1 == 1
 	case BehLoop:
-		remaining := int(w.trips[in.ID])
+		remaining := int(*pos)
 		if remaining == 0 { // not live: entering the loop
 			remaining = w.sampleTrips(cb)
 		}
 		remaining--
 		if remaining > 0 {
-			w.trips[in.ID] = int32(remaining)
+			*pos = uint32(remaining)
 			return true // loop back
 		}
-		w.trips[in.ID] = 0
+		*pos = 0
 		return false // exit
 	default:
 		return false
@@ -206,11 +169,14 @@ func (w *Walker) sampleTrips(cb *CondBehavior) int {
 }
 
 func (w *Walker) indirectTarget(in *isa.Inst) uint64 {
-	ib := w.idx.ind[in.ID]
-	if ib == nil || len(ib.TargetBlocks) == 0 {
+	s := w.beh.slot[in.ID]
+	if s == 0 {
 		return w.prog.Entry
 	}
-	run := &w.indRun[in.ID]
+	ib, run := &w.beh.Indirect[s-1], &w.indRun[s-1]
+	if len(ib.TargetBlocks) == 0 {
+		return w.prog.Entry
+	}
 	if run.remaining > 0 {
 		run.remaining--
 		return run.target
@@ -225,14 +191,15 @@ func (w *Walker) indirectTarget(in *isa.Inst) uint64 {
 }
 
 func (w *Walker) memAddr(in *isa.Inst) uint64 {
-	mb := w.idx.mem[in.ID]
-	if mb == nil {
+	s := w.beh.slot[in.ID]
+	if s == 0 {
 		return 0
 	}
+	mb := &w.beh.Mem[s-1]
 	if mb.Stride == 0 {
 		return mb.Base + w.rnd.Uint64()%mb.Size
 	}
-	off := w.memPos[in.ID]
-	w.memPos[in.ID] = off + uint64(mb.Stride)
+	off := w.memPos[s-1]
+	w.memPos[s-1] = off + uint64(mb.Stride)
 	return mb.Base + off%mb.Size
 }

@@ -223,7 +223,7 @@ func TestFixedTripLoopsAreStable(t *testing.T) {
 	for i := 0; i < 400_000; i++ {
 		rec, _ := w.Next()
 		in := wl.Program.Inst(rec.InstID)
-		cb := wl.Behaviors.Cond[in.ID]
+		cb := wl.CondOf(in.ID)
 		if cb == nil || cb.Kind != BehLoop || cb.FixedTrip == 0 {
 			continue
 		}

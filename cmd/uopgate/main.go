@@ -8,8 +8,9 @@
 // is the static -nodes list plus active /healthz probing: a shard that
 // fails -probe-fails consecutive probes (or request-path sends) is marked
 // down and its points spill to the next ring owner; when it answers again
-// it rejoins, and results that landed on its neighbors replicate back in
-// the background.
+// it rejoins. The gateway keeps no per-point state: a rejoined shard
+// started with -peers pulls the results that spilled to its neighbours on
+// its own, so restarting uopgate loses nothing.
 //
 // Usage:
 //
@@ -27,11 +28,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"uopsim/internal/cluster"
+	"uopsim/internal/server"
 )
 
 func main() {
@@ -45,7 +46,6 @@ func run() error {
 	var (
 		addr       = flag.String("addr", ":8090", "listen address")
 		nodes      = flag.String("nodes", "", "comma-separated uopsimd base URLs (required)")
-		vnodes     = flag.Int("vnodes", 0, "virtual nodes per shard on the hash ring (0 = 128)")
 		probeEvery = flag.Duration("probe-interval", 2*time.Second, "health probe cadence")
 		probeFails = flag.Int("probe-fails", 2, "consecutive probe failures that mark a shard down")
 		maxPoints  = flag.Int("max-points", 1024, "cap on points per /v1/sweep call")
@@ -55,20 +55,8 @@ func run() error {
 	if *nodes == "" {
 		return fmt.Errorf("-nodes is required (comma-separated uopsimd base URLs)")
 	}
-	var urls []string
-	for _, u := range strings.Split(*nodes, ",") {
-		u = strings.TrimSpace(u)
-		if u == "" {
-			continue
-		}
-		if !strings.Contains(u, "://") {
-			u = "http://" + u
-		}
-		urls = append(urls, strings.TrimRight(u, "/"))
-	}
 	gw, err := cluster.New(cluster.Config{
-		Nodes:          urls,
-		VNodes:         *vnodes,
+		Nodes:          server.ParseURLs(*nodes),
 		ProbeInterval:  *probeEvery,
 		ProbeFails:     *probeFails,
 		MaxSweepPoints: *maxPoints,
@@ -97,8 +85,8 @@ func run() error {
 	case <-ctx.Done():
 	}
 
-	// The gateway holds no simulation state of its own — shutdown is just
-	// closing the listener and stopping the prober/replicator (deferred).
+	// The gateway holds no state of its own — shutdown is just closing the
+	// listener and stopping the prober (deferred).
 	log.Printf("uopgate: shutting down")
 	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

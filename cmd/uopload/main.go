@@ -23,7 +23,7 @@
 // With -gateway the target is a uopgate cluster front end instead of a
 // single daemon (same wire API, so every -mode works unchanged) and the
 // report gains the cluster view: per-shard request balance, spill and
-// replication counters, and the cluster-wide dedupe check — the summed
+// membership counters, and the cluster-wide dedupe check — the summed
 // Simulated across shards must equal the mix's unique point count, the
 // proof that fingerprint routing collapsed every repeat fleet-wide.
 // -bench-out additionally replays the (now warm) mix twice — once through
@@ -185,9 +185,8 @@ func reportCluster(url string, expectUnique int) (*cluster.StatsResponse, error)
 	fmt.Printf("cluster nodes=%d alive=%d reporting=%d simulated=%d unique_expected=%d dedupe_ok=%v\n",
 		cs.Ring.Nodes, cs.NodesAlive, cs.Cluster.ShardsReporting,
 		eng.Simulated, expectUnique, eng.Simulated == uint64(expectUnique))
-	fmt.Printf("balance ratio=%.2f spills=%d peer_reads=%d replications=%d markdowns=%d rejoins=%d\n",
-		cs.Balance, cs.Gateway.Spills, cs.Gateway.PeerReads,
-		cs.Gateway.Replications, cs.Gateway.Markdowns, cs.Gateway.Rejoins)
+	fmt.Printf("balance ratio=%.2f spills=%d markdowns=%d rejoins=%d\n",
+		cs.Balance, cs.Gateway.Spills, cs.Gateway.Markdowns, cs.Gateway.Rejoins)
 	for _, ns := range cs.Nodes {
 		var sim uint64
 		if ns.Engine != nil {

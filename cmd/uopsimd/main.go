@@ -15,12 +15,20 @@
 // microseconds, low-confidence ones fall through to a real simulation
 // (tune the gate with -estimate-confidence).
 //
+// In a uopgate cluster, -peers lists the other shards: a warehouse miss
+// asks each peer's GET /v1/blob before simulating, and a good blob is
+// validated, stored locally and answered as a disk hit. A shard that
+// rejoins after its points spilled to its neighbours — across its own
+// restart, a partition, or a gateway restart — thereby re-simulates only
+// points no live shard holds.
+//
 // Usage:
 //
 //	uopsimd -addr :8077 -workers 4 -warehouse /var/tmp/uopsim-wh
 //	curl -s localhost:8077/v1/simulate -d '{"workload":"bm_cc","scheme":"clasp"}'
 //	curl -s localhost:8077/v1/estimate -d '{"workload":"bm_cc","scheme":"clasp","capacity":2048}'
 //	curl -s localhost:8077/v1/query -d '{"where":{"workload":"bm_cc"},"metrics":["upc","oc_fetch_ratio"]}'
+//	uopsimd -addr :8091 -warehouse .wh1 -node shard-1 -peers 127.0.0.1:8092,127.0.0.1:8093
 package main
 
 import (
@@ -63,11 +71,12 @@ func run() error {
 		estConf      = flag.Float64("estimate-confidence", 0, "confidence gate for serving /v1/estimate from the surrogate fast tier (0 = default 0.7)")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this side address, e.g. localhost:6060 (empty = off)")
 		nodeID       = flag.String("node", "", "node identity reported in /healthz for cluster membership (empty = listen address)")
+		peers        = flag.String("peers", "", "comma-separated peer uopsimd addresses asked for a stored result before simulating a warehouse miss (requires -warehouse)")
 	)
 	flag.Parse()
 
-	if (*cacheVerify > 0 || *whMaxBytes != 0) && *whDir == "" {
-		return fmt.Errorf("-cache-verify and -warehouse-max-bytes require -warehouse")
+	if (*cacheVerify > 0 || *whMaxBytes != 0 || *peers != "") && *whDir == "" {
+		return fmt.Errorf("-cache-verify, -warehouse-max-bytes and -peers require -warehouse")
 	}
 	var (
 		eng *experiments.Engine
@@ -98,6 +107,7 @@ func run() error {
 		Warehouse:          ws,
 		EstimateConfidence: *estConf,
 		NodeID:             *nodeID,
+		Peers:              server.ParseURLs(*peers),
 	})
 	if sur := srv.Surrogate(); sur != nil {
 		log.Printf("uopsimd: surrogate fast tier trained on %d stored points", sur.Len())

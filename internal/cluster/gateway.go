@@ -21,8 +21,6 @@ type Config struct {
 	// Nodes is the static shard list: uopsimd base URLs such as
 	// "http://127.0.0.1:8091". Order does not matter — the ring sorts.
 	Nodes []string
-	// VNodes is the virtual-node count per shard (default DefaultVNodes).
-	VNodes int
 	// ProbeInterval is the background /healthz cadence (default 2s).
 	ProbeInterval time.Duration
 	// ProbeFails is the consecutive-failure count that marks a shard down
@@ -38,9 +36,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 2 * time.Second
 	}
@@ -59,28 +54,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// placement records that fp's result lives on a shard other than its ring
-// owner (a spill, or pre-rebalance residue). The point request rides along
-// so replication can rebuild the feature vector for the owner's index.
-type placement struct {
-	node string
-	pt   experiments.PointRequest
-}
-
-// replJob copies one spilled blob from the shard holding it to its owner.
-type replJob struct {
-	fp       runcache.Fingerprint
-	from, to string
-	pt       experiments.PointRequest
-}
-
 // Gateway fronts a fleet of uopsimd shards behind the daemon's own API:
 // /v1/simulate, /v1/estimate and /v1/sweep route each point to the shard
 // owning its fingerprint (so cluster-wide, every unique point simulates
 // exactly once), /v1/query fans out and merges, /v1/stats aggregates.
 // While a shard is down its points spill to the next ring owner; when it
-// rejoins, spilled results replicate back in the background and requests
-// read through from the spill-over neighbor until they land.
+// rejoins, it pulls whatever it misses from its peers (server.Config.Peers),
+// so the gateway holds no per-point state.
 type Gateway struct {
 	cfg    Config
 	ring   *Ring
@@ -90,32 +70,20 @@ type Gateway struct {
 	shards map[string]*shard // immutable after New
 	names  []string          // sorted shard names, for deterministic iteration
 	start  time.Time
-
-	replJobs chan replJob
-	quit     chan struct{}
-	wg       sync.WaitGroup
-
-	mu          sync.Mutex
-	placed      map[runcache.Fingerprint]placement //uopvet:guardedby mu
-	replPending map[runcache.Fingerprint]bool      //uopvet:guardedby mu
 }
 
-// New builds a gateway over cfg.Nodes. Call Start to begin probing and
-// replicating, Stop on the way down.
+// New builds a gateway over cfg.Nodes. Call Start to begin probing, Stop
+// on the way down.
 func New(cfg Config) (*Gateway, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Nodes) == 0 {
 		return nil, errors.New("cluster: gateway needs at least one node")
 	}
 	g := &Gateway{
-		cfg:         cfg,
-		ring:        NewRing(cfg.Nodes, cfg.VNodes),
-		shards:      make(map[string]*shard, len(cfg.Nodes)),
-		start:       time.Now(),
-		replJobs:    make(chan replJob, 1024),
-		quit:        make(chan struct{}),
-		placed:      make(map[runcache.Fingerprint]placement),
-		replPending: make(map[runcache.Fingerprint]bool),
+		cfg:    cfg,
+		ring:   NewRing(cfg.Nodes, DefaultVNodes),
+		shards: make(map[string]*shard, len(cfg.Nodes)),
+		start:  time.Now(),
 	}
 	g.names = g.ring.Nodes()
 	if len(g.names) != len(cfg.Nodes) {
@@ -130,7 +98,7 @@ func New(cfg Config) (*Gateway, error) {
 		g.shards[name] = sh
 		mems = append(mems, &shard{name: name, client: &server.Client{BaseURL: name, HTTP: probeHTTP}})
 	}
-	g.mem = newMembership(mems, cfg.ProbeInterval, cfg.ProbeFails, g.onRejoin)
+	g.mem = newMembership(mems, cfg.ProbeInterval, cfg.ProbeFails)
 	g.met = newGwMetrics(g.names, g.ring, g.mem)
 	g.mux = http.NewServeMux()
 	g.mux.HandleFunc("/v1/simulate", g.handleSimulate)
@@ -150,155 +118,30 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.mux.Serv
 func (g *Gateway) Ring() *Ring { return g.ring }
 
 // Start runs one synchronous probe round (dead-at-boot shards are down
-// before the first request routes) and launches the prober and the
-// replication worker.
-func (g *Gateway) Start() {
-	g.mem.start()
-	g.wg.Add(1)
-	go g.replWorker()
-}
+// before the first request routes) and launches the prober.
+func (g *Gateway) Start() { g.mem.start() }
 
-// Stop terminates the prober and replication worker and waits for both.
-func (g *Gateway) Stop() {
-	g.mem.stop()
-	close(g.quit)
-	g.wg.Wait()
-}
+// Stop terminates the prober and waits for it.
+func (g *Gateway) Stop() { g.mem.stop() }
 
-// candidates orders the shards to try for fp: the shard known to hold its
-// result first (the read-through path after a spill), then live ring
-// owners in spill-over order. Down shards are skipped outright — that is
-// the spill. Empty means no live shard can serve the point.
+// candidates lists fp's live ring owners in spill-over order. Down shards
+// are skipped outright — that is the spill. Empty means no live shard can
+// serve the point.
 func (g *Gateway) candidates(fp runcache.Fingerprint) []string {
-	g.mu.Lock()
-	pl, hasPlaced := g.placed[fp]
-	g.mu.Unlock()
 	owners := g.ring.Owners(string(fp), g.ring.Len())
-	out := make([]string, 0, len(owners)+1)
-	if hasPlaced && g.mem.alive(pl.node) {
-		out = append(out, pl.node)
-	}
+	live := owners[:0]
 	for _, name := range owners {
-		if hasPlaced && name == pl.node {
-			continue
-		}
 		if g.mem.alive(name) {
-			out = append(out, name)
+			live = append(live, name)
 		}
 	}
-	return out
+	return live
 }
 
-// recordServed books where fp's result now lives. Off-owner serves are
-// spills (owner down) or peer reads (owner back up, result not yet
-// replicated home); peer reads enqueue the replication.
-func (g *Gateway) recordServed(fp runcache.Fingerprint, pt experiments.PointRequest, servedBy string) {
-	owner := g.ring.Owner(string(fp))
-	if servedBy == owner {
-		g.mu.Lock()
-		delete(g.placed, fp)
-		g.mu.Unlock()
-		return
-	}
-	g.mu.Lock()
-	g.placed[fp] = placement{node: servedBy, pt: pt}
-	g.mu.Unlock()
-	if g.mem.alive(owner) {
-		g.met.peerReads.Inc()
-		g.enqueueRepl(replJob{fp: fp, from: servedBy, to: owner, pt: pt})
-	} else {
+// served counts a spill when a shard other than fp's ring owner answered.
+func (g *Gateway) served(fp runcache.Fingerprint, name string) {
+	if name != g.ring.Owner(string(fp)) {
 		g.met.spills.Inc()
-	}
-}
-
-// enqueueRepl schedules one blob copy, deduplicating in-flight jobs. A
-// full queue drops the job — the next read-through or rejoin re-enqueues.
-func (g *Gateway) enqueueRepl(j replJob) {
-	g.mu.Lock()
-	if g.replPending[j.fp] {
-		g.mu.Unlock()
-		return
-	}
-	g.replPending[j.fp] = true
-	g.mu.Unlock()
-	select {
-	case g.replJobs <- j:
-	default:
-		g.mu.Lock()
-		delete(g.replPending, j.fp)
-		g.mu.Unlock()
-	}
-}
-
-func (g *Gateway) replWorker() {
-	defer g.wg.Done()
-	for {
-		select {
-		case j := <-g.replJobs:
-			g.replicate(j)
-		case <-g.quit:
-			return
-		}
-	}
-}
-
-// replicate copies one blob from the shard holding it to its ring owner:
-// fetch, re-derive the feature vector (so the owner's warehouse indexes
-// the record as if it had simulated the point itself), put. Success
-// retires the placement; failure just clears the pending mark so a later
-// read or rejoin can retry.
-func (g *Gateway) replicate(j replJob) {
-	blob, err := g.shards[j.from].client.FetchBlob(string(j.fp))
-	if err == nil {
-		var feats runcache.Features
-		feats, err = j.pt.Features()
-		if err == nil {
-			err = g.shards[j.to].client.PutBlob(server.BlobPut{
-				Fingerprint: string(j.fp),
-				Features:    feats,
-				Blob:        blob,
-			})
-		}
-	}
-	g.mu.Lock()
-	delete(g.replPending, j.fp)
-	if err == nil {
-		if pl, ok := g.placed[j.fp]; ok && pl.node == j.from {
-			delete(g.placed, j.fp)
-		}
-	}
-	g.mu.Unlock()
-	if err != nil {
-		g.met.replFailed.Inc()
-		return
-	}
-	g.met.replications.Inc()
-}
-
-// onRejoin is the membership's recovery hook: every placement whose ring
-// owner is the recovered shard gets a replication job so its spilled
-// result migrates home. Keys are collected and sorted before use so the
-// job order is deterministic.
-func (g *Gateway) onRejoin(name string) {
-	g.mu.Lock()
-	fps := make([]string, 0, len(g.placed))
-	for fp := range g.placed {
-		fps = append(fps, string(fp))
-	}
-	g.mu.Unlock()
-	sort.Strings(fps)
-	for _, f := range fps {
-		if g.ring.Owner(f) != name {
-			continue
-		}
-		fp := runcache.Fingerprint(f)
-		g.mu.Lock()
-		pl, ok := g.placed[fp]
-		g.mu.Unlock()
-		if !ok || pl.node == name {
-			continue
-		}
-		g.enqueueRepl(replJob{fp: fp, from: pl.node, to: name, pt: pl.pt})
 	}
 }
 
@@ -360,7 +203,7 @@ func (g *Gateway) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		err := g.shards[name].client.Post("/v1/simulate", server.SimulateRequest{PointRequest: pt, TimeoutMS: req.TimeoutMS}, body)
 		g.met.observeNode(name, time.Since(t0), err != nil)
 		if err == nil {
-			g.recordServed(fp, pt, name)
+			g.served(fp, name)
 			writeBody(w, body)
 			return
 		}
@@ -409,19 +252,9 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		body.Reset()
 		err := g.shards[name].client.Post("/v1/estimate", fwd, body)
-		var ans struct {
-			Source string `json:"source"`
-		}
-		if err == nil {
-			err = json.Unmarshal(body.Bytes(), &ans)
-		}
 		g.met.observeNode(name, time.Since(t0), err != nil)
 		if err == nil {
-			// Only a simulated answer persists a blob worth tracking; a
-			// surrogate prediction leaves nothing to replicate.
-			if ans.Source == "simulated" {
-				g.recordServed(fp, pt, name)
-			}
+			g.served(fp, name)
 			writeBody(w, body)
 			return
 		}
@@ -570,7 +403,7 @@ func (g *Gateway) scatterSweep(pts []experiments.PointRequest, fps []runcache.Fi
 					answered[idx] = true
 					ansMu.Unlock()
 					if sl.Error == "" {
-						g.recordServed(fps[idx], pts[idx], name)
+						g.served(fps[idx], name)
 					}
 					g.met.sweepLines.Inc()
 					// Lines stream, so they count with no latency.
@@ -621,10 +454,10 @@ func contains(xs []int, x int) bool {
 }
 
 // handleQuery fans the query out to every live shard and merges: rows
-// sorted by fingerprint, duplicates (a replicated blob lives on both the
-// owner and its spill-over neighbor) collapsed to one, the limit applied
-// to the merged set. The barrier is inherent — a global sort needs every
-// shard's rows.
+// sorted by fingerprint, duplicates (a spilled point lives on its
+// spill-over neighbour and, once pulled, on its owner too) collapsed to
+// one, the limit applied to the merged set. The barrier is inherent — a
+// global sort needs every shard's rows.
 func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		server.WriteError(w, http.StatusMethodNotAllowed, "POST a QueryRequest to this endpoint")
@@ -743,19 +576,15 @@ type RingInfo struct {
 
 // GatewayCounters is the gateway's own traffic ledger.
 type GatewayCounters struct {
-	Requests     uint64 `json:"requests"`
-	Errors       uint64 `json:"errors"`
-	Retries      uint64 `json:"retries"`
-	Spills       uint64 `json:"spills"`
-	PeerReads    uint64 `json:"peer_reads"`
-	Replications uint64 `json:"replications"`
-	ReplFailed   uint64 `json:"repl_failed"`
-	SweepLines   uint64 `json:"sweep_lines"`
-	Markdowns    uint64 `json:"markdowns"`
-	Rejoins      uint64 `json:"rejoins"`
-	ProbeRounds  uint64 `json:"probe_rounds"`
-	// PlacedPoints counts fingerprints currently known to live off-owner.
-	PlacedPoints int `json:"placed_points"`
+	Requests uint64 `json:"requests"`
+	Errors   uint64 `json:"errors"`
+	Retries  uint64 `json:"retries"`
+	// Spills counts answers from a shard other than the point's ring owner.
+	Spills      uint64 `json:"spills"`
+	SweepLines  uint64 `json:"sweep_lines"`
+	Markdowns   uint64 `json:"markdowns"`
+	Rejoins     uint64 `json:"rejoins"`
+	ProbeRounds uint64 `json:"probe_rounds"`
 }
 
 // ClusterTotals sums the reachable shards' engine counters. With routing
@@ -792,26 +621,19 @@ func (g *Gateway) statsResponse() StatsResponse {
 		Ring:       RingInfo{Nodes: g.ring.Len(), VNodes: g.ring.VNodes(), Points: g.ring.Points()},
 		NodesAlive: mem.aliveCount(),
 		Gateway: GatewayCounters{
-			Requests:     met.requests.Value(),
-			Errors:       met.errors.Value(),
-			Retries:      met.retries.Value(),
-			Spills:       met.spills.Value(),
-			PeerReads:    met.peerReads.Value(),
-			Replications: met.replications.Value(),
-			ReplFailed:   met.replFailed.Value(),
-			SweepLines:   met.sweepLines.Value(),
-			Markdowns:    mem.markdowns.Value(),
-			Rejoins:      mem.rejoins.Value(),
-			ProbeRounds:  mem.probes.Value(),
+			Requests:    met.requests.Value(),
+			Errors:      met.errors.Value(),
+			Retries:     met.retries.Value(),
+			Spills:      met.spills.Value(),
+			SweepLines:  met.sweepLines.Value(),
+			Markdowns:   mem.markdowns.Value(),
+			Rejoins:     mem.rejoins.Value(),
+			ProbeRounds: mem.probes.Value(),
 		},
 		Balance:       met.balance(),
 		Nodes:         make([]NodeStatus, 0, len(g.names)),
 		UptimeSeconds: time.Since(g.start).Seconds(),
 	}
-	g.mu.Lock()
-	resp.Gateway.PlacedPoints = len(g.placed)
-	g.mu.Unlock()
-
 	// Fetch every live shard's /v1/stats concurrently so the cluster
 	// totals are one consistent-ish snapshot rather than a serial drift.
 	engines := make([]*server.StatsResponse, len(g.names))
@@ -857,6 +679,7 @@ func (g *Gateway) statsResponse() StatsResponse {
 			resp.Cluster.Engine.MemoHits += es.MemoHits
 			resp.Cluster.Engine.Simulated += es.Simulated
 			resp.Cluster.Engine.DiskHits += es.DiskHits
+			resp.Cluster.Engine.PeerHits += es.PeerHits
 			resp.Cluster.Engine.DiskWrites += es.DiskWrites
 			resp.Cluster.Engine.BadBlobs += es.BadBlobs
 			resp.Cluster.Engine.Verified += es.Verified

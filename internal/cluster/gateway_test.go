@@ -18,18 +18,21 @@ import (
 	"uopsim/internal/warehouse"
 )
 
-// flakyHandler wraps a shard so tests can kill it: while down, every
-// request's connection is severed (http.ErrAbortHandler), which the
-// gateway sees as a transport failure — the same signal a SIGKILLed
-// process produces. failSweeps severs only /v1/sweep calls, modeling a
-// node dying the moment a scatter batch lands on it.
+// flakyHandler wraps a shard (or a gateway) so tests can kill it: while
+// down, every request's connection is severed (http.ErrAbortHandler),
+// which the gateway sees as a transport failure — the same signal a
+// SIGKILLed process produces. failSweeps severs only /v1/sweep calls,
+// modeling a node dying the moment a scatter batch lands on it. swap
+// replaces the process behind the address: a restart.
 //
 // truncate instead lets the shard answer /v1/simulate in full, then sends
 // the status and only half the body before severing the connection: a
 // process dying mid-write. record keeps a copy of every /v1/simulate body the shard
 // sent, for byte-identity checks.
 type flakyHandler struct {
-	h          http.Handler
+	serving sync.RWMutex // held shared while a request is served
+	h       http.Handler // nil while restarting; guarded by serving
+
 	mu         sync.Mutex
 	down       bool
 	failSweeps bool
@@ -45,7 +48,9 @@ func (f *flakyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	simulate := r.URL.Path == "/v1/simulate"
 	truncate, record := f.truncate && simulate, f.record && simulate
 	f.mu.Unlock()
-	if kill {
+	f.serving.RLock()
+	defer f.serving.RUnlock()
+	if kill || f.h == nil {
 		panic(http.ErrAbortHandler)
 	}
 	if !truncate && !record {
@@ -80,57 +85,119 @@ func (f *flakyHandler) setDown(v bool) {
 	f.mu.Unlock()
 }
 
+// swap installs h once every request in flight on the old handler has
+// finished; nil severs every request until the next swap.
+func (f *flakyHandler) swap(h http.Handler) {
+	f.serving.Lock()
+	f.h = h
+	f.serving.Unlock()
+}
+
 func (f *flakyHandler) setFailSweeps(v bool) {
 	f.mu.Lock()
 	f.failSweeps = v
 	f.mu.Unlock()
 }
 
+// testShard is one warehouse-backed uopsimd behind a kill switch. Its
+// peers are the other shards, so a local miss pulls from them first.
 type testShard struct {
-	url string
-	srv *server.Server
-	fl  *flakyHandler
+	url, node, dir string
+	peers          []string
+	srv            *server.Server
+	ws             *warehouse.Store
+	fl             *flakyHandler
 }
 
-// newTestCluster boots n warehouse-backed shards behind kill switches and
-// a started gateway over them, plus an httptest front for the gateway
-// itself. Probing is fast (25ms, one strike) so failover converges within
-// a test's patience.
-func newTestCluster(t *testing.T, n int) (*Gateway, string, []*testShard) {
+// boot serves a new server.Server over the shard's warehouse directory:
+// the first start, or a restart with an empty memo over the same durable
+// results. The old process is severed and closed first.
+func (sh *testShard) boot(t *testing.T) {
 	t.Helper()
-	shards := make([]*testShard, n)
-	urls := make([]string, n)
-	for i := range shards {
-		eng, ws, err := experiments.NewWarehouseEngine(t.TempDir(), warehouse.Options{}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ws.Close() })
-		srv := server.New(server.Config{
-			Workers:   2,
-			Engine:    eng,
-			Warehouse: ws,
-			NodeID:    fmt.Sprintf("shard-%d", i),
-		})
-		fl := &flakyHandler{h: srv}
-		hts := httptest.NewServer(fl)
-		t.Cleanup(hts.Close)
-		shards[i] = &testShard{url: hts.URL, srv: srv, fl: fl}
-		urls[i] = hts.URL
+	sh.fl.swap(nil)
+	if sh.srv != nil {
+		sh.srv.Drain()
+		sh.ws.Close()
 	}
-	gw, err := New(Config{
-		Nodes:         urls,
-		ProbeInterval: 25 * time.Millisecond,
-		ProbeFails:    1,
-	})
+	eng, ws, err := experiments.NewWarehouseEngine(sh.dir, warehouse.Options{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh.ws = ws
+	sh.srv = server.New(server.Config{Workers: 2, Engine: eng, Warehouse: ws, NodeID: sh.node, Peers: sh.peers})
+	sh.fl.swap(sh.srv)
+}
+
+// testCluster is n shards and a gateway behind an httptest front whose
+// handler restartGateway swaps.
+type testCluster struct {
+	gw     *Gateway
+	url    string
+	front  *flakyHandler
+	nodes  []string
+	shards []*testShard
+}
+
+// bootCluster boots n shards, each with the others as peers, and a
+// started gateway over them. Listeners come first so every URL is known
+// before any shard is configured. Probing is fast (25ms, one strike) so
+// failover converges within a test's patience.
+func bootCluster(t *testing.T, n int) *testCluster {
+	t.Helper()
+	c := &testCluster{front: &flakyHandler{}}
+	fronts := make([]*httptest.Server, n)
+	for i := range fronts {
+		sh := &testShard{node: fmt.Sprintf("shard-%d", i), dir: t.TempDir(), fl: &flakyHandler{}}
+		fronts[i] = httptest.NewUnstartedServer(sh.fl)
+		sh.url = "http://" + fronts[i].Listener.Addr().String()
+		c.shards = append(c.shards, sh)
+		c.nodes = append(c.nodes, sh.url)
+	}
+	for i, sh := range c.shards {
+		for _, u := range c.nodes {
+			if u != sh.url {
+				sh.peers = append(sh.peers, u)
+			}
+		}
+		sh.boot(t)
+		t.Cleanup(func() { sh.srv.Drain(); sh.ws.Close() })
+		fronts[i].Start()
+		t.Cleanup(fronts[i].Close)
+	}
+	c.gw = startGateway(t, c.nodes)
+	t.Cleanup(func() { c.gw.Stop() })
+	c.front.swap(c.gw)
+	gts := httptest.NewServer(c.front)
+	t.Cleanup(gts.Close)
+	c.url = gts.URL
+	return c
+}
+
+func startGateway(t *testing.T, nodes []string) *Gateway {
+	t.Helper()
+	gw, err := New(Config{Nodes: nodes, ProbeInterval: 25 * time.Millisecond, ProbeFails: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	gw.Start()
-	t.Cleanup(gw.Stop)
-	gts := httptest.NewServer(gw)
-	t.Cleanup(gts.Close)
-	return gw, gts.URL, shards
+	return gw
+}
+
+// restartGateway stops the gateway and serves a new one over the same
+// shards: empty counters, no memory of anything the old one routed.
+func (c *testCluster) restartGateway(t *testing.T) {
+	t.Helper()
+	c.front.swap(nil)
+	c.gw.Stop()
+	c.gw = startGateway(t, c.nodes)
+	c.front.swap(c.gw)
+}
+
+// newTestCluster is bootCluster for tests that never restart anything.
+func newTestCluster(t *testing.T, n int) (*Gateway, string, []*testShard) {
+	t.Helper()
+	c := bootCluster(t, n)
+	return c.gw, c.url, c.shards
 }
 
 // testPoints builds k distinct valid design points (small runs — these
@@ -230,20 +297,18 @@ func TestGatewayClusterDedupe(t *testing.T) {
 	}
 }
 
-// TestGatewaySpillReadThroughAndReplication walks the full failover story
-// for one point: owner down -> spill to the neighbor; owner back -> the
-// spilled blob replicates home and the owner serves it from disk without
-// re-simulating.
-func TestGatewaySpillReadThroughAndReplication(t *testing.T) {
-	gw, gwURL, shards := newTestCluster(t, 3)
-	client := server.NewClient(gwURL)
+// TestGatewayRestartOwnerPullsSpilledPoint: a point spills to a neighbour
+// while its owner is down; the gateway is then replaced by a new one that
+// knows nothing of the spill; the owner comes back and answers from disk,
+// pulling the neighbour's blob, without re-simulating.
+func TestGatewayRestartOwnerPullsSpilledPoint(t *testing.T) {
+	c := bootCluster(t, 3)
+	client := server.NewClient(c.url)
 	pt := testPoints(1)[0]
-	owner, _ := shardFor(t, gw, shards, pt)
+	owner, _ := shardFor(t, c.gw, c.shards, pt)
 
-	// Kill the owner and wait for the prober to notice.
 	owner.fl.setDown(true)
-	waitFor(t, "owner markdown", func() bool { return !gw.mem.alive(owner.url) })
-
+	waitFor(t, "owner markdown", func() bool { return !c.gw.mem.alive(owner.url) })
 	resp, err := client.Simulate(server.SimulateRequest{PointRequest: pt})
 	if err != nil {
 		t.Fatalf("spill simulate failed: %v", err)
@@ -251,35 +316,29 @@ func TestGatewaySpillReadThroughAndReplication(t *testing.T) {
 	if resp.Resolution != "simulated" {
 		t.Fatalf("spill resolution = %s, want simulated", resp.Resolution)
 	}
-	if spills := gw.met.spills.Value(); spills == 0 {
-		t.Fatal("no spill counted after off-owner serve")
-	}
-	if owner.srv.Engine().Stats().Simulated != 0 {
-		t.Fatal("downed owner somehow simulated the point")
+	if spills := c.gw.met.spills.Value(); spills != 1 {
+		t.Fatalf("gateway counted %d spills after one off-owner answer", spills)
 	}
 
-	// Recover the owner; the rejoin hook must replicate the spilled blob
-	// home.
+	c.restartGateway(t)
 	owner.fl.setDown(false)
-	waitFor(t, "owner rejoin", func() bool { return gw.mem.alive(owner.url) })
-	waitFor(t, "replication", func() bool {
-		repl := gw.met.replications.Value()
-		return repl >= 1
-	})
-
-	// The owner now serves its point from the replicated blob: a disk hit,
-	// not a re-simulation — the cluster-wide dedupe held through the
-	// failure.
+	waitFor(t, "owner rejoin", func() bool { return c.gw.mem.alive(owner.url) })
 	again, err := client.Simulate(server.SimulateRequest{PointRequest: pt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again.Resolution != "disk" {
-		t.Fatalf("post-replication resolution = %s, want disk (served by the recovered owner)", again.Resolution)
+		t.Fatalf("rejoined owner resolved the spilled point as %s, want disk", again.Resolution)
 	}
-	st := owner.srv.Engine().Stats()
-	if st.Simulated != 0 || st.DiskHits != 1 {
-		t.Fatalf("owner engine after replication: %+v, want 0 simulations and 1 disk hit", st)
+	if st := owner.srv.Engine().Stats(); st.Simulated != 0 || st.PeerHits != 1 || st.DiskHits != 1 {
+		t.Fatalf("owner engine after the pull: %+v, want 0 simulations and 1 peer hit", st)
+	}
+	var sim uint64
+	for _, sh := range c.shards {
+		sim += sh.srv.Engine().Stats().Simulated
+	}
+	if sim != 1 {
+		t.Fatalf("cluster simulated the point %d times, want once", sim)
 	}
 }
 
@@ -398,12 +457,9 @@ func TestGatewayRejectsDuplicateNodes(t *testing.T) {
 
 // TestMembershipStrikes exercises the mark-down/rejoin counters directly:
 // failures below the threshold keep a shard alive, the threshold downs it,
-// one success rejoins it and fires the hook.
+// one success rejoins it.
 func TestMembershipStrikes(t *testing.T) {
-	var rejoined []string
-	m := newMembership([]*shard{{name: "a"}, {name: "b"}}, time.Hour, 3, func(name string) {
-		rejoined = append(rejoined, name)
-	})
+	m := newMembership([]*shard{{name: "a"}, {name: "b"}}, time.Hour, 3)
 	m.reportFailure("a")
 	m.reportFailure("a")
 	if !m.alive("a") {
@@ -419,9 +475,6 @@ func TestMembershipStrikes(t *testing.T) {
 	m.reportSuccess("a", server.HealthzInfo{Node: "shard-a", Points: 7})
 	if !m.alive("a") {
 		t.Fatal("success did not rejoin the shard")
-	}
-	if len(rejoined) != 1 || rejoined[0] != "a" {
-		t.Fatalf("rejoin hook saw %v, want [a]", rejoined)
 	}
 	h, ok := m.healthOf("a")
 	if !ok || h.Info.Node != "shard-a" || h.Info.Points != 7 {
@@ -550,13 +603,15 @@ func TestGatewayRetriesShardDyingMidBody(t *testing.T) {
 	if errs, retries := gw.met.errors.Value(), gw.met.retries.Value(); retries < 1 || errs != 0 {
 		t.Fatalf("gateway counted %d retries and %d errors, want a retry and no error", retries, errs)
 	}
-	var sim uint64
+	// The owner stored its result before the connection dropped, so the
+	// next owner pulls it instead of simulating again.
+	var sim, pulled uint64
 	for _, sh := range shards {
-		if sh != owner {
-			sim += sh.srv.Engine().Stats().Simulated
-		}
+		st := sh.srv.Engine().Stats()
+		sim += st.Simulated
+		pulled += st.PeerHits
 	}
-	if sim != 1 {
-		t.Fatalf("the next owners simulated %d times, want 1", sim)
+	if sim != 1 || pulled != 1 {
+		t.Fatalf("cluster simulated %d times and pulled %d blobs, want 1 and 1", sim, pulled)
 	}
 }

@@ -32,14 +32,11 @@ type shardHealth struct {
 // two signals feeding one counter: the background prober's periodic
 // /healthz round, and request-path transport failures reported by the
 // gateway. failAfter consecutive failures mark a shard down; any probe
-// success resets the counter and rejoins it. The rejoin hook (replication
-// of spilled points back to the recovered owner) is invoked after the
-// lock is released, per the repo's hooks-after-unlock contract.
+// success resets the counter and rejoins it.
 type membership struct {
 	shards     []*shard
 	probeEvery time.Duration
 	failAfter  int
-	onRejoin   func(name string)
 
 	quit chan struct{}
 	wg   sync.WaitGroup
@@ -53,12 +50,11 @@ type membership struct {
 
 // newMembership builds the tracker with every shard optimistically alive
 // (the first probe round corrects that before the gateway serves).
-func newMembership(shards []*shard, probeEvery time.Duration, failAfter int, onRejoin func(string)) *membership {
+func newMembership(shards []*shard, probeEvery time.Duration, failAfter int) *membership {
 	m := &membership{
 		shards:     shards,
 		probeEvery: probeEvery,
 		failAfter:  failAfter,
-		onRejoin:   onRejoin,
 		quit:       make(chan struct{}),
 		health:     make(map[string]*shardHealth, len(shards)),
 	}
@@ -110,24 +106,19 @@ func (m *membership) probeAll() {
 }
 
 // reportSuccess resets the shard's strike count and rejoins it if it was
-// down, firing the rejoin hook outside the lock.
+// down.
 func (m *membership) reportSuccess(name string, info server.HealthzInfo) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	h, ok := m.health[name]
 	if !ok {
-		m.mu.Unlock()
 		return
 	}
 	h.Strikes = 0
 	h.Info = info
-	rejoined := !h.Alive
-	if rejoined {
+	if !h.Alive {
 		h.Alive = true
 		m.rejoins.Inc()
-	}
-	m.mu.Unlock()
-	if rejoined && m.onRejoin != nil {
-		m.onRejoin(name)
 	}
 }
 

@@ -15,14 +15,11 @@ import (
 type gwMetrics struct {
 	reg *stats.Registry
 
-	requests     stats.AtomicCounter // API requests routed
-	errors       stats.AtomicCounter // requests no shard could serve, or that a shard failed
-	spills       stats.AtomicCounter // points served by a non-owner because the owner was down
-	peerReads    stats.AtomicCounter // points read through from a spill-over neighbour
-	replications stats.AtomicCounter // spilled blobs copied back to their owner
-	replFailed   stats.AtomicCounter // ... and copies that failed
-	sweepLines   stats.AtomicCounter // scatter-gather lines merged
-	retries      stats.AtomicCounter // per-point reroutes after a shard failure
+	requests   stats.AtomicCounter // API requests routed
+	errors     stats.AtomicCounter // requests no shard could serve, or that a shard failed
+	spills     stats.AtomicCounter // answers from a shard other than the point's ring owner
+	sweepLines stats.AtomicCounter // scatter-gather lines merged
+	retries    stats.AtomicCounter // per-point reroutes after a shard failure
 
 	perNode map[string]*nodeCounters
 }
@@ -52,9 +49,6 @@ func newGwMetrics(nodeNames []string, ring *Ring, mem *membership) *gwMetrics {
 	sc.RegisterCounter("requests", &m.requests)
 	sc.RegisterCounter("errors", &m.errors)
 	sc.RegisterCounter("spills", &m.spills)
-	sc.RegisterCounter("peer_reads", &m.peerReads)
-	sc.RegisterCounter("replications", &m.replications)
-	sc.RegisterCounter("repl_failed", &m.replFailed)
 	sc.RegisterCounter("sweep_lines", &m.sweepLines)
 	sc.RegisterCounter("retries", &m.retries)
 	sc.RegisterGauge("ring_nodes", func() float64 { return float64(ring.Len()) })

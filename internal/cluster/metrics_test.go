@@ -92,11 +92,8 @@ var gatewayExposition = []string{
 	"# TYPE uopgate_gateway_errors counter",
 	"# TYPE uopgate_gateway_markdowns gauge",
 	"# TYPE uopgate_gateway_nodes_alive gauge",
-	"# TYPE uopgate_gateway_peer_reads counter",
 	"# TYPE uopgate_gateway_probe_rounds gauge",
 	"# TYPE uopgate_gateway_rejoins gauge",
-	"# TYPE uopgate_gateway_repl_failed counter",
-	"# TYPE uopgate_gateway_replications counter",
 	"# TYPE uopgate_gateway_requests counter",
 	"# TYPE uopgate_gateway_retries counter",
 	"# TYPE uopgate_gateway_ring_nodes gauge",
@@ -109,11 +106,8 @@ var gatewayExposition = []string{
 	"uopgate_gateway_errors",
 	"uopgate_gateway_markdowns",
 	"uopgate_gateway_nodes_alive",
-	"uopgate_gateway_peer_reads",
 	"uopgate_gateway_probe_rounds",
 	"uopgate_gateway_rejoins",
-	"uopgate_gateway_repl_failed",
-	"uopgate_gateway_replications",
 	"uopgate_gateway_requests",
 	"uopgate_gateway_retries",
 	"uopgate_gateway_ring_nodes",
@@ -138,6 +132,7 @@ var gatewayStatsFields = []string{
 	"cluster.engine.disk_hits",
 	"cluster.engine.disk_writes",
 	"cluster.engine.memo_hits",
+	"cluster.engine.peer_hits",
 	"cluster.engine.simulated",
 	"cluster.engine.submitted",
 	"cluster.engine.unique",
@@ -147,12 +142,8 @@ var gatewayStatsFields = []string{
 	"gateway",
 	"gateway.errors",
 	"gateway.markdowns",
-	"gateway.peer_reads",
-	"gateway.placed_points",
 	"gateway.probe_rounds",
 	"gateway.rejoins",
-	"gateway.repl_failed",
-	"gateway.replications",
 	"gateway.requests",
 	"gateway.retries",
 	"gateway.spills",
@@ -164,6 +155,7 @@ var gatewayStatsFields = []string{
 	"nodes[].engine.disk_hits",
 	"nodes[].engine.disk_writes",
 	"nodes[].engine.memo_hits",
+	"nodes[].engine.peer_hits",
 	"nodes[].engine.simulated",
 	"nodes[].engine.submitted",
 	"nodes[].engine.unique",

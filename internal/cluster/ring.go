@@ -2,9 +2,10 @@
 // consistent-hash ring assigns every runcache fingerprint to exactly one
 // shard, a probing membership tracks which shards are up, and a gateway
 // (cmd/uopgate) routes the daemon's API across the fleet — scattering
-// sweeps, merging queries, spilling to the next ring owner while a shard
-// is down, and replicating spilled results back when it recovers. The
-// point of the whole package is to keep the per-node guarantee "every
+// sweeps, merging queries, and spilling to the next ring owner while a
+// shard is down. It holds no per-point state: a recovered shard pulls
+// spilled results from its peers itself (server.Config.Peers). The point
+// of the whole package is to keep the per-node guarantee "every
 // unique design point simulates exactly once" true cluster-wide while
 // capacity scales linearly with shard count. See DESIGN.md §14.
 package cluster

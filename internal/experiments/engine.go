@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 
@@ -71,19 +70,6 @@ func validatePoint(r PointResult) error {
 		return fmt.Errorf("experiments: cached point has an empty snapshot")
 	}
 	return r.Snapshot.Validate()
-}
-
-// ValidateResultBlob applies the same semantic check the engine applies to
-// disk blobs to a serialized PointResult that arrived over the wire — the
-// gate a node applies before accepting a peer-replicated record into its
-// store, so cluster replication can never plant a blob the local engine
-// would immediately quarantine.
-func ValidateResultBlob(blob []byte) error {
-	var r PointResult
-	if err := json.Unmarshal(blob, &r); err != nil {
-		return fmt.Errorf("experiments: blob does not decode as a point result: %w", err)
-	}
-	return validatePoint(r)
 }
 
 // pointFingerprint addresses one single-thread design point. The key

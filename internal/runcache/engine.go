@@ -24,9 +24,12 @@ type Stats struct {
 	Simulated uint64 `json:"simulated"`
 	// DiskHits counts points resolved from a valid on-disk blob.
 	DiskHits uint64 `json:"disk_hits"`
+	// PeerHits counts the DiskHits whose blob came from a peer after a
+	// local store miss (see SetPeerLoad) and was stored locally.
+	PeerHits uint64 `json:"peer_hits"`
 	// DiskWrites counts blobs persisted after a simulation.
 	DiskWrites uint64 `json:"disk_writes"`
-	// BadBlobs counts on-disk entries that failed to decode or validate
+	// BadBlobs counts on-disk or peer blobs that failed to decode or validate
 	// and were re-simulated instead of trusted.
 	BadBlobs uint64 `json:"bad_blobs"`
 	// Verified / VerifyFailed count -cache-verify re-simulations and the
@@ -59,6 +62,7 @@ func (s Stats) String() string {
 // submission would only repeat the cost.
 type Engine[T any] struct {
 	store       Store
+	peerLoad    func(Fingerprint) ([]byte, bool)
 	validate    func(T) error
 	verifyEvery int
 
@@ -114,12 +118,18 @@ func New[T any]() *Engine[T] {
 func (e *Engine[T]) SetStore(s Store) { e.store = s }
 
 // Store returns the attached persistence back end, or nil for an
-// in-process-only engine. Callers that move blobs between engines (the
-// cluster gateway's peer replication) read and write through it directly;
-// the engine's in-process memo stays consistent because a Put replaces a
-// blob with identical bytes — the simulator is deterministic — and a
-// fingerprint this engine has never resolved simply becomes a disk hit.
+// in-process-only engine. The daemon's GET /v1/blob serves peers from it.
 func (e *Engine[T]) Store() Store { return e.store }
+
+// SetPeerLoad installs a second source consulted when the attached store
+// misses, before compute runs: a cluster shard asks its peers for the
+// blob. A peer blob is decoded and validated exactly like a local one; a
+// good one is stored locally, verbatim, and resolves as a disk hit, a bad
+// one counts in BadBlobs and the point is simulated. The simulator is
+// deterministic, so any holder's copy of a fingerprint is as good as a
+// fresh run. Engines without a store never consult it. Configure before
+// the first Do.
+func (e *Engine[T]) SetPeerLoad(fn func(Fingerprint) ([]byte, bool)) { e.peerLoad = fn }
 
 // SetValidate installs a semantic check applied to decoded disk blobs; a
 // blob that fails it counts as corrupt and is re-simulated, never trusted.
@@ -153,6 +163,7 @@ func (e *Engine[T]) RegisterStats(sc stats.Scope) {
 	counter("memo_hits", func(s Stats) uint64 { return s.MemoHits })
 	counter("simulated", func(s Stats) uint64 { return s.Simulated })
 	counter("disk_hits", func(s Stats) uint64 { return s.DiskHits })
+	counter("peer_hits", func(s Stats) uint64 { return s.PeerHits })
 	counter("disk_writes", func(s Stats) uint64 { return s.DiskWrites })
 	counter("bad_blobs", func(s Stats) uint64 { return s.BadBlobs })
 	counter("verified", func(s Stats) uint64 { return s.Verified })
@@ -243,8 +254,7 @@ func (e *Engine[T]) Lookup(fp Fingerprint) (v T, ok bool) {
 func (e *Engine[T]) resolve(fp Fingerprint, features func() (Features, error), compute func() (T, error)) (T, Resolution, error) {
 	if e.store != nil {
 		if blob, ok := e.store.Load(fp); ok {
-			var v T
-			if err := json.Unmarshal(blob, &v); err == nil && e.valid(v) {
+			if v, ok := e.decode(blob); ok {
 				if e.shouldVerify() {
 					v, err := e.verifyAgainst(fp, blob, compute)
 					return v, ResolvedCompute, err
@@ -258,22 +268,57 @@ func (e *Engine[T]) resolve(fp Fingerprint, features func() (Features, error), c
 			e.bump(func(s *Stats) { s.BadBlobs++ })
 			_ = e.store.Quarantine(fp) // best effort: re-simulation below is the recovery either way
 		}
+		if e.peerLoad != nil {
+			if blob, ok := e.peerLoad(fp); ok {
+				if v, ok := e.decode(blob); ok {
+					if _, err := e.persist(fp, features, blob); err != nil {
+						var zero T
+						return zero, ResolvedDisk, err
+					}
+					e.bump(func(s *Stats) { s.DiskHits++; s.PeerHits++ })
+					return v, ResolvedDisk, nil
+				}
+				e.bump(func(s *Stats) { s.BadBlobs++ })
+			}
+		}
 	}
 	v, err := compute()
 	e.bump(func(s *Stats) { s.Simulated++ })
 	if err == nil && e.store != nil {
-		var feat Features
-		if features != nil {
-			if feat, err = features(); err != nil {
+		if blob, merr := json.Marshal(v); merr == nil {
+			var stored bool
+			if stored, err = e.persist(fp, features, blob); err != nil {
 				var zero T
 				return zero, ResolvedCompute, err
 			}
-		}
-		if blob, merr := json.Marshal(v); merr == nil && e.store.Put(fp, feat, blob) == nil {
-			e.bump(func(s *Stats) { s.DiskWrites++ })
+			if stored {
+				e.bump(func(s *Stats) { s.DiskWrites++ })
+			}
 		}
 	}
 	return v, ResolvedCompute, err
+}
+
+// decode parses and validates one stored or peer blob.
+func (e *Engine[T]) decode(blob []byte) (T, bool) {
+	var v T
+	if err := json.Unmarshal(blob, &v); err != nil {
+		return v, false
+	}
+	return v, e.valid(v)
+}
+
+// persist stores blob under fp with its lazily built features. A features
+// error fails the point and stores nothing; a store error only leaves
+// stored false, since the answer in hand is still good.
+func (e *Engine[T]) persist(fp Fingerprint, features func() (Features, error), blob []byte) (stored bool, err error) {
+	var feat Features
+	if features != nil {
+		if feat, err = features(); err != nil {
+			return false, err
+		}
+	}
+	return e.store.Put(fp, feat, blob) == nil, nil
 }
 
 // verifyAgainst re-simulates a disk-cached point and diffs the fresh

@@ -1,6 +1,7 @@
 package runcache
 
 import (
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -66,6 +67,51 @@ func TestDoFeaturedThreadsFeatures(t *testing.T) {
 	}
 	if rec.puts != 1 {
 		t.Fatalf("memoized resubmission re-stored: %d puts", rec.puts)
+	}
+}
+
+// TestPeerLoadOnStoreMiss: a local miss asks the peer hook before
+// compute. A valid peer blob is stored verbatim with the lazily built
+// features and counts as a disk hit and a peer hit; an invalid one counts
+// as bad, is not stored, and the point is simulated.
+func TestPeerLoadOnStoreMiss(t *testing.T) {
+	rec := newRecordingStore()
+	e := New[payload]()
+	e.SetStore(rec)
+	e.SetValidate(func(p payload) error {
+		if p.N == 0 {
+			return errors.New("empty")
+		}
+		return nil
+	})
+	peer := map[Fingerprint][]byte{"good": []byte(`{"n":5,"s":"peer"}`), "bad": []byte(`{"n":0}`)}
+	e.SetPeerLoad(func(fp Fingerprint) ([]byte, bool) {
+		b, ok := peer[fp]
+		return b, ok
+	})
+	feat := func() (Features, error) { return Features{{Key: "workload", Value: "bm_cc"}}, nil }
+	computes := 0
+	compute := func() (payload, error) { computes++; return payload{N: 9}, nil }
+
+	v, how, err := e.DoLazy("good", feat, compute)
+	if err != nil || how != ResolvedDisk || v.S != "peer" {
+		t.Fatalf("peer-held point = %+v, %s, %v; want the peer's value from disk", v, how, err)
+	}
+	if string(rec.blobs["good"]) != string(peer["good"]) || len(rec.putFeat) != 1 {
+		t.Fatalf("peer blob stored as %q with features %v, want it verbatim with features", rec.blobs["good"], rec.putFeat)
+	}
+	if v, how, err = e.DoLazy("bad", feat, compute); err != nil || how != ResolvedCompute || v.N != 9 {
+		t.Fatalf("point behind a bad peer blob = %+v, %s, %v; want simulated", v, how, err)
+	}
+	if _, _, err = e.DoLazy("none", feat, compute); err != nil {
+		t.Fatal(err)
+	}
+	st := e.Stats()
+	if st.DiskHits != 1 || st.PeerHits != 1 || st.BadBlobs != 1 || st.Simulated != 2 || computes != 2 {
+		t.Fatalf("stats = %+v after %d computes, want 1 disk/peer hit, 1 bad blob, 2 simulations", st, computes)
+	}
+	if rec.puts != 3 {
+		t.Fatalf("store saw %d puts, want the peer copy plus 2 simulations", rec.puts)
 	}
 }
 

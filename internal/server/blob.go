@@ -2,37 +2,27 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
+	"time"
 
-	"uopsim/internal/experiments"
 	"uopsim/internal/runcache"
+	"uopsim/internal/stats"
 )
 
-// The /v1/blob endpoint is the cluster's replication primitive: GET hands a
-// stored result blob to a peer (the gateway's read-through fetch), POST
-// accepts one into the local store (the async replication to a recovered
-// owner). Blobs travel verbatim — the simulator is deterministic, so the
-// same fingerprint encodes to the same bytes on every node — and a POSTed
-// blob must pass the same semantic validation the engine applies to disk
-// blobs before it is persisted. Daemons without a persistent store
-// (in-memory engines) answer 501: there is nothing to fetch from or
-// replicate into.
+// GET /v1/blob?fp=<fingerprint> hands a stored result blob to a peer: a
+// cluster shard whose own store misses asks its peers before simulating
+// (Config.Peers). Blobs travel verbatim — the simulator is deterministic,
+// so the same fingerprint encodes to the same bytes on every node — and
+// the fetching engine validates a peer blob exactly like a local one
+// before storing it. Daemons without a persistent store (in-memory
+// engines) answer 501: there is nothing to fetch.
 
-// BlobPut is /v1/blob's POST body: one stored record, addressed by its
-// canonical fingerprint and carrying the point's feature vector so a
-// feature-indexed store (the warehouse) can index the replicated record
-// exactly as if it had simulated the point itself.
-type BlobPut struct {
-	Fingerprint string            `json:"fingerprint"`
-	Features    runcache.Features `json:"features,omitempty"`
-	Blob        json.RawMessage   `json:"blob"`
-}
-
-// blobBodyLimit bounds a /v1/blob POST: one result blob (a full metrics
-// snapshot) plus a feature vector fits in a fraction of this.
+// blobBodyLimit bounds a fetched blob: one result (a full metrics
+// snapshot) fits in a fraction of this.
 const blobBodyLimit = 16 << 20
 
 func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
@@ -41,43 +31,23 @@ func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotImplemented, "this daemon has no persistent store (start uopsimd with -warehouse)")
 		return
 	}
-	switch r.Method {
-	case http.MethodGet:
-		fp := r.URL.Query().Get("fp")
-		if fp == "" {
-			WriteError(w, http.StatusBadRequest, "GET /v1/blob needs a ?fp=<fingerprint> parameter")
-			return
-		}
-		blob, ok := store.Load(runcache.Fingerprint(fp))
-		if !ok {
-			WriteError(w, http.StatusNotFound, "no stored blob for fingerprint %s", fp)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(blob) //nolint — the connection is gone if this fails
-	case http.MethodPost:
-		var req BlobPut
-		if err := DecodeJSON(w, r, blobBodyLimit, &req); err != nil {
-			WriteError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		if req.Fingerprint == "" {
-			WriteError(w, http.StatusBadRequest, "blob put needs a fingerprint")
-			return
-		}
-		if err := experiments.ValidateResultBlob(req.Blob); err != nil {
-			WriteError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		if err := store.Put(runcache.Fingerprint(req.Fingerprint), req.Features, req.Blob); err != nil {
-			WriteError(w, http.StatusInternalServerError, "storing blob: %v", err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		WriteError(w, http.StatusMethodNotAllowed, "GET a fingerprint or POST a BlobPut to this endpoint")
+	if r.Method != http.MethodGet {
+		WriteError(w, http.StatusMethodNotAllowed, "GET a fingerprint from this endpoint")
+		return
 	}
+	fp := r.URL.Query().Get("fp")
+	if fp == "" {
+		WriteError(w, http.StatusBadRequest, "GET /v1/blob needs a ?fp=<fingerprint> parameter")
+		return
+	}
+	blob, ok := store.Load(runcache.Fingerprint(fp))
+	if !ok {
+		WriteError(w, http.StatusNotFound, "no stored blob for fingerprint %s", fp)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(blob) //nolint — the connection is gone if this fails
 }
 
 // FetchBlob retrieves the stored result blob for fp. A miss is a
@@ -99,19 +69,34 @@ func (c *Client) FetchBlob(fp string) ([]byte, error) {
 	return blob, nil
 }
 
-// PutBlob replicates one stored record into the daemon's store. The daemon
-// validates the blob before persisting it.
-func (c *Client) PutBlob(p BlobPut) error {
-	resp, err := c.postJSON("/v1/blob", p)
-	if err != nil {
-		return err
+// peerFetchTimeout bounds one peer blob fetch: a stored blob is one disk
+// read away, so a peer that takes longer is treated as down and the point
+// falls through to the next peer or to simulation.
+const peerFetchTimeout = 5 * time.Second
+
+// peerLoader is the engine's peer hook over peers' /v1/blob: each peer in
+// turn until one holds fp. 404 and 501 are misses; any other failure
+// counts in fetchErrors, so a copy that could not be made is visible.
+func peerLoader(peers []string, fetchErrors *stats.AtomicCounter) func(runcache.Fingerprint) ([]byte, bool) {
+	hc := &http.Client{Timeout: peerFetchTimeout}
+	clients := make([]*Client, len(peers))
+	for i, p := range peers {
+		clients[i] = NewClient(p)
+		clients[i].HTTP = hc
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		return statusError(resp)
+	return func(fp runcache.Fingerprint) ([]byte, bool) {
+		for _, c := range clients {
+			blob, err := c.FetchBlob(string(fp))
+			if err == nil {
+				return blob, true
+			}
+			var se *StatusError
+			if !errors.As(err, &se) || (se.Code != http.StatusNotFound && se.Code != http.StatusNotImplemented) {
+				fetchErrors.Inc()
+			}
+		}
+		return nil, false
 	}
-	io.Copy(io.Discard, resp.Body)
-	return nil
 }
 
 // Health fetches and decodes /healthz. A draining or unreachable daemon

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 	"testing"
 
@@ -47,66 +48,94 @@ func TestHealthzIdentity(t *testing.T) {
 	}
 }
 
-// TestBlobRoundTrip drives the replication primitive end to end between
-// two daemons the way the gateway does: simulate on one, fetch its blob,
-// put it to the other, and watch the second daemon serve the point as a
-// disk hit without ever simulating.
+// TestBlobRoundTrip drives the peer pull end to end between two daemons:
+// A simulates a point, B (Peers: [A]) misses locally, fetches A's blob
+// over GET /v1/blob, stores it and serves the point as a disk hit without
+// simulating; B's warehouse then answers /v1/query for it, features and
+// all. A corrupt blob on the peer is counted, never stored, and the point
+// is simulated instead.
 func TestBlobRoundTrip(t *testing.T) {
-	mk := func(node string) (*Client, *Server) {
+	mk := func(node string, peers ...string) (*Client, *Server, *warehouse.Store) {
 		eng, ws, err := experiments.NewWarehouseEngine(t.TempDir(), warehouse.Options{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { ws.Close() })
-		s, ts := newTestServer(t, Config{Workers: 2, Engine: eng, Warehouse: ws, NodeID: node})
-		return NewClient(ts.URL), s
+		s, ts := newTestServer(t, Config{Workers: 2, Engine: eng, Warehouse: ws, NodeID: node, Peers: peers})
+		return NewClient(ts.URL), s, ws
 	}
-	src, _ := mk("src")
-	dst, dstSrv := mk("dst")
+	src, _, srcWS := mk("src")
+	dst, dstSrv, _ := mk("dst", src.BaseURL)
 
 	pt := experiments.PointRequest{Workload: "bm_ds", Scheme: "baseline", Capacity: 2048, Warmup: 1_000, Measure: 4_000}.WithDefaults()
 	sim, err := src.Simulate(SimulateRequest{PointRequest: pt})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	blob, err := src.FetchBlob(sim.Fingerprint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feats, err := pt.Features()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.PutBlob(BlobPut{Fingerprint: sim.Fingerprint, Features: feats, Blob: blob}); err != nil {
-		t.Fatal(err)
-	}
-
 	got, err := dst.Simulate(SimulateRequest{PointRequest: pt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Resolution != "disk" {
-		t.Fatalf("replicated point resolved as %s, want disk", got.Resolution)
+		t.Fatalf("peer-held point resolved as %s, want disk", got.Resolution)
 	}
-	if st := dstSrv.Engine().Stats(); st.Simulated != 0 {
-		t.Fatalf("destination simulated %d times after replication", st.Simulated)
+	if st := dstSrv.Engine().Stats(); st.Simulated != 0 || st.PeerHits != 1 || st.DiskHits != 1 {
+		t.Fatalf("destination engine after a peer pull: %+v, want 0 simulations and 1 peer hit", st)
 	}
 	if got.Result.Metrics.UPC != sim.Result.Metrics.UPC {
-		t.Fatalf("replicated UPC %v != source %v", got.Result.Metrics.UPC, sim.Result.Metrics.UPC)
+		t.Fatalf("pulled UPC %v != source %v", got.Result.Metrics.UPC, sim.Result.Metrics.UPC)
+	}
+	var rows []QueryRow
+	err = dst.Query(QueryRequest{Where: map[string]string{"workload": "bm_ds"}, IncludeFeatures: true}, func(row QueryRow) error {
+		rows = append(rows, row)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 || string(rows[0].Fingerprint) != sim.Fingerprint || len(rows[0].Features) == 0 {
+		t.Fatalf("destination query rows = %+v, want the pulled point with its features", rows)
 	}
 
-	// The endpoint's contract edges: a miss is 404, garbage is rejected
-	// before it can poison the store.
+	// The endpoint's contract edges: a miss is 404, and it takes no writes.
 	if _, err := src.FetchBlob("no-such-fp"); err == nil {
 		t.Fatal("fetching a missing blob succeeded")
 	} else if se, ok := err.(*StatusError); !ok || se.Code != http.StatusNotFound {
 		t.Fatalf("missing blob error = %v, want 404", err)
 	}
-	if err := dst.PutBlob(BlobPut{Fingerprint: "x", Blob: []byte(`{"not":"a result"}`)}); err == nil {
-		t.Fatal("putting an invalid blob succeeded")
+	if resp := postJSON(t, src.BaseURL+"/v1/blob", `{}`); resp.StatusCode != http.StatusMethodNotAllowed {
+		resp.Body.Close()
+		t.Fatalf("POST /v1/blob = %d, want 405", resp.StatusCode)
+	} else {
+		resp.Body.Close()
 	}
-	if err := dst.PutBlob(BlobPut{Blob: blob}); err == nil {
-		t.Fatal("putting a blob without a fingerprint succeeded")
+
+	// A corrupt blob on the peer: counted as bad, not stored, simulated.
+	pt2 := pt
+	pt2.Capacity = 1024
+	pp, err := pt2.Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srcWS.Put(pp.Fingerprint, nil, []byte(`{"not":"a result"}`)); err != nil {
+		t.Fatal(err)
+	}
+	again, err := dst.Simulate(SimulateRequest{PointRequest: pt2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Resolution != "simulated" {
+		t.Fatalf("point behind a corrupt peer blob resolved as %s, want simulated", again.Resolution)
+	}
+	if st := dstSrv.Engine().Stats(); st.BadBlobs != 1 || st.Simulated != 1 || st.PeerHits != 1 {
+		t.Fatalf("destination engine after a corrupt peer blob: %+v, want 1 bad blob, 1 simulation, still 1 peer hit", st)
+	}
+	stored, err := dst.FetchBlob(string(pp.Fingerprint))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res experiments.PointResult
+	if err := json.Unmarshal(stored, &res); err != nil || res.Metrics.Cycles <= 0 {
+		t.Fatalf("destination stored %q (%v), want its own simulated result", stored, err)
 	}
 }

@@ -26,6 +26,24 @@ func NewClient(baseURL string) *Client {
 	return &Client{BaseURL: strings.TrimRight(baseURL, "/")}
 }
 
+// ParseURLs splits a comma-separated address list (uopgate -nodes,
+// uopsimd -peers) into base URLs: blanks dropped, "http://" added where
+// no scheme is given, trailing slashes trimmed.
+func ParseURLs(list string) []string {
+	var urls []string
+	for _, u := range strings.Split(list, ",") {
+		u = strings.TrimSpace(u)
+		if u == "" {
+			continue
+		}
+		if !strings.Contains(u, "://") {
+			u = "http://" + u
+		}
+		urls = append(urls, strings.TrimRight(u, "/"))
+	}
+	return urls
+}
+
 func (c *Client) httpClient() *http.Client {
 	if c.HTTP != nil {
 		return c.HTTP

@@ -27,6 +27,10 @@ type metrics struct {
 	simFull       stats.AtomicCounter // sum is the completed count
 	latency       *stats.SyncHistogram
 
+	// peerFetchErrors counts peer blob fetches that failed other than by
+	// a plain miss (see Config.Peers).
+	peerFetchErrors stats.AtomicCounter
+
 	// The estimate tier: requests past validation, answered by the
 	// surrogate, fallen through to simulation, and latency in µs (the
 	// fast path is sub-ms).
@@ -71,6 +75,7 @@ func newMetrics(eng *experiments.Engine, p *pool, ws *warehouse.Store, sur *surr
 	sc.RegisterGauge("queue_capacity", func() float64 { return float64(cap(p.tasks)) })
 	sc.RegisterGauge("queue_depth", func() float64 { return float64(len(p.tasks)) })
 	sc.RegisterGauge("inflight", func() float64 { return float64(p.inflight.Load()) })
+	sc.Scope("peer").RegisterCounter("fetch_errors", &m.peerFetchErrors)
 	est := sc.Scope("estimate")
 	est.RegisterCounter("requests", &m.estRequests)
 	est.RegisterCounter("served", &m.estServed)

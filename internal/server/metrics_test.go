@@ -94,6 +94,7 @@ var daemonExposition = []string{
 	"# TYPE uopsimd_runcache_disk_hits gauge",
 	"# TYPE uopsimd_runcache_disk_writes gauge",
 	"# TYPE uopsimd_runcache_memo_hits gauge",
+	"# TYPE uopsimd_runcache_peer_hits gauge",
 	"# TYPE uopsimd_runcache_simulated gauge",
 	"# TYPE uopsimd_runcache_submitted gauge",
 	"# TYPE uopsimd_runcache_unique gauge",
@@ -111,6 +112,7 @@ var daemonExposition = []string{
 	"# TYPE uopsimd_server_inflight gauge",
 	"# TYPE uopsimd_server_latency_mean_ms summary",
 	"# TYPE uopsimd_server_latency_ms histogram",
+	"# TYPE uopsimd_server_peer_fetch_errors counter",
 	"# TYPE uopsimd_server_queue_capacity gauge",
 	"# TYPE uopsimd_server_queue_depth gauge",
 	"# TYPE uopsimd_server_rejected counter",
@@ -153,6 +155,7 @@ var daemonExposition = []string{
 	"uopsimd_runcache_disk_hits",
 	"uopsimd_runcache_disk_writes",
 	"uopsimd_runcache_memo_hits",
+	"uopsimd_runcache_peer_hits",
 	"uopsimd_runcache_simulated",
 	"uopsimd_runcache_submitted",
 	"uopsimd_runcache_unique",
@@ -200,6 +203,7 @@ var daemonExposition = []string{
 	"uopsimd_server_latency_ms_bucket{le=\"5000\"}",
 	"uopsimd_server_latency_ms_bucket{le=\"60000\"}",
 	"uopsimd_server_latency_ms_count",
+	"uopsimd_server_peer_fetch_errors",
 	"uopsimd_server_queue_capacity",
 	"uopsimd_server_queue_depth",
 	"uopsimd_server_rejected",
@@ -247,6 +251,7 @@ var daemonStatsFields = []string{
 	"engine.disk_hits",
 	"engine.disk_writes",
 	"engine.memo_hits",
+	"engine.peer_hits",
 	"engine.simulated",
 	"engine.submitted",
 	"engine.unique",

@@ -61,6 +61,11 @@ type Config struct {
 	// membership probe and balance report can tell shards apart (default
 	// "uopsimd"; cmd/uopsimd defaults it to the listen address).
 	NodeID string
+	// Peers lists other daemons' base URLs. With a persistent store, a
+	// local miss asks each peer's /v1/blob in turn before simulating, so a
+	// cluster shard that rejoins after a spill, a partition or a gateway
+	// restart takes its neighbours' results instead of re-running them.
+	Peers []string
 }
 
 func (c Config) withDefaults() Config {
@@ -127,6 +132,9 @@ func New(cfg Config) *Server {
 		}
 	}
 	s.met = newMetrics(eng, s.pool, s.ws, s.sur)
+	if len(cfg.Peers) > 0 {
+		eng.SetPeerLoad(peerLoader(cfg.Peers, &s.met.peerFetchErrors))
+	}
 	s.resolve = func(pp experiments.PreparedPoint) (experiments.PointResult, runcache.Resolution, error) {
 		return pp.Resolve(eng)
 	}

@@ -109,19 +109,23 @@ const NumRegs = 16
 const MaxInstLen = 15
 
 // Inst is one static instruction. Instances are immutable after program
-// construction; the dynamic stream references them by pointer.
+// construction; the dynamic stream references them by pointer. Fields run
+// widest first, so the struct packs into 32 bytes with no padding.
 type Inst struct {
 	// Addr is the virtual (and, in this simulator, physical) address of the
 	// first byte.
 	Addr uint64
+	// Target is the static target address for direct branches and calls.
+	Target uint64
+	// ID is a dense static-instruction index within the program, used to
+	// attach dynamic behaviour (branch outcome streams, memory streams).
+	ID uint32
 	// Len is the encoded length in bytes (1..MaxInstLen).
 	Len uint8
 	// Class is the functional class.
 	Class Class
 	// Branch refines ClassBranch; BranchNone otherwise.
 	Branch BranchKind
-	// Target is the static target address for direct branches and calls.
-	Target uint64
 	// NumUops is the number of uops the decoder emits (>= 1).
 	NumUops uint8
 	// ImmDisp is the number of 32-bit immediate/displacement fields the uop
@@ -131,9 +135,6 @@ type Inst struct {
 	Dest uint8
 	// Src1, Src2 are source registers, or RegNone.
 	Src1, Src2 uint8
-	// ID is a dense static-instruction index within the program, used to
-	// attach dynamic behaviour (branch outcome streams, memory streams).
-	ID uint32
 }
 
 // RegNone marks an absent register operand.

@@ -3,6 +3,7 @@ package isa
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"uopsim/internal/rng"
 )
@@ -157,5 +158,15 @@ func TestMixClassFrequencies(t *testing.T) {
 	memFrac := float64(counts[ClassLoad]+counts[ClassStore]+counts[ClassLoadOp]) / float64(n)
 	if memFrac < 0.35 || memFrac > 0.55 {
 		t.Errorf("memory fraction = %.3f", memFrac)
+	}
+}
+
+// TestInstSize pins the static instruction at 32 bytes: the two addresses,
+// the ID and eight one-byte fields, with no padding between them. Every
+// program image holds one per instruction (569k across the Table II
+// profiles), so each byte here is half a megabyte per process.
+func TestInstSize(t *testing.T) {
+	if got := unsafe.Sizeof(Inst{}); got != 32 {
+		t.Errorf("sizeof(Inst) = %d, want 32", got)
 	}
 }

@@ -2,6 +2,7 @@ package program
 
 import (
 	"fmt"
+	"slices"
 
 	"uopsim/internal/isa"
 	"uopsim/internal/rng"
@@ -9,18 +10,21 @@ import (
 
 // Builder assembles a Program in two phases: blocks are declared with
 // instruction templates first (so forward branch edges can reference blocks
-// that do not exist yet), then Finish lays the blocks out contiguously,
-// assigns addresses and patches branch targets.
+// that do not exist yet), then Finish assigns addresses and patches branch
+// targets. Blocks are declared in layout order, so every block's
+// instructions go straight into one flat slice that becomes Program.Insts.
 type Builder struct {
-	base   uint64
-	mix    isa.Mix
-	rnd    *rng.Source
-	blocks []builderBlock
-	err    error
+	base    uint64
+	mix     isa.Mix
+	rnd     *rng.Source
+	insts   []isa.Inst // every block's instructions; addresses unassigned until Finish
+	blocks  []builderBlock
+	written []uint8 // assignRegs scratch
+	err     error
 }
 
 type builderBlock struct {
-	insts       []isa.Inst // addresses unassigned until Finish
+	first, n    int // the block's run of Builder.insts
 	term        isa.BranchKind
 	targetBlock int // block index for direct branches; -1 otherwise
 }
@@ -56,15 +60,15 @@ func (b *Builder) addBlock(bodyInsts int, kind isa.BranchKind, target int) int {
 	if bodyInsts == 0 && kind == isa.BranchNone {
 		bodyInsts = 1 // a block must contain at least one instruction
 	}
-	bb := builderBlock{term: kind, targetBlock: target}
+	first := len(b.insts)
 	for i := 0; i < bodyInsts; i++ {
-		bb.insts = append(bb.insts, b.mix.NewInst(b.rnd, 0))
+		b.insts = append(b.insts, b.mix.NewInst(b.rnd, 0))
 	}
-	b.assignRegs(bb.insts, kind == isa.BranchCond)
+	b.assignRegs(b.insts[first:], kind == isa.BranchCond)
 	if kind != isa.BranchNone {
-		bb.insts = append(bb.insts, b.newBranch(kind))
+		b.insts = append(b.insts, b.newBranch(kind))
 	}
-	b.blocks = append(b.blocks, bb)
+	b.blocks = append(b.blocks, builderBlock{first: first, n: len(b.insts) - first, term: kind, targetBlock: target})
 	return len(b.blocks) - 1
 }
 
@@ -89,7 +93,7 @@ const (
 // with real induction variables.
 func (b *Builder) assignRegs(insts []isa.Inst, endsCond bool) {
 	rot := b.rnd.Intn(isa.NumRegs - firstLocalReg)
-	written := make([]uint8, 0, len(insts))
+	written := b.written[:0]
 	pickSrc := func() uint8 {
 		switch {
 		case b.rnd.Bool(0.08):
@@ -126,6 +130,7 @@ func (b *Builder) assignRegs(insts []isa.Inst, endsCond bool) {
 			written = append(written, in.Dest)
 		}
 	}
+	b.written = written
 	if endsCond && len(insts) > 0 {
 		// Counter-update idiom (dec/cmp) producing the branch's flags.
 		last := &insts[len(insts)-1]
@@ -183,9 +188,9 @@ func (b *Builder) fail(err error) {
 	}
 }
 
-// Finish lays out all blocks contiguously starting at the base address,
-// assigns instruction IDs and addresses, patches direct-branch targets to the
-// first instruction of their target blocks, and validates the result.
+// Finish assigns instruction IDs and addresses contiguously from the base
+// address, patches direct-branch targets to the first instruction of their
+// target blocks, and validates the result.
 func (b *Builder) Finish(entryBlock int) (*Program, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -197,54 +202,30 @@ func (b *Builder) Finish(entryBlock int) (*Program, error) {
 		return nil, fmt.Errorf("builder: invalid entry block %d", entryBlock)
 	}
 
-	p := &Program{Base: b.base}
 	addr := b.base
-	for bi := range b.blocks {
-		bb := &b.blocks[bi]
-		blk := Block{
-			ID:          bi,
-			First:       len(p.Insts),
-			N:           len(bb.insts),
-			Fallthrough: bi + 1,
-			TargetBlock: bb.targetBlock,
-		}
-		if bi == len(b.blocks)-1 {
-			blk.Fallthrough = -1
-		}
-		for _, in := range bb.insts {
-			in.Addr = addr
-			in.ID = uint32(len(p.Insts))
-			addr += uint64(in.Len)
-			p.Insts = append(p.Insts, in)
-		}
-		p.Blocks = append(p.Blocks, blk)
+	for i := range b.insts {
+		in := &b.insts[i]
+		in.Addr = addr
+		in.ID = uint32(i)
+		addr += uint64(in.Len)
 	}
-	p.Limit = addr
-
-	// Dense offset -> instruction ID table (see Program.At).
-	p.addrTab = make([]int32, p.Limit-p.Base)
-	for i := range p.addrTab {
-		p.addrTab[i] = -1
-	}
-	for i := range p.Insts {
-		p.addrTab[p.Insts[i].Addr-p.Base] = int32(i)
-	}
-
-	// Patch direct branch targets now that every block has an address.
-	for bi := range p.Blocks {
-		blk := &p.Blocks[bi]
-		last := &p.Insts[blk.First+blk.N-1]
+	// The image outlives the builder, so its slices are exact-size.
+	p := &Program{Insts: slices.Clone(b.insts), Blocks: make([]Block, len(b.blocks)), Base: b.base, Limit: addr}
+	p.index()
+	for bi, bb := range b.blocks {
+		p.Blocks[bi] = Block{First: int32(bb.first), N: int32(bb.n), TargetBlock: int32(bb.targetBlock)}
+		last := &p.Insts[bb.first+bb.n-1]
 		if !last.IsBranch() || last.Branch.IsIndirect() {
 			continue
 		}
-		tb := blk.TargetBlock
-		if tb < 0 || tb >= len(p.Blocks) {
+		tb := bb.targetBlock
+		if tb < 0 || tb >= len(b.blocks) {
 			return nil, fmt.Errorf("builder: block %d direct branch with invalid target block %d", bi, tb)
 		}
-		last.Target = p.Insts[p.Blocks[tb].First].Addr
+		last.Target = p.Insts[b.blocks[tb].first].Addr
 	}
 
-	p.Entry = p.Insts[p.Blocks[entryBlock].First].Addr
+	p.Entry = p.Insts[b.blocks[entryBlock].first].Addr
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

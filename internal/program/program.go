@@ -11,31 +11,31 @@ package program
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"uopsim/internal/isa"
 )
 
 // Block is a basic block: a straight-line run of instructions with at most
-// one terminating branch (always the last instruction when present).
+// one terminating branch (always the last instruction when present). A
+// block's ID is its index in Program.Blocks; its fallthrough successor is
+// the next index (none for the last block).
 type Block struct {
-	// ID is the dense block index within the program.
-	ID int
 	// First is the index into Program.Insts of the block's first instruction.
-	First int
+	First int32
 	// N is the number of instructions in the block.
-	N int
-	// Fallthrough is the ID of the next sequential block, or -1 at program
-	// end.
-	Fallthrough int
+	N int32
 	// TargetBlock is the ID of the taken-target block for direct branches,
 	// or -1.
-	TargetBlock int
+	TargetBlock int32
 }
 
-// Program is an immutable synthesized binary.
+// Program is an immutable synthesized binary. On the Table II profiles it
+// holds about 37 bytes per instruction: a 32-byte isa.Inst, 4.5 bytes of
+// Blocks and 0.7 bytes of address index.
 type Program struct {
-	// Insts holds every static instruction; Inst.ID indexes this slice.
+	// Insts holds every static instruction in address order; ID indexes it.
 	Insts []isa.Inst
 	// Blocks holds every basic block in layout order.
 	Blocks []Block
@@ -44,26 +44,41 @@ type Program struct {
 	// Base and Limit bound the code region: Base <= addr < Limit.
 	Base, Limit uint64
 
-	// addrTab maps code-region byte offsets to instruction IDs (-1 at
-	// non-boundary bytes). The region is contiguous, so a dense table makes
-	// At a bounds check + load — it is the hottest lookup in the simulator
-	// (every fetched instruction and every walker step goes through it).
-	addrTab []int32
+	// bounds has bit i set when an instruction starts at Base+i, and
+	// rank[w] is the ID of the first instruction starting in word w. IDs
+	// follow address order, so At — the hottest lookup in the simulator —
+	// finds an ID with a bounds check, a bit test and a popcount.
+	bounds []uint64
+	rank   []uint32
 }
 
 // At returns the instruction starting at addr, or nil when addr is not an
 // instruction boundary (e.g. a wrong-path fetch into the middle of an
 // encoding or outside the code region).
 func (p *Program) At(addr uint64) *isa.Inst {
-	off := addr - p.Base // addr < Base wraps far past len(addrTab)
-	if off >= uint64(len(p.addrTab)) {
+	off := addr - p.Base // addr < Base wraps far past the index
+	if off/64 >= uint64(len(p.bounds)) {
 		return nil
 	}
-	id := p.addrTab[off]
-	if id < 0 {
+	word, bit := p.bounds[off/64], uint64(1)<<(off%64)
+	if word&bit == 0 {
 		return nil
 	}
-	return &p.Insts[id]
+	return &p.Insts[p.rank[off/64]+uint32(bits.OnesCount64(word&(bit-1)))]
+}
+
+// index builds the address index over Insts (see At). At never reads the
+// rank of a word no instruction starts in.
+func (p *Program) index() {
+	n := (p.Limit - p.Base + 63) / 64
+	p.bounds, p.rank = make([]uint64, n), make([]uint32, n)
+	for i := range p.Insts {
+		off := p.Insts[i].Addr - p.Base
+		if p.bounds[off/64] == 0 {
+			p.rank[off/64] = uint32(i)
+		}
+		p.bounds[off/64] |= 1 << (off % 64)
+	}
 }
 
 // Inst returns the instruction with the given static ID.

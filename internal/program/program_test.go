@@ -1,8 +1,10 @@
 package program
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"uopsim/internal/isa"
 	"uopsim/internal/rng"
@@ -61,6 +63,51 @@ func TestAddressLookup(t *testing.T) {
 	}
 }
 
+// TestAtIndexWordEdges lays instructions on the first and last bit of the
+// address index's words (offsets 0, 63, 64, 127 and 128) and checks every
+// byte of the region resolves as the instruction table says.
+func TestAtIndexWordEdges(t *testing.T) {
+	lens := []uint8{15, 15, 15, 15, 3, 1, 15, 15, 15, 15, 2, 1, 1, 4}
+	p := &Program{Base: 0x1000, Limit: 0x1000}
+	for i, n := range lens {
+		p.Insts = append(p.Insts, isa.Inst{Addr: p.Limit, ID: uint32(i), Len: n})
+		p.Limit += uint64(n)
+	}
+	p.index()
+	starts := map[uint64]bool{}
+	for i := range p.Insts {
+		starts[p.Insts[i].Addr-p.Base] = true
+	}
+	for _, off := range []uint64{0, 63, 64, 127, 128} {
+		if !starts[off] {
+			t.Fatalf("no instruction starts at offset %d", off)
+		}
+	}
+	for addr := p.Base - 1; addr < p.Limit+130; addr++ {
+		got := p.At(addr)
+		if got == nil {
+			if starts[addr-p.Base] {
+				t.Errorf("At(%#x) = nil, want the instruction starting there", addr)
+			}
+			continue
+		}
+		if got.Addr != addr {
+			t.Errorf("At(%#x) = instruction %d at %#x", addr, got.ID, got.Addr)
+		}
+	}
+	if p.At(0) != nil || p.At(math.MaxUint64) != nil {
+		t.Error("addresses outside the region should not resolve")
+	}
+}
+
+// TestBlockSize pins the block at three int32s: ID and fallthrough are
+// implied by its index.
+func TestBlockSize(t *testing.T) {
+	if got := unsafe.Sizeof(Block{}); got != 12 {
+		t.Errorf("sizeof(Block) = %d, want 12", got)
+	}
+}
+
 func TestNextWalksSequentially(t *testing.T) {
 	p := buildSimple(t)
 	in := p.At(p.Entry)
@@ -101,7 +148,7 @@ func TestBlockOf(t *testing.T) {
 	for bi := range p.Blocks {
 		blk := &p.Blocks[bi]
 		for j := blk.First; j < blk.First+blk.N; j++ {
-			if got := p.BlockOf(uint32(j)); got == nil || got.ID != bi {
+			if got := p.BlockOf(uint32(j)); got != blk {
 				t.Fatalf("BlockOf(%d) = %v, want block %d", j, got, bi)
 			}
 		}

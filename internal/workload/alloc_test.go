@@ -62,3 +62,55 @@ func TestNewWalkerAllocScalesWithBehaviours(t *testing.T) {
 	t.Logf("NewWalker(bm_cc): %d bytes, %d cond + %d indirect + %d mem slots, %d insts",
 		best, len(beh.Cond), len(beh.Indirect), len(beh.Mem), wl.Program.NumInsts())
 }
+
+// TestProgramImageLiveHeap bounds what the 13 Table II builds keep alive:
+// every uopsimd and uopexp process holds all of them. A 32-byte Inst, a
+// 12-byte Block, exact-size slices and a bitmap-rank address index hold
+// them near 30 MiB; 40-byte Insts and Blocks, append-grown slices and a
+// 4-byte-per-code-byte address table took 51.4 MiB.
+func TestProgramImageLiveHeap(t *testing.T) {
+	const bound = 34 << 20
+	names := Names()
+	wls := make([]*Workload, len(names))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i, name := range names {
+		prof, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wls[i], err = BuildAt(prof, CodeBase); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(wls)
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if live > bound {
+		t.Errorf("%d fresh builds hold %.1f MiB live, want <= %.1f MiB", len(wls), float64(live)/(1<<20), float64(bound)/(1<<20))
+	}
+	t.Logf("%d fresh builds: %.1f MiB live", len(wls), float64(live)/(1<<20))
+}
+
+// TestBuildAllocs bounds the allocations of one build: the builder lays
+// every instruction into one flat slice and reuses its register scratch,
+// so a build allocates per table, not per block. Per-block instruction
+// slices and scratch took 133k allocations on bm_cc.
+func TestBuildAllocs(t *testing.T) {
+	const bound = 5000
+	prof, err := ByName("bm_cc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := BuildAt(prof, CodeBase); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > bound {
+		t.Errorf("BuildAt(bm_cc) made %.0f allocations, want <= %d", allocs, bound)
+	}
+	t.Logf("BuildAt(bm_cc): %.0f allocations", allocs)
+}

@@ -1,0 +1,49 @@
+package cluster
+
+import (
+	"runtime"
+	"testing"
+
+	"uopsim/internal/server"
+)
+
+// TestWarmHitAllocBound bounds what a memoised answer costs the whole
+// path — client, gateway hop and shard, all in this process — in bytes
+// allocated per call. A warm hit runs no simulation, so its garbage is
+// serving overhead: fingerprinting, reading each body once at its final
+// size and decoding the snapshot into one slice keep it near the size of
+// the answer itself.
+func TestWarmHitAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation is not representative under -race: sync.Pool drops buffers on purpose")
+	}
+	_, gwURL, _ := newTestCluster(t, 1)
+	c := server.NewClient(gwURL)
+	req := server.SimulateRequest{PointRequest: testPoints(1)[0]}
+	if _, err := c.Simulate(req); err != nil {
+		t.Fatal(err)
+	}
+	const calls = 200
+	for i := 0; i < 10; i++ { // settle pools and keep-alive connections
+		if _, err := c.Simulate(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		resp, err := c.Simulate(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Resolution != "memo" {
+			t.Fatalf("call %d resolved %q, want a memo hit", i, resp.Resolution)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perCall := float64(after.TotalAlloc-before.TotalAlloc) / calls / 1024
+	t.Logf("warm hit: %.1f KiB, %.0f objects per call", perCall, float64(after.Mallocs-before.Mallocs)/calls)
+	if perCall > 50 {
+		t.Fatalf("a warm hit allocates %.1f KiB per call, want <= 50", perCall)
+	}
+}

@@ -191,8 +191,8 @@ func (g *Gateway) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	body := getBody()
-	defer putBody(body)
+	body := server.GetBody()
+	defer server.PutBody(body)
 	cands := g.candidates(fp)
 	for i, name := range cands {
 		if i > 0 {
@@ -240,8 +240,8 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	body := getBody()
-	defer putBody(body)
+	body := server.GetBody()
+	defer server.PutBody(body)
 	fwd := req
 	fwd.PointRequest = pt
 	cands := g.candidates(fp)
@@ -724,26 +724,13 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // simulateBodyLimit matches the daemon's single-point body bound.
 const simulateBodyLimit = 4 << 20
 
-// bodies pools the buffers shard answers are read into. A whole answer is
-// read before any byte goes to the client, so a shard that dies mid-body
-// fails over to the next candidate instead of leaving a truncated 200.
-var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// maxPooledBody bounds the buffer kept for reuse (see server.WriteJSON).
-const maxPooledBody = 1 << 20
-
-func getBody() *bytes.Buffer { return bodies.Get().(*bytes.Buffer) }
-
-func putBody(b *bytes.Buffer) {
-	if b.Cap() <= maxPooledBody {
-		b.Reset()
-		bodies.Put(b)
-	}
-}
-
-// writeBody forwards a shard's 200 JSON answer byte for byte.
+// writeBody forwards a shard's 200 JSON answer byte for byte, with its
+// Content-Length. The whole answer was read before any byte goes out, so a
+// shard that dies mid-body fails over to the next candidate instead of
+// leaving a truncated 200.
 func writeBody(w http.ResponseWriter, body *bytes.Buffer) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(body.Len()))
 	w.WriteHeader(http.StatusOK)
 	w.Write(body.Bytes()) //nolint — the connection is gone if this fails
 }

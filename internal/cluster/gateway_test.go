@@ -531,7 +531,8 @@ func TestGatewayStatsEndpoint(t *testing.T) {
 }
 
 // TestGatewayForwardsShardBodyVerbatim: the gateway's /v1/simulate answer
-// is the owner's body byte for byte, on a miss and on a memo hit.
+// is the owner's body byte for byte, with its Content-Length, on a miss
+// and on a memo hit.
 func TestGatewayForwardsShardBodyVerbatim(t *testing.T) {
 	gw, gwURL, shards := newTestCluster(t, 3)
 	pt := testPoints(1)[0]
@@ -555,6 +556,9 @@ func TestGatewayForwardsShardBodyVerbatim(t *testing.T) {
 		}
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d: HTTP %d: %s", i, resp.StatusCode, got)
+		}
+		if resp.ContentLength != int64(len(got)) {
+			t.Fatalf("request %d: gateway declared Content-Length %d for a %d-byte body", i, resp.ContentLength, len(got))
 		}
 		owner.fl.mu.Lock()
 		sent := owner.fl.sent

@@ -89,8 +89,12 @@ func (r PointRequest) WithDefaults() PointRequest {
 	if r.MaxEntries < 2 {
 		r.MaxEntries = 2
 	}
-	p := Params{WarmupInsts: r.Warmup, MeasureInsts: r.Measure}.withDefaults()
-	r.Warmup, r.Measure = p.WarmupInsts, p.MeasureInsts
+	if r.Warmup == 0 {
+		r.Warmup = pipeline.DefaultWarmupInsts
+	}
+	if r.Measure == 0 {
+		r.Measure = pipeline.DefaultMeasureInsts
+	}
 	return r
 }
 
@@ -102,7 +106,7 @@ func (r PointRequest) Validate() error {
 		return fmt.Errorf("experiments: request needs a workload (one of %s)",
 			strings.Join(workload.Names(), ", "))
 	}
-	if _, err := workload.ByName(r.Workload); err != nil {
+	if err := workload.CheckName(r.Workload); err != nil {
 		return err
 	}
 	if r.Measure == 0 {

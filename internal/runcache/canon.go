@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"reflect"
 	"strconv"
+	"sync"
 )
 
 // Fingerprint is the content address of one design point: a hex SHA-256
@@ -35,30 +36,58 @@ func (f Fingerprint) Short() string {
 // whose encoding would be non-deterministic or lossy (maps, funcs,
 // channels, interfaces) are rejected with an error naming the offending
 // field, which is the guard that keeps the fingerprint honest as config
-// structs grow.
+// structs grow. The field path in that error is built only on failure:
+// each enclosing struct field and slice index prepends its segment as the
+// error unwinds, so a successful Key formats no strings. All parts are
+// encoded into one pooled buffer and hashed once.
 func Key(parts ...any) (Fingerprint, error) {
-	h := sha256.New()
-	buf := make([]byte, 0, 512)
+	bp := canonBufs.Get().(*[]byte)
+	defer canonBufs.Put(bp)
+	buf := (*bp)[:0]
 	for i, p := range parts {
-		buf = buf[:0]
 		buf = append(buf, "\x00part"...)
 		buf = strconv.AppendInt(buf, int64(i), 10)
 		buf = append(buf, ':')
-		var err error
-		buf, err = appendCanon(buf, reflect.ValueOf(p), fmt.Sprintf("part[%d]", i))
-		if err != nil {
+		var err *canonError
+		if buf, err = appendCanon(buf, reflect.ValueOf(p)); err != nil {
+			err.prepend("part[" + strconv.Itoa(i) + "]")
 			return "", err
 		}
-		h.Write(buf)
 	}
-	return Fingerprint(hex.EncodeToString(h.Sum(nil))), nil
+	*bp = buf
+	sum := sha256.Sum256(buf)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return Fingerprint(out[:]), nil
 }
 
-// appendCanon writes a deterministic, self-delimiting encoding of v. path
-// tracks the field chain for error messages. The encoding reads values
-// through kind-specific accessors so unexported struct fields are covered
-// too.
-func appendCanon(buf []byte, v reflect.Value, path string) ([]byte, error) {
+// canonBufs pools the buffer Key encodes every part into before hashing
+// the whole encoding at once (the digest of the concatenation equals the
+// part-by-part digest, so addresses are unchanged).
+var canonBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 4<<10)
+	return &b
+}}
+
+// canonError is an unsupported kind met while encoding. path starts as
+// the empty string at the offending value and grows outward, one segment
+// per enclosing field or index, as appendCanon returns.
+type canonError struct {
+	path string
+	kind reflect.Kind
+}
+
+func (e *canonError) prepend(seg string) { e.path = seg + e.path }
+
+func (e *canonError) Error() string {
+	return fmt.Sprintf("runcache: cannot fingerprint %s (kind %s): add explicit handling or remove the field",
+		e.path, e.kind)
+}
+
+// appendCanon writes a deterministic, self-delimiting encoding of v. The
+// encoding reads values through kind-specific accessors so unexported
+// struct fields are covered too.
+func appendCanon(buf []byte, v reflect.Value) ([]byte, *canonError) {
 	if !v.IsValid() {
 		return append(buf, "nil;"...), nil
 	}
@@ -94,18 +123,19 @@ func appendCanon(buf []byte, v reflect.Value, path string) ([]byte, error) {
 		if v.IsNil() {
 			return append(buf, "nil;"...), nil
 		}
-		return appendCanon(buf, v.Elem(), path)
+		return appendCanon(buf, v.Elem())
 	case reflect.Struct:
 		t := v.Type()
 		buf = append(buf, '{')
 		buf = append(buf, t.Name()...)
 		buf = append(buf, ':')
-		var err error
+		var err *canonError
 		for i := 0; i < t.NumField(); i++ {
-			buf = append(buf, t.Field(i).Name...)
+			name := t.Field(i).Name
+			buf = append(buf, name...)
 			buf = append(buf, '=')
-			buf, err = appendCanon(buf, v.Field(i), path+"."+t.Field(i).Name)
-			if err != nil {
+			if buf, err = appendCanon(buf, v.Field(i)); err != nil {
+				err.prepend("." + name)
 				return nil, err
 			}
 		}
@@ -117,16 +147,15 @@ func appendCanon(buf []byte, v reflect.Value, path string) ([]byte, error) {
 		buf = append(buf, '[')
 		buf = strconv.AppendInt(buf, int64(v.Len()), 10)
 		buf = append(buf, ':')
-		var err error
+		var err *canonError
 		for i := 0; i < v.Len(); i++ {
-			buf, err = appendCanon(buf, v.Index(i), fmt.Sprintf("%s[%d]", path, i))
-			if err != nil {
+			if buf, err = appendCanon(buf, v.Index(i)); err != nil {
+				err.prepend("[" + strconv.Itoa(i) + "]")
 				return nil, err
 			}
 		}
 		return append(buf, ']'), nil
 	default:
-		return nil, fmt.Errorf("runcache: cannot fingerprint %s (kind %s): add explicit handling or remove the field",
-			path, v.Kind())
+		return nil, &canonError{kind: v.Kind()}
 	}
 }

@@ -3,6 +3,7 @@ package runcache
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -91,6 +92,58 @@ func TestKeyRejectsUnsupportedKinds(t *testing.T) {
 	if _, err := Key(withCh{}); err == nil {
 		t.Error("chan field must be rejected")
 	}
+}
+
+// TestKeyErrorPath pins the rejection message: the full field chain down
+// to the offending value, through struct fields, slice indices and
+// pointers, exactly as a config author reads it.
+func TestKeyErrorPath(t *testing.T) {
+	type inner struct{ M *map[string]int } // nil encodes; only Y[2] holds a map
+	type mid struct{ Y []inner }
+	type outer struct {
+		A int
+		X *mid
+	}
+	m := map[string]int{}
+	bad := outer{X: &mid{Y: []inner{{}, {}, {M: &m}}}}
+	_, err := Key("ok", bad)
+	const want = "runcache: cannot fingerprint part[1].X.Y[2].M (kind map): add explicit handling or remove the field"
+	if err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+	_, err = Key([]any{1})
+	const wantIface = "runcache: cannot fingerprint part[0][0] (kind interface): add explicit handling or remove the field"
+	if err == nil || err.Error() != wantIface {
+		t.Fatalf("error %v, want %q", err, wantIface)
+	}
+	// A failed Key leaves the pooled buffer fit for the next call.
+	if mustKey(t, "anything") != mustKey(t, "anything") {
+		t.Fatal("fingerprint changed after a rejected Key")
+	}
+}
+
+// TestKeyConcurrent: Key shares pooled buffers across goroutines, so
+// concurrent calls over different parts must each get their own digest.
+func TestKeyConcurrent(t *testing.T) {
+	want := make([]Fingerprint, 16)
+	for i := range want {
+		want[i] = mustKey(t, i, strings.Repeat("x", i*100))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < 200; rep++ {
+				i := (g + rep) % len(want)
+				if fp, err := Key(i, strings.Repeat("x", i*100)); err != nil || fp != want[i] {
+					t.Errorf("part set %d: got %s (%v), want %s", i, fp, err, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestKeyCoversUnexportedFields: the encoder reads values through

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -105,6 +106,7 @@ func (c *Client) postJSON(path string, body any) (*http.Response, error) {
 // Post sends req as JSON to path and appends a 200 answer's whole body to
 // dst. Non-2xx answers come back as *StatusError. A body cut short fails
 // the call, so a caller that forwards dst never forwards half an answer.
+// An answer that declares its length is read into dst grown once.
 func (c *Client) Post(path string, req any, dst *bytes.Buffer) error {
 	resp, err := c.postJSON(path, req)
 	if err != nil {
@@ -114,17 +116,30 @@ func (c *Client) Post(path string, req any, dst *bytes.Buffer) error {
 	if resp.StatusCode != http.StatusOK {
 		return statusError(resp)
 	}
+	if n := resp.ContentLength; n > 0 && n <= maxPooledJSON {
+		// The spare MinRead keeps ReadFrom from growing dst again just
+		// to observe EOF. Larger answers grow as they arrive, so a
+		// declared length is never trusted past what a pool keeps.
+		dst.Grow(int(n) + bytes.MinRead)
+	}
 	if _, err := dst.ReadFrom(resp.Body); err != nil {
 		return fmt.Errorf("server: reading %s response: %w", path, err)
 	}
 	return nil
 }
 
-// call posts req to path and decodes the 200 body into out.
-func (c *Client) call(path string, req, out any) error {
-	var buf bytes.Buffer
-	if err := c.Post(path, req, &buf); err != nil {
+// call posts req to path and decodes the 200 body into out, after
+// presize, when given, has seen the body. The body is read into a pooled
+// buffer: json.Unmarshal copies every string it decodes, so nothing in out
+// aliases the buffer once it is reused.
+func (c *Client) call(path string, req, out any, presize func(body []byte)) error {
+	buf := GetBody()
+	defer PutBody(buf)
+	if err := c.Post(path, req, buf); err != nil {
 		return err
+	}
+	if presize != nil {
+		presize(buf.Bytes())
 	}
 	if err := json.Unmarshal(buf.Bytes(), out); err != nil {
 		return fmt.Errorf("server: decoding %s response: %w", path, err)
@@ -132,11 +147,27 @@ func (c *Client) call(path string, req, out any) error {
 	return nil
 }
 
+// bodies pools the buffers whole answers are read into, by clients and by
+// the cluster gateway, which reads a shard's answer completely before it
+// forwards a byte.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// GetBody returns an empty buffer from the pool; PutBody returns it.
+func GetBody() *bytes.Buffer { return bodies.Get().(*bytes.Buffer) }
+
+// PutBody resets b and pools it unless it has grown past maxPooledJSON.
+func PutBody(b *bytes.Buffer) {
+	if b.Cap() <= maxPooledJSON {
+		b.Reset()
+		bodies.Put(b)
+	}
+}
+
 // Simulate resolves one point. Non-2xx answers come back as *StatusError
 // so callers can switch on Code (429 → honor RetryAfter and retry).
 func (c *Client) Simulate(req SimulateRequest) (*SimulateResponse, error) {
 	var out SimulateResponse
-	if err := c.call("/v1/simulate", req, &out); err != nil {
+	if err := c.call("/v1/simulate", req, &out, out.Result.Snapshot.Presize); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -150,7 +150,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 // *StatusError; a daemon without a warehouse answers 501.
 func (c *Client) Estimate(req EstimateRequest) (*EstimateResponse, error) {
 	var out EstimateResponse
-	if err := c.call("/v1/estimate", req, &out); err != nil {
+	if err := c.call("/v1/estimate", req, &out, nil); err != nil {
 		return nil, err
 	}
 	return &out, nil

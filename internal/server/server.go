@@ -275,12 +275,14 @@ func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // WriteJSON answers code with v as indented JSON: the bytes
-// json.MarshalIndent(v, "", "  ") gives, plus a newline.
+// json.MarshalIndent(v, "", "  ") gives, plus a newline. The whole body is
+// encoded first, so it goes out with its Content-Length, never chunked.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	je := jsonEncoders.Get().(*jsonEncoder)
 	defer je.release()
 	je.enc.Encode(v) //nolint — only an unencodable v fails, and then the body is empty
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(je.buf.Len()))
 	w.WriteHeader(code)
 	w.Write(je.buf.Bytes()) //nolint — the connection is gone if this fails
 }
@@ -300,8 +302,9 @@ var jsonEncoders = sync.Pool{New: func() any {
 	return je
 }}
 
-// maxPooledJSON bounds the buffer an encoder keeps: a rare huge answer
-// (a wide /v1/stats) is not pinned in the pool for the process lifetime.
+// maxPooledJSON bounds the buffer an encoder or a pooled body keeps: a
+// rare huge answer (a wide /v1/stats) is not pinned in the pool for the
+// process lifetime.
 const maxPooledJSON = 1 << 20
 
 func (je *jsonEncoder) release() {

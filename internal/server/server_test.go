@@ -576,9 +576,10 @@ func TestMemoHitAllocs(t *testing.T) {
 	}
 }
 
-// memoHitAllocBound is the measured memo-hit cost plus headroom well below
-// one extra fingerprint.
-const memoHitAllocBound = 180
+// memoHitAllocBound is the measured memo-hit cost (40 allocations, about
+// 55 under -race, where sync.Pool drops some of what it is given) plus
+// headroom.
+const memoHitAllocBound = 80
 
 // TestMetricsEndpoint spot-checks the Prometheus exposition: server scope,
 // runcache scope, and parseable sample lines.

@@ -266,13 +266,29 @@ var table = Profiles()
 // ByName returns a copy of the profile with the given name; the caller may
 // modify it without affecting later lookups.
 func ByName(name string) (*Profile, error) {
+	if err := CheckName(name); err != nil {
+		return nil, err
+	}
+	cp := *find(name)
+	return &cp, nil
+}
+
+// CheckName returns the error ByName would for name, without copying the
+// profile: nil when the Table II set has a profile of that name.
+func CheckName(name string) error {
+	if find(name) == nil {
+		return fmt.Errorf("workload: unknown profile %q (have %v)", name, Names())
+	}
+	return nil
+}
+
+func find(name string) *Profile {
 	for _, p := range table {
 		if p.Name == name {
-			cp := *p
-			return &cp, nil
+			return p
 		}
 	}
-	return nil, fmt.Errorf("workload: unknown profile %q (have %v)", name, Names())
+	return nil
 }
 
 // Names lists all profile names in figure order.

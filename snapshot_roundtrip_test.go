@@ -44,6 +44,17 @@ func TestGoldenMetricsViaSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// DecodeSnapshot presizes Samples; it must decode exactly what a
+		// plain decode of the same bytes gives, in a slice sized once.
+		var plain struct {
+			Samples []stats.Sample `json:"samples"`
+		}
+		if err := json.Unmarshal(b, &plain); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(decoded.Samples, plain.Samples) || cap(decoded.Samples) != len(plain.Samples) {
+			t.Fatalf("a presized decode differs from a plain decode (%d samples, capacity %d, plain %d)", len(decoded.Samples), cap(decoded.Samples), len(plain.Samples))
+		}
 		return decoded
 	}
 	for _, pt := range gf.Points {

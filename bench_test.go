@@ -35,6 +35,7 @@ func runPoint(b *testing.B, name string, cfg Config) Metrics {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer sim.Release() // as the engine does: the next point reuses the core
 	m, err := sim.RunMeasured(benchWarmup, benchMeasure)
 	if err != nil {
 		b.Fatal(err)
@@ -46,6 +47,7 @@ func runPoint(b *testing.B, name string, cfg Config) Metrics {
 // the requested figure metrics from the final slice.
 func simulate(b *testing.B, name string, cfg Config, report func(*testing.B, Metrics)) {
 	b.Helper()
+	primeCorePool(b, name, cfg)
 	var m Metrics
 	insts := 0
 	for i := 0; i < b.N; i++ {
@@ -54,6 +56,26 @@ func simulate(b *testing.B, name string, cfg Config, report func(*testing.B, Met
 	}
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
 	report(b, m)
+}
+
+// primeCorePool builds and releases one simulator, untimed, so the first
+// timed slice starts where an engine worker's next point does: with a
+// released core at hand. The harness runs each b.N round on a new
+// goroutine after a GC, and sync.Pool hands a core the GC set aside only
+// to the processor that released it, so without this a round could start
+// on a new core.
+func primeCorePool(b *testing.B, name string, cfg Config) {
+	b.Helper()
+	wl, err := workload.Shared(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sim, err := pipeline.New(cfg, wl)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sim.Release()
+	b.ResetTimer()
 }
 
 // BenchmarkTableII regenerates the workload table's measured column.

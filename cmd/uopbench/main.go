@@ -167,11 +167,12 @@ func main() {
 }
 
 // run measures each workload: one untimed warmup op, then iters timed ops.
-// An op is a full simulation (NewSimulator + RunMeasured), matching the root
-// BenchmarkTableII, so workload-build sharing shows up in the numbers. With
-// sampling enabled an op is RunSampled instead, and insts/s becomes the
-// effective design-point rate: extrapolated instructions over sampled wall
-// clock, i.e. the per-point speedup shows up directly in the column.
+// An op is a full simulation (NewSimulator + RunMeasured + Release), matching
+// the root BenchmarkTableII, so workload-build sharing and core recycling
+// show up in the numbers. With sampling enabled an op is RunSampled instead,
+// and insts/s becomes the effective design-point rate: extrapolated
+// instructions over sampled wall clock, i.e. the per-point speedup shows up
+// directly in the column.
 //
 // With parallel > 1 the workloads run concurrently on a worker pool; wall
 // clock drops but the alloc columns are zeroed, because runtime.MemStats is
@@ -198,17 +199,26 @@ func run(names []string, warmup, insts uint64, iters, parallel int, sp uopsim.Sa
 	measure := func(name string, attributeAllocs bool) (Result, error) {
 		var m uopsim.Metrics
 		var last *uopsim.Simulator
-		if _, err := uopsim.RunSampled(cfg, name, warmup, insts, sp); err != nil {
-			return Result{}, fmt.Errorf("%s: %w", name, err)
-		}
 		var msBefore, msAfter runtime.MemStats
 		if attributeAllocs {
 			runtime.GC()
+		}
+		// The untimed op runs after the GC: it leaves its released core
+		// where the first timed op finds it, as a running engine would.
+		if _, err := uopsim.RunSampled(cfg, name, warmup, insts, sp); err != nil {
+			return Result{}, fmt.Errorf("%s: %w", name, err)
+		}
+		if attributeAllocs {
 			runtime.ReadMemStats(&msBefore)
 		}
 		start := time.Now()
 		total := uint64(0)
 		for i := 0; i < iters; i++ {
+			// Release the previous op's simulator before building the
+			// next, as the engine does, so each op reuses its core.
+			if last != nil {
+				last.Release()
+			}
 			sim, err := uopsim.NewSimulator(cfg, name)
 			if err != nil {
 				return Result{}, fmt.Errorf("%s: %w", name, err)
@@ -229,6 +239,7 @@ func run(names []string, warmup, insts uint64, iters, parallel int, sp uopsim.Sa
 			MPKI:        m.BranchMPKI,
 			Snapshot:    last.StatsSnapshot(),
 		}
+		last.Release()
 		if attributeAllocs {
 			runtime.ReadMemStats(&msAfter)
 			r.AllocsPerOp = (msAfter.Mallocs - msBefore.Mallocs) / uint64(iters)

@@ -44,6 +44,7 @@ func main() {
 			100*(st.SizeHist.Fraction(0)+st.SizeHist.Fraction(1)),
 			100*st.TakenTermFraction(), 100*st.SpanFraction(), 100*st.CompactedFraction(),
 			100*r, 100*p, 100*f)
+		sim.Release() // the next scheme's simulator reuses this core
 	}
 
 	fmt.Printf("\nThe paper's mechanism chain, visible above:\n")

@@ -9,6 +9,7 @@ package backend
 import (
 	"uopsim/internal/isa"
 	"uopsim/internal/mem"
+	"uopsim/internal/reuse"
 	"uopsim/internal/stats"
 	"uopsim/internal/uopq"
 )
@@ -93,22 +94,30 @@ const decRingSize = 2048 // must exceed the longest possible uop latency chain
 
 // New builds a backend over the given memory hierarchy.
 func New(cfg Config, hier *mem.Hierarchy) *Backend {
+	b := &Backend{}
+	b.Reset(cfg, hier)
+	return b
+}
+
+// Reset empties b into the backend New(cfg, hier) builds, reusing its ROB
+// and port rings when their sizes match. It panics on the same invalid
+// configurations as New.
+func (b *Backend) Reset(cfg Config, hier *mem.Hierarchy) {
 	if cfg.ROBSize < 1 || cfg.RetireWidth < 1 {
 		panic("backend: invalid config")
 	}
-	b := &Backend{
+	*b = Backend{
 		cfg:         cfg,
 		hier:        hier,
-		rob:         make([]robEntry, cfg.ROBSize),
-		aluUse:      make([]uint8, decRingSize),
-		memUse:      make([]uint8, decRingSize),
-		fpUse:       make([]uint8, decRingSize),
+		rob:         reuse.Slice(b.rob, cfg.ROBSize),
+		aluUse:      reuse.Slice(b.aluUse, decRingSize),
+		memUse:      reuse.Slice(b.memUse, decRingSize),
+		fpUse:       reuse.Slice(b.fpUse, decRingSize),
 		aluN:        uint8(max(1, cfg.ALUPorts)),
 		memN:        uint8(max(1, cfg.MemPorts)),
 		fpN:         uint8(max(1, cfg.FPPorts)),
-		inFlightDec: make([]int, decRingSize),
+		inFlightDec: reuse.Slice(b.inFlightDec, decRingSize),
 	}
-	return b
 }
 
 func max(a, b int) int {

@@ -1,6 +1,9 @@
 package bpred
 
-import "uopsim/internal/isa"
+import (
+	"uopsim/internal/isa"
+	"uopsim/internal/reuse"
+)
 
 // BTBBranch is one branch recorded in a BTB entry.
 type BTBBranch struct {
@@ -20,12 +23,34 @@ func (b BTBBranch) FallThrough(lineAddr uint64) uint64 {
 }
 
 // btbEntry covers one 64-byte code line and records up to two branches in it
-// (Table I: "2 branches per BTB entry").
+// (Table I: "2 branches per BTB entry"). Branch i is slot[i] plus
+// target[i]: split that way an entry is 40 bytes, where two BTBBranch
+// values would pad it to 48.
 type btbEntry struct {
-	valid    bool
-	tag      uint64
-	branches [2]BTBBranch
-	lruTick  uint64
+	key     uint64 // the line address plus one; 0 marks an empty way
+	lruTick uint64
+	target  [2]uint64
+	slot    [2]btbSlot
+}
+
+// btbSlot is a recorded branch without its target.
+type btbSlot struct {
+	valid  bool
+	offset uint8
+	len    uint8
+	kind   isa.BranchKind
+}
+
+// branch returns branch i of e.
+func (e *btbEntry) branch(i int) BTBBranch {
+	s := e.slot[i]
+	return BTBBranch{Valid: s.valid, Offset: s.offset, Len: s.len, Kind: s.kind, Target: e.target[i]}
+}
+
+// set records br as branch i of e.
+func (e *btbEntry) set(i int, br BTBBranch) {
+	e.slot[i] = btbSlot{valid: br.Valid, offset: br.Offset, len: br.Len, kind: br.Kind}
+	e.target[i] = br.Target
 }
 
 // btbLevel is one set-associative level of the BTB.
@@ -41,8 +66,10 @@ type btbLevel struct {
 	scratch []*btbEntry
 }
 
-func newBTBLevel(sets, ways int) *btbLevel {
-	return &btbLevel{sets: sets, ways: ways, data: make([]btbEntry, sets*ways)}
+// reset empties l into a sets x ways level, reusing its entry array and
+// hit-list scratch.
+func (l *btbLevel) reset(sets, ways int) {
+	*l = btbLevel{sets: sets, ways: ways, data: reuse.Slice(l.data, sets*ways), scratch: l.scratch[:0]}
 }
 
 const lineShift = 6 // 64B lines
@@ -58,7 +85,7 @@ func (l *btbLevel) lookup(lineAddr uint64) []*btbEntry {
 	hits := l.scratch[:0]
 	for w := 0; w < l.ways; w++ {
 		e := &l.data[base+w]
-		if e.valid && e.tag == lineAddr {
+		if e.key == lineAddr+1 {
 			l.ticks++
 			e.lruTick = l.ticks
 			hits = append(hits, e)
@@ -75,7 +102,7 @@ func (l *btbLevel) install(lineAddr uint64, src *btbEntry) *btbEntry {
 	victim := base
 	for w := 0; w < l.ways; w++ {
 		e := &l.data[base+w]
-		if !e.valid {
+		if e.key == 0 {
 			victim = base + w
 			break
 		}
@@ -89,8 +116,7 @@ func (l *btbLevel) install(lineAddr uint64, src *btbEntry) *btbEntry {
 	} else {
 		*e = btbEntry{}
 	}
-	e.valid = true
-	e.tag = lineAddr
+	e.key = lineAddr + 1
 	l.ticks++
 	e.lruTick = l.ticks
 	return e
@@ -98,7 +124,7 @@ func (l *btbLevel) install(lineAddr uint64, src *btbEntry) *btbEntry {
 
 // BTB is the two-level branch target buffer.
 type BTB struct {
-	l1, l2 *btbLevel
+	l1, l2 btbLevel
 	// L2HitPenalty is the BPU bubble (cycles) on an L1 miss that hits in L2.
 	L2HitPenalty int
 
@@ -109,11 +135,17 @@ type BTB struct {
 // (each entry covers a 64B line with up to 2 branches; commercial two-level
 // BTBs hold several thousand branches).
 func NewBTB() *BTB {
-	return &BTB{
-		l1:           newBTBLevel(256, 4),
-		l2:           newBTBLevel(1024, 8),
-		L2HitPenalty: 2,
-	}
+	b := &BTB{}
+	b.reset()
+	return b
+}
+
+// reset empties both levels in place and restores the default L2 hit
+// penalty, leaving b as NewBTB builds it.
+func (b *BTB) reset() {
+	b.l1.reset(256, 4)
+	b.l2.reset(1024, 8)
+	*b = BTB{l1: b.l1, l2: b.l2, L2HitPenalty: 2}
 }
 
 // Lookup finds the first recorded branch in the line at or after byte offset
@@ -139,13 +171,13 @@ func (b *BTB) Lookup(lineAddr uint64, minOffset int) (br BTBBranch, penalty int,
 	}
 	var best BTBBranch
 	for _, e := range entries {
-		for i := range e.branches {
-			s := e.branches[i]
-			if !s.Valid || int(s.Offset) < minOffset {
+		for i := range e.slot {
+			s := &e.slot[i]
+			if !s.valid || int(s.offset) < minOffset {
 				continue
 			}
-			if !best.Valid || s.Offset < best.Offset {
-				best = s
+			if !best.Valid || s.offset < best.Offset {
+				best = e.branch(i)
 			}
 		}
 	}
@@ -164,9 +196,9 @@ func (b *BTB) WarmInsert(pc uint64, kind isa.BranchKind, target uint64, length u
 	lineAddr := pc &^ uint64((1<<lineShift)-1)
 	offset := uint8(pc & ((1 << lineShift) - 1))
 	for _, e := range b.l1.lookup(lineAddr) {
-		for i := range e.branches {
-			s := &e.branches[i]
-			if s.Valid && s.Offset == offset && s.Kind == kind && s.Target == target && s.Len == length {
+		for i := range e.slot {
+			s := &e.slot[i]
+			if s.valid && s.offset == offset && s.kind == kind && e.target[i] == target && s.len == length {
 				return
 			}
 		}
@@ -179,14 +211,14 @@ func (b *BTB) Insert(pc uint64, kind isa.BranchKind, target uint64, length uint8
 	lineAddr := pc &^ uint64((1<<lineShift)-1)
 	offset := uint8(pc & ((1 << lineShift) - 1))
 	br := BTBBranch{Valid: true, Offset: offset, Len: length, Kind: kind, Target: target}
-	for _, lvl := range [...]*btbLevel{b.l1, b.l2} {
+	for _, lvl := range [...]*btbLevel{&b.l1, &b.l2} {
 		entries := lvl.lookup(lineAddr)
 		placed := false
 		// Update in place if the branch is already recorded.
 		for _, e := range entries {
-			for i := range e.branches {
-				if e.branches[i].Valid && e.branches[i].Offset == offset {
-					e.branches[i] = br
+			for i := range e.slot {
+				if e.slot[i].valid && e.slot[i].offset == offset {
+					e.set(i, br)
 					placed = true
 				}
 			}
@@ -196,9 +228,9 @@ func (b *BTB) Insert(pc uint64, kind isa.BranchKind, target uint64, length uint8
 		}
 		// Otherwise take a free slot in an existing entry for this line...
 		for _, e := range entries {
-			for i := range e.branches {
-				if !e.branches[i].Valid {
-					e.branches[i] = br
+			for i := range e.slot {
+				if !e.slot[i].valid {
+					e.set(i, br)
 					placed = true
 					break
 				}
@@ -212,7 +244,7 @@ func (b *BTB) Insert(pc uint64, kind isa.BranchKind, target uint64, length uint8
 		}
 		// ...or allocate a fresh entry (a dense line spills across ways).
 		e := lvl.install(lineAddr, nil)
-		e.branches[0] = br
+		e.set(0, br)
 	}
 }
 

@@ -57,12 +57,18 @@ func (f *folded) value() uint32 { return f.comp }
 // NewHistory builds a history sized for the package's TAGE geometry.
 func NewHistory() *History {
 	h := &History{}
+	h.reset()
+	return h
+}
+
+// reset clears the history to the empty state NewHistory builds.
+func (h *History) reset() {
+	*h = History{}
 	for t := 0; t < numTables; t++ {
 		h.idx[t] = newFolded(histLens[t], logEntries)
 		h.tag1[t] = newFolded(histLens[t], tagBits[t])
 		h.tag2[t] = newFolded(histLens[t], tagBits[t]-1)
 	}
-	return h
 }
 
 // bit returns history bit i (0 = most recent).

@@ -1,5 +1,7 @@
 package bpred
 
+import "uopsim/internal/reuse"
+
 // ITP is a small history-hashed indirect target predictor (ITTAGE-lite): a
 // direct-mapped tagged table of last targets indexed by PC xor a slice of
 // global path/direction history, with 2-bit confidence hysteresis. The BTB's
@@ -12,15 +14,22 @@ type ITP struct {
 }
 
 type itpEntry struct {
-	tag    uint32
 	target uint64
+	tag    uint32
 	conf   int8
 }
 
 // NewITP builds a 2K-entry predictor.
 func NewITP() *ITP {
+	p := &ITP{}
+	p.reset()
+	return p
+}
+
+// reset empties the table in place, leaving p as NewITP builds it.
+func (p *ITP) reset() {
 	const n = 2048
-	return &ITP{entries: make([]itpEntry, n), mask: n - 1}
+	*p = ITP{entries: reuse.Slice(p.entries, n), mask: n - 1}
 }
 
 func (p *ITP) hash(pc uint64, h *History) (idx, tag uint32) {

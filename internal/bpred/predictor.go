@@ -42,14 +42,37 @@ func (p *Predictor) RegisterMetrics(sc stats.Scope) {
 
 // New builds a predictor with the default Table I geometry.
 func New() *Predictor {
-	return &Predictor{
-		Tage: NewTage(),
-		BTB:  NewBTB(),
-		RAS:  NewRAS(),
-		ITP:  NewITP(),
-		spec: NewHistory(),
-		arch: NewHistory(),
+	p := &Predictor{}
+	p.Reset()
+	return p
+}
+
+// Reset returns p to the untrained state New builds: every table is
+// cleared in place (allocated only when p has none yet), the counters are
+// zeroed and any Shadow predictor is dropped.
+func (p *Predictor) Reset() {
+	*p = Predictor{
+		Tage: orNew(p.Tage),
+		BTB:  orNew(p.BTB),
+		RAS:  orNew(p.RAS),
+		ITP:  orNew(p.ITP),
+		spec: orNew(p.spec),
+		arch: orNew(p.arch),
 	}
+	p.Tage.reset()
+	p.BTB.reset()
+	p.RAS.reset()
+	p.ITP.reset()
+	p.spec.reset()
+	p.arch.reset()
+}
+
+// orNew returns v, or a new zero T when v is nil.
+func orNew[T any](v *T) *T {
+	if v == nil {
+		return new(T)
+	}
+	return v
 }
 
 // FindBranch consults the BTB for the first known branch in the 64B line at

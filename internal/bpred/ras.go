@@ -37,6 +37,9 @@ func (s *rasStack) pop() (uint64, bool) {
 // NewRAS returns an empty stack pair.
 func NewRAS() *RAS { return &RAS{} }
 
+// reset empties both stacks.
+func (r *RAS) reset() { *r = RAS{} }
+
 // SpecPush records a speculative call.
 func (r *RAS) SpecPush(returnAddr uint64) { r.spec.push(returnAddr) }
 

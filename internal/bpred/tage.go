@@ -1,5 +1,7 @@
 package bpred
 
+import "uopsim/internal/reuse"
+
 // TAGE geometry: a bimodal base table plus numTables tagged tables with
 // geometrically increasing history lengths, in the spirit of Seznec's
 // "A new case for the TAGE branch predictor" (Table I cites [49]).
@@ -40,11 +42,19 @@ type Tage struct {
 
 // NewTage builds a predictor with default geometry.
 func NewTage() *Tage {
-	t := &Tage{base: make([]int8, 1<<logBase)}
-	for i := 0; i < numTables; i++ {
-		t.tables[i] = make([]tageEntry, 1<<logEntries)
-	}
+	t := &Tage{}
+	t.reset()
 	return t
+}
+
+// reset returns t to the untrained state NewTage builds, clearing its
+// tables in place.
+func (t *Tage) reset() {
+	tables := t.tables
+	for i := range tables {
+		tables[i] = reuse.Slice(tables[i], 1<<logEntries)
+	}
+	*t = Tage{base: reuse.Slice(t.base, 1<<logBase), tables: tables}
 }
 
 // Pred carries everything Update needs about how a prediction was made.

@@ -3,7 +3,11 @@
 // tag organization, with pluggable replacement (true LRU and RRIP).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"uopsim/internal/reuse"
+)
 
 // Replacement selects victims within a set.
 type Replacement uint8
@@ -24,10 +28,13 @@ type Cache struct {
 	lineShift  uint
 	repl       Replacement
 
-	valid []bool
-	tags  []uint64
-	meta  []uint64 // LRU tick or RRPV
-	tick  uint64
+	// tags holds each way's line address plus one; 0 marks an empty way.
+	tags []uint64
+	// lru is each way's last-touch tick under LRU, and rrpv its 2-bit
+	// re-reference prediction value under RRIP; the other one is nil.
+	lru  []uint64
+	rrpv []uint8
+	tick uint64
 
 	hits, misses, evictions uint64
 }
@@ -47,6 +54,16 @@ type Config struct {
 // New builds a cache. It panics on geometry errors (construction-time
 // programming mistakes, not runtime conditions).
 func New(cfg Config) *Cache {
+	c := &Cache{}
+	c.Reset(cfg)
+	return c
+}
+
+// Reset makes c an empty cache of geometry cfg, as New would build it. It
+// reuses c's line arrays when cfg has as many lines and allocates them
+// otherwise, so a recycled cache of the same geometry allocates nothing.
+// It panics on the same geometry errors as New.
+func (c *Cache) Reset(cfg Config) {
 	if cfg.LineBytes <= 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		panic(fmt.Sprintf("cache: line size %d not a power of two", cfg.LineBytes))
 	}
@@ -63,9 +80,12 @@ func New(cfg Config) *Cache {
 		shift++
 	}
 	n := sets * cfg.Ways
-	return &Cache{
-		sets: sets, ways: cfg.Ways, lineShift: shift, repl: cfg.Repl,
-		valid: make([]bool, n), tags: make([]uint64, n), meta: make([]uint64, n),
+	old := *c
+	*c = Cache{sets: sets, ways: cfg.Ways, lineShift: shift, repl: cfg.Repl, tags: reuse.Slice(old.tags, n)}
+	if cfg.Repl == RRIP {
+		c.rrpv = reuse.Slice(old.rrpv, n)
+	} else {
+		c.lru = reuse.Slice(old.lru, n)
 	}
 }
 
@@ -79,7 +99,8 @@ func (c *Cache) set(addr uint64) int {
 	return int(addr>>c.lineShift) & (c.sets - 1)
 }
 
-func (c *Cache) lineTag(addr uint64) uint64 { return addr >> c.lineShift }
+// lineTag is the tags entry of addr's line (never 0, the empty mark).
+func (c *Cache) lineTag(addr uint64) uint64 { return addr>>c.lineShift + 1 }
 
 // Lookup reports whether addr's line is present, updating replacement state
 // on hit.
@@ -88,7 +109,7 @@ func (c *Cache) Lookup(addr uint64) bool {
 	tag := c.lineTag(addr)
 	for w := 0; w < c.ways; w++ {
 		i := base + w
-		if c.valid[i] && c.tags[i] == tag {
+		if c.tags[i] == tag {
 			c.hits++
 			c.touch(i)
 			return true
@@ -104,7 +125,7 @@ func (c *Cache) Probe(addr uint64) bool {
 	tag := c.lineTag(addr)
 	for w := 0; w < c.ways; w++ {
 		i := base + w
-		if c.valid[i] && c.tags[i] == tag {
+		if c.tags[i] == tag {
 			return true
 		}
 	}
@@ -115,9 +136,9 @@ func (c *Cache) touch(i int) {
 	switch c.repl {
 	case LRU:
 		c.tick++
-		c.meta[i] = c.tick
+		c.lru[i] = c.tick
 	case RRIP:
-		c.meta[i] = 0 // promote to near-immediate re-reference
+		c.rrpv[i] = 0 // promote to near-immediate re-reference
 	}
 }
 
@@ -129,32 +150,31 @@ func (c *Cache) Fill(addr uint64) (evicted uint64, wasEvicted bool) {
 	tag := c.lineTag(addr)
 	for w := 0; w < c.ways; w++ {
 		i := base + w
-		if c.valid[i] && c.tags[i] == tag {
+		if c.tags[i] == tag {
 			c.touch(i)
 			return 0, false
 		}
 	}
 	victim := -1
 	for w := 0; w < c.ways; w++ {
-		if i := base + w; !c.valid[i] {
+		if i := base + w; c.tags[i] == 0 {
 			victim = i
 			break
 		}
 	}
 	if victim == -1 {
 		victim = c.pickVictim(base)
-		evicted = c.tags[victim] << c.lineShift
+		evicted = (c.tags[victim] - 1) << c.lineShift
 		wasEvicted = true
 		c.evictions++
 	}
-	c.valid[victim] = true
 	c.tags[victim] = tag
 	switch c.repl {
 	case LRU:
 		c.tick++
-		c.meta[victim] = c.tick
+		c.lru[victim] = c.tick
 	case RRIP:
-		c.meta[victim] = rrpvMax - 1 // long re-reference interval on insert
+		c.rrpv[victim] = rrpvMax - 1 // long re-reference interval on insert
 	}
 	return evicted, wasEvicted
 }
@@ -164,18 +184,18 @@ func (c *Cache) pickVictim(base int) int {
 	case RRIP:
 		for {
 			for w := 0; w < c.ways; w++ {
-				if c.meta[base+w] >= rrpvMax {
+				if c.rrpv[base+w] >= rrpvMax {
 					return base + w
 				}
 			}
 			for w := 0; w < c.ways; w++ {
-				c.meta[base+w]++
+				c.rrpv[base+w]++
 			}
 		}
 	default: // LRU
 		victim := base
 		for w := 1; w < c.ways; w++ {
-			if c.meta[base+w] < c.meta[victim] {
+			if c.lru[base+w] < c.lru[victim] {
 				victim = base + w
 			}
 		}
@@ -189,8 +209,8 @@ func (c *Cache) Invalidate(addr uint64) bool {
 	tag := c.lineTag(addr)
 	for w := 0; w < c.ways; w++ {
 		i := base + w
-		if c.valid[i] && c.tags[i] == tag {
-			c.valid[i] = false
+		if c.tags[i] == tag {
+			c.tags[i] = 0
 			return true
 		}
 	}

@@ -5,7 +5,10 @@
 // internal/power.
 package decode
 
-import "uopsim/internal/stats"
+import (
+	"uopsim/internal/reuse"
+	"uopsim/internal/stats"
+)
 
 // Pipe is a fixed-latency, width-limited pipeline stage: at most Width items
 // enter per cycle, and each item exits Latency cycles later, in order.
@@ -41,6 +44,15 @@ type pipeSlot[T any] struct {
 // NewPipe builds a pipe with the given latency, per-cycle width and buffer
 // capacity (capacity bounds total in-flight items).
 func NewPipe[T any](latency, width, capacity int) *Pipe[T] {
+	p := &Pipe[T]{}
+	p.Reset(latency, width, capacity)
+	return p
+}
+
+// Reset empties p into the pipe NewPipe(latency, width, capacity) builds,
+// reusing its slot buffer when the capacity matches. In-flight values are
+// dropped; Flush them first to recycle what they hold.
+func (p *Pipe[T]) Reset(latency, width, capacity int) {
 	if latency < 1 {
 		latency = 1
 	}
@@ -50,7 +62,7 @@ func NewPipe[T any](latency, width, capacity int) *Pipe[T] {
 	if capacity < width {
 		capacity = width * latency
 	}
-	return &Pipe[T]{latency: latency, width: width, slots: make([]pipeSlot[T], capacity), lastPushCycle: -1}
+	*p = Pipe[T]{latency: latency, width: width, slots: reuse.Slice(p.slots, capacity), lastPushCycle: -1}
 }
 
 // CanPush reports whether another item can enter at the given cycle.

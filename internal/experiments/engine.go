@@ -168,7 +168,8 @@ func point(p Params, name string, cfg pipeline.Config) (PointResult, error) {
 
 // simulatePoint runs one configuration against the shared immutable
 // workload build (per-run state lives in the simulator's walker, so
-// concurrent points stay independent).
+// concurrent points stay independent). The simulator's core goes back to
+// the pool once its snapshot is taken, for the next point to reuse.
 func simulatePoint(p Params, name string, cfg pipeline.Config) (PointResult, error) {
 	wl, err := workload.Shared(name)
 	if err != nil {
@@ -178,6 +179,7 @@ func simulatePoint(p Params, name string, cfg pipeline.Config) (PointResult, err
 	if err != nil {
 		return PointResult{}, err
 	}
+	defer sim.Release()
 	m, err := sim.RunSampled(p.WarmupInsts, p.MeasureInsts, p.Sampling)
 	if err != nil {
 		return PointResult{}, err

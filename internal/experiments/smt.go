@@ -123,6 +123,7 @@ func smtPoint(p Params, sc Scheme, nameA, nameB string) (PointResult, error) {
 		if err != nil {
 			return PointResult{}, err
 		}
+		defer pair.Release()
 		a, _, err := pair.RunSampled(p.WarmupInsts/2, p.MeasureInsts/2, p.Sampling)
 		if err != nil {
 			return PointResult{}, err

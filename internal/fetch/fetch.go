@@ -98,10 +98,18 @@ func (b *Builder) RegisterMetrics(sc stats.Scope) {
 
 // NewBuilder creates a PW builder.
 func NewBuilder(cfg Config, pred *bpred.Predictor) *Builder {
+	b := &Builder{}
+	b.Reset(cfg, pred)
+	return b
+}
+
+// Reset makes b the builder NewBuilder(cfg, pred) creates: instance
+// numbering and counters start over.
+func (b *Builder) Reset(cfg Config, pred *bpred.Predictor) {
 	if cfg.MaxNotTaken < 0 {
 		cfg.MaxNotTaken = 0
 	}
-	return &Builder{cfg: cfg, pred: pred}
+	*b = Builder{cfg: cfg, pred: pred}
 }
 
 func lineOf(addr uint64) uint64 { return addr &^ uint64(ICLineBytes-1) }

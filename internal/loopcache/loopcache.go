@@ -62,13 +62,21 @@ func (lc *LoopCache) RegisterMetrics(sc stats.Scope) {
 
 // New builds a loop cache.
 func New(cfg Config) *LoopCache {
+	lc := &LoopCache{}
+	lc.Reset(cfg)
+	return lc
+}
+
+// Reset empties lc into the loop cache New(cfg) builds. The captured body's
+// backing array is kept for the next capture.
+func (lc *LoopCache) Reset(cfg Config) {
 	if cfg.MaxUops < 1 {
 		cfg.MaxUops = 1
 	}
 	if cfg.TrainThreshold < 1 {
 		cfg.TrainThreshold = 1
 	}
-	return &LoopCache{cfg: cfg}
+	*lc = LoopCache{cfg: cfg, loop: Loop{InstIDs: lc.loop.InstIDs[:0]}}
 }
 
 // Enabled reports whether the structure is on.

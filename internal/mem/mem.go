@@ -78,11 +78,26 @@ func DefaultConfig() Config {
 
 // New builds the hierarchy.
 func New(cfg Config) *Hierarchy {
-	return &Hierarchy{
-		L1I: cache.New(cache.Config{SizeBytes: cfg.L1IBytes, Ways: cfg.L1IWays, LineBytes: cfg.LineBytes, Repl: cache.LRU}),
-		L1D: cache.New(cache.Config{SizeBytes: cfg.L1DBytes, Ways: cfg.L1DWays, LineBytes: cfg.LineBytes, Repl: cache.LRU}),
-		L2:  cache.New(cache.Config{SizeBytes: cfg.L2Bytes, Ways: cfg.L2Ways, LineBytes: cfg.LineBytes, Repl: cache.LRU}),
-		L3:  cache.New(cache.Config{SizeBytes: cfg.L3Bytes, Ways: cfg.L3Ways, LineBytes: cfg.LineBytes, Repl: cache.RRIP}),
+	h := &Hierarchy{}
+	h.Reset(cfg)
+	return h
+}
+
+// Reset makes h an empty hierarchy sized by cfg, as New would build it,
+// reusing each level's line arrays when its geometry is unchanged.
+func (h *Hierarchy) Reset(cfg Config) {
+	level := func(c *cache.Cache, bytes, ways int, repl cache.Replacement) *cache.Cache {
+		if c == nil {
+			c = &cache.Cache{}
+		}
+		c.Reset(cache.Config{SizeBytes: bytes, Ways: ways, LineBytes: cfg.LineBytes, Repl: repl})
+		return c
+	}
+	*h = Hierarchy{
+		L1I: level(h.L1I, cfg.L1IBytes, cfg.L1IWays, cache.LRU),
+		L1D: level(h.L1D, cfg.L1DBytes, cfg.L1DWays, cache.LRU),
+		L2:  level(h.L2, cfg.L2Bytes, cfg.L2Ways, cache.LRU),
+		L3:  level(h.L3, cfg.L3Bytes, cfg.L3Ways, cache.RRIP),
 
 		IPrefetchDepth: cfg.IPrefetchDepth,
 		DPrefetch:      cfg.DPrefetch,

@@ -127,16 +127,18 @@ func TestRingObserverAllocLean(t *testing.T) {
 	t.Logf("ring-observer allocations: %.4f objects/cycle over %d events", perCycle, ring.Total())
 }
 
-// newBytesBound caps what pipeline.New allocates for bm_cc once the shared
-// workload build exists. The walker sizes its state by the instructions
-// that carry behaviour, so construction is the uop cache, BTB, TAGE and
-// memory hierarchy tables plus about 0.3 MB of walker state (1.8 MB in
-// all); with walker state sized by program length it measured 4.8 MB.
+// newBytesBound caps what pipeline.New allocates for bm_cc on a new core,
+// once the shared workload build exists. The walker sizes its state by the
+// instructions that carry behaviour, so construction is the uop cache, BTB,
+// TAGE and memory hierarchy tables plus about 0.3 MB of walker state
+// (1.4 MB in all); with walker state sized by program length it measured
+// 4.8 MB. TestRecycledNewAllocBound covers New on a released core.
 const newBytesBound = 2_500_000
 
 // TestNewAllocBound bounds the bytes one cold design point spends building
-// its Sim, measured as the TotalAlloc delta around New (the best of three,
-// so a stray background allocation cannot fail it).
+// its Sim on a new core, measured as the TotalAlloc delta around New (the
+// best of three, so a stray background allocation cannot fail it). The core
+// pool is emptied first, so New cannot pass by reusing a released core.
 func TestNewAllocBound(t *testing.T) {
 	wl, err := workload.Shared("bm_cc")
 	if err != nil {
@@ -144,6 +146,8 @@ func TestNewAllocBound(t *testing.T) {
 	}
 	best := uint64(math.MaxUint64)
 	for i := 0; i < 3; i++ {
+		for corePool.Get() != nil {
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if _, err := New(DefaultConfig(), wl); err != nil {
@@ -154,6 +158,9 @@ func TestNewAllocBound(t *testing.T) {
 	}
 	if best > newBytesBound {
 		t.Errorf("pipeline.New(bm_cc) allocated %d bytes, want <= %d", best, newBytesBound)
+	}
+	if best <= recycledNewBytesBound {
+		t.Errorf("pipeline.New(bm_cc) allocated only %d bytes, within the recycled-core bound: it reused a core", best)
 	}
 	t.Logf("pipeline.New(bm_cc): %d bytes", best)
 }

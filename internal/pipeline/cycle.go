@@ -751,6 +751,7 @@ func (s *Sim) consumeCorrect(it *fItem, predicted bool, condPred bpred.Pred) {
 // finite (replayed) oracle, Run stops early once the trace is exhausted and
 // the machine has drained.
 func (s *Sim) Run(n uint64) error {
+	s.live()
 	target := s.m.insts.Value() + n
 	bound := s.cycle + int64(n)*200 + 1_000_000
 	for s.m.insts.Value() < target {
@@ -768,6 +769,7 @@ func (s *Sim) Run(n uint64) error {
 // RunToEnd runs a finite (replayed) oracle to exhaustion and drains the
 // machine. It errors on unbounded oracles after a safety limit.
 func (s *Sim) RunToEnd() error {
+	s.live()
 	bound := s.cycle + 500_000_000
 	for !(!s.orOK && s.drained()) {
 		if s.cycle > bound {

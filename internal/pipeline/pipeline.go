@@ -150,10 +150,13 @@ type pendingRedirect struct {
 }
 
 // Sim is one simulation instance: a workload bound to a configured core.
+// Its components live in a recyclable core (see Release); the pointers
+// below address them directly so the cycle loop never goes through it.
 type Sim struct {
 	cfg  Config
 	prog *program.Program
 	wl   *workload.Workload
+	core *core // nil once released
 
 	oracle trace.Stream
 	orHead trace.Rec
@@ -245,14 +248,7 @@ const (
 
 // New builds a simulator for the workload with a private uop cache.
 func New(cfg Config, wl *workload.Workload) (*Sim, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	ocCache, err := uopcache.New(cfg.UopCache)
-	if err != nil {
-		return nil, err
-	}
-	return NewWithCache(cfg, wl, ocCache)
+	return newSim(cfg, wl, nil, nil, nil)
 }
 
 // NewReplay builds a simulator that replays a pre-recorded dynamic trace
@@ -260,11 +256,7 @@ func New(cfg Config, wl *workload.Workload) (*Sim, error) {
 // behaviours. The workload still supplies the static program the trace
 // references. Replayed traces are finite; use RunToEnd.
 func NewReplay(cfg Config, wl *workload.Workload, stream trace.Stream) (*Sim, error) {
-	ocCache, err := uopcache.New(cfg.UopCache)
-	if err != nil {
-		return nil, err
-	}
-	return newSim(cfg, wl, stream, ocCache)
+	return newSim(cfg, wl, stream, nil, nil)
 }
 
 // NewWithCache builds a simulator around an externally owned uop cache. Two
@@ -272,45 +264,30 @@ func NewReplay(cfg Config, wl *workload.Workload, stream trace.Stream) (*Sim, er
 // compete for the shared capacity (§V-B1's motivation for PWAC). Callers
 // must ensure the threads' code regions do not alias (workload.BuildAt).
 func NewWithCache(cfg Config, wl *workload.Workload, ocCache *uopcache.Cache) (*Sim, error) {
-	return newSim(cfg, wl, workload.NewWalker(wl), ocCache)
+	return newSim(cfg, wl, nil, ocCache, nil)
 }
 
-func newSim(cfg Config, wl *workload.Workload, oracle trace.Stream, ocCache *uopcache.Cache) (*Sim, error) {
+// newSim is the one construction path behind New, NewReplay and
+// NewWithCache. It validates cfg before allocating anything, builds a
+// private uop cache unless ocCache is given, walks wl unless a stream is
+// given to replay, and assembles the simulator on core c — or, when c is
+// nil, on a core a released simulator left in the pool (a new one if the
+// pool is empty).
+func newSim(cfg Config, wl *workload.Workload, stream trace.Stream, ocCache *uopcache.Cache, c *core) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	hier := mem.New(cfg.Mem)
-	s := &Sim{
-		cfg:    cfg,
-		prog:   wl.Program,
-		wl:     wl,
-		oracle: oracle,
-		pred:   bpred.New(),
-		hier:   hier,
-		oc:     ocCache,
-		lc:     loopcache.New(cfg.Loop),
-		be:     backend.New(cfg.Backend, hier),
-		uq:     uopq.NewQueue(cfg.UopQueueSize),
-		dec:    power.DefaultDecoderModel(),
-		ocPipe: decode.NewPipe[fGroup](cfg.OCLatency, 1, 8),
-		dcPipe: decode.NewPipe[fItem](cfg.ICFetchLatency+cfg.DecodeLatency, cfg.DecodeWidth, 64),
-		lcPipe: decode.NewPipe[fGroup](1, 1, 4),
-		pwQ:    make([]fetch.PW, maxInt(cfg.PWQueueSize, 1)),
-	}
-	s.pwb = fetch.NewBuilder(cfg.Fetch, s.pred)
-	s.ocb = uopcache.NewBuilder(cfg.Limits, s.oc, func(e *uopcache.Entry) {
-		s.oc.Fill(e)
-		if s.obs != nil {
-			s.obs.Event(Event{Cycle: s.cycle, Kind: EvFill, Addr: e.Start, A: int32(e.NumUops)})
+	if ocCache == nil {
+		var err error
+		if ocCache, err = uopcache.New(cfg.UopCache); err != nil {
+			return nil, err
 		}
-	})
-	s.registerMetrics()
-
-	s.advanceOracle()
-	entry := s.prog.Entry
-	s.fetchAddr, s.bpuPC, s.curAddr = entry, entry, entry
-	s.nextOraclePC = entry
-	s.lastICLine = ^uint64(0)
+	}
+	if c == nil {
+		c = takeCore()
+	}
+	s := &Sim{}
+	s.init(c, cfg, wl, stream, ocCache)
 	return s, nil
 }
 
@@ -344,14 +321,20 @@ func (s *Sim) registerMetrics() {
 func (s *Sim) Registry() *stats.Registry { return s.reg }
 
 // StatsSnapshot reads every registered instrument.
-func (s *Sim) StatsSnapshot() stats.Snapshot { return s.reg.Snapshot() }
+func (s *Sim) StatsSnapshot() stats.Snapshot {
+	s.live()
+	return s.reg.Snapshot()
+}
 
 // Cycle returns the current cycle.
 func (s *Sim) Cycle() int64 { return s.cycle }
 
 // Step advances the machine by one cycle (SMT wrappers interleave threads at
 // this granularity; single-thread callers normally use Run).
-func (s *Sim) Step() { s.step() }
+func (s *Sim) Step() {
+	s.live()
+	s.step()
+}
 
 // Insts returns the number of correct-path instructions dispatched so far.
 func (s *Sim) Insts() uint64 { return s.m.insts.Value() }
@@ -435,10 +418,3 @@ func (s *Sim) putItems(items []fItem) {
 
 // putGroup recycles the items of a group a redirect flushed from its pipe.
 func (s *Sim) putGroup(g fGroup) { s.putItems(g.items) }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

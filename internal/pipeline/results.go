@@ -29,7 +29,7 @@ type Snapshot struct {
 
 // Snapshot captures the current observables via the metrics registry.
 func (s *Sim) Snapshot() Snapshot {
-	return SnapshotFromStats(s.reg.Snapshot())
+	return SnapshotFromStats(s.StatsSnapshot())
 }
 
 // SnapshotFromStats rebuilds the metrics-facing observable set from a

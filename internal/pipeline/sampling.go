@@ -112,6 +112,7 @@ func (sp Sampling) Coverage(measure uint64) float64 {
 // It returns how many records were actually consumed (short only on a
 // finite replayed oracle).
 func (s *Sim) FastForward(n uint64) uint64 {
+	s.live()
 	if n == 0 {
 		return 0
 	}

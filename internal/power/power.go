@@ -37,7 +37,14 @@ type DecoderModel struct {
 // decoder measurements showing a large activity-proportional component
 // (Hirki et al., CoolDC'16, cited as [34]).
 func DefaultDecoderModel() *DecoderModel {
-	return &DecoderModel{
+	m := &DecoderModel{}
+	m.Reset()
+	return m
+}
+
+// Reset returns m to the unused default model DefaultDecoderModel builds.
+func (m *DecoderModel) Reset() {
+	*m = DecoderModel{
 		EnergyPerInst:  1.0,
 		EnergyPerUop:   0.15,
 		StaticPerCycle: 0.55,

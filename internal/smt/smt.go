@@ -62,6 +62,13 @@ func New(cfg pipeline.Config, profileA, profileB *workload.Profile) (*Pair, erro
 	return &Pair{A: a, B: b, Shared: shared}, nil
 }
 
+// Release returns both threads' cores for reuse (pipeline.Sim.Release).
+// The pair must not be used afterwards.
+func (p *Pair) Release() {
+	p.A.Release()
+	p.B.Release()
+}
+
 // Run interleaves the two threads cycle by cycle until each has dispatched
 // at least instsPerThread correct-path instructions. A thread that reaches
 // its target keeps running (SMT partners do not halt) but the loop exits

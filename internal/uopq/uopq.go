@@ -5,6 +5,7 @@ package uopq
 
 import (
 	"uopsim/internal/isa"
+	"uopsim/internal/reuse"
 	"uopsim/internal/stats"
 )
 
@@ -79,10 +80,15 @@ func (q *Queue) RegisterMetrics(sc stats.Scope) {
 
 // NewQueue builds a queue with the given capacity.
 func NewQueue(capacity int) *Queue {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Queue{buf: make([]Uop, capacity)}
+	q := &Queue{}
+	q.Reset(capacity)
+	return q
+}
+
+// Reset empties q into the queue NewQueue(capacity) builds, reusing its
+// buffer when its capacity matches.
+func (q *Queue) Reset(capacity int) {
+	*q = Queue{buf: reuse.Slice(q.buf, max(capacity, 1))}
 }
 
 // Cap returns the capacity.

@@ -3,6 +3,7 @@ package workload
 import (
 	"uopsim/internal/isa"
 	"uopsim/internal/program"
+	"uopsim/internal/reuse"
 	"uopsim/internal/rng"
 	"uopsim/internal/trace"
 )
@@ -12,11 +13,12 @@ import (
 //
 // All walker state is dense, indexed by behaviour slot (Behaviors): the
 // walker runs once per fetched instruction, so it does no map lookups, and
-// a new walker allocates only for the instructions that carry behaviour.
+// a new walker allocates only for the instructions that carry behaviour. A
+// walker Reset onto the same workload again reuses those arrays.
 type Walker struct {
 	prog *program.Program
 	beh  *Behaviors
-	rnd  *rng.Source
+	rnd  rng.Source
 
 	cur   uint32   // current static instruction ID
 	stack []uint32 // call stack of resume instruction IDs
@@ -37,15 +39,24 @@ type indirectRun struct {
 
 // NewWalker positions a walker at the workload's dispatcher.
 func NewWalker(w *Workload) *Walker {
+	wk := &Walker{}
+	wk.Reset(w)
+	return wk
+}
+
+// Reset makes wk the walker NewWalker(w) builds, reusing its call stack and
+// per-slot arrays when w has as many behaviour slots of each kind.
+func (wk *Walker) Reset(w *Workload) {
 	beh := w.Behaviors
-	return &Walker{
+	*wk = Walker{
 		prog:    w.Program,
 		beh:     beh,
-		rnd:     rng.New(w.Profile.Seed).Derive(5),
+		rnd:     *rng.New(w.Profile.Seed).Derive(5),
 		cur:     uint32(w.Program.Blocks[beh.DispatchBlock].First),
-		condPos: make([]uint32, len(beh.Cond)),
-		indRun:  make([]indirectRun, len(beh.Indirect)),
-		memPos:  make([]uint64, len(beh.Mem)),
+		stack:   wk.stack[:0],
+		condPos: reuse.Slice(wk.condPos, len(beh.Cond)),
+		indRun:  reuse.Slice(wk.indRun, len(beh.Indirect)),
+		memPos:  reuse.Slice(wk.memPos, len(beh.Mem)),
 	}
 }
 

@@ -44,7 +44,11 @@ type Config = pipeline.Config
 // Metrics are the paper-facing measurements of a run.
 type Metrics = pipeline.Metrics
 
-// Simulator is a configured core bound to one workload.
+// Simulator is a configured core bound to one workload. Release hands a
+// finished simulator's core (caches, predictor tables, back end) to the
+// next NewSimulator, which resets it instead of allocating about 1.6 MB;
+// Run and RunSampled release theirs. A released Simulator must not be used
+// again, and one that is never released is simply garbage collected.
 type Simulator = pipeline.Sim
 
 // WorkloadSpec describes one synthetic workload (see internal/workload).
@@ -272,6 +276,7 @@ func Run(cfg Config, workloadName string, warmup, measure uint64) (Metrics, erro
 	if err != nil {
 		return Metrics{}, err
 	}
+	defer sim.Release()
 	return sim.RunMeasured(warmup, measure)
 }
 
@@ -283,6 +288,7 @@ func RunSampled(cfg Config, workloadName string, warmup, measure uint64, sp Samp
 	if err != nil {
 		return Metrics{}, err
 	}
+	defer sim.Release()
 	return sim.RunSampled(warmup, measure, sp)
 }
 

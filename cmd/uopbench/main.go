@@ -9,12 +9,16 @@
 //	uopbench -out BENCH_pipeline.json              # measure, write report
 //	uopbench -out new.json -before old.json        # embed previous numbers
 //	uopbench -golden testdata/golden_metrics.json  # dump golden metrics
+//	uopbench -golden testdata/golden_sampled.json -sample \
+//	    -sample-intervals 4 -sample-insts 2000 -sample-warmup 1000
 //	uopbench -surrogate BENCH_surrogate.json       # fast-tier latency report
 //
 // The -golden mode runs every scheme x workload point at a small fixed scale
 // and dumps the exact Metrics; the root TestGoldenMetrics compares the
 // current simulator against that file bit-for-bit, so perf work cannot
-// silently change reported numbers.
+// silently change reported numbers. With -sample the dump runs every point
+// interval-sampled at a longer fixed scale (a 10k-instruction run is too
+// short for sampling windows) and records the resolved Sampling in the file.
 //
 // The -surrogate mode (see surrogate.go) trains the /v1/estimate fast tier
 // on a 325-point corpus and reports predict latency percentiles and the
@@ -78,14 +82,20 @@ type GoldenPoint struct {
 // front-end path. These constants are shared with the root golden test via
 // the JSON header.
 type GoldenFile struct {
-	Warmup  uint64        `json:"warmup_insts"`
-	Measure uint64        `json:"measure_insts"`
-	Points  []GoldenPoint `json:"points"`
+	Warmup  uint64 `json:"warmup_insts"`
+	Measure uint64 `json:"measure_insts"`
+	// Sampling, when set, means every point ran interval-sampled
+	// (RunSampled) with these resolved knobs.
+	Sampling *uopsim.Sampling `json:"sampling,omitempty"`
+	Points   []GoldenPoint    `json:"points"`
 }
 
 const (
 	goldenWarmup  = 2_000
 	goldenMeasure = 10_000
+
+	goldenSampledWarmup  = 20_000
+	goldenSampledMeasure = 100_000
 )
 
 func main() {
@@ -107,8 +117,17 @@ func main() {
 	)
 	flag.Parse()
 
+	var sp uopsim.Sampling
+	if *sample || *sampleK > 0 || *sampleM > 0 || *sampleW > 0 {
+		sp = uopsim.Sampling{
+			Enabled:       true,
+			Intervals:     *sampleK,
+			IntervalInsts: *sampleM,
+			WarmupInsts:   *sampleW,
+		}
+	}
 	if *golden != "" {
-		if err := writeGolden(*golden, *parallel, *whDir); err != nil {
+		if err := writeGolden(*golden, *parallel, *whDir, sp); err != nil {
 			fmt.Fprintln(os.Stderr, "uopbench:", err)
 			os.Exit(1)
 		}
@@ -129,15 +148,6 @@ func main() {
 	names := benchWorkloads
 	if *workloads != "" {
 		names = strings.Split(*workloads, ",")
-	}
-	var sp uopsim.Sampling
-	if *sample || *sampleK > 0 || *sampleM > 0 || *sampleW > 0 {
-		sp = uopsim.Sampling{
-			Enabled:       true,
-			Intervals:     *sampleK,
-			IntervalInsts: *sampleM,
-			WarmupInsts:   *sampleW,
-		}
 	}
 	rep, err := run(names, *warmup, *insts, *iters, *parallel, sp)
 	if err != nil {
@@ -290,18 +300,26 @@ func run(names []string, warmup, insts uint64, iters, parallel int, sp uopsim.Sa
 // through the shared design-point engine so the dump can run in parallel
 // and, with a warehouse, reuse blobs from previous invocations. The point
 // order — and therefore the file — is identical to the historical
-// sequential loop.
-func writeGolden(path string, parallel int, whDir string) error {
+// sequential loop. An enabled sp runs every point sampled at the
+// goldenSampled* scale.
+func writeGolden(path string, parallel int, whDir string, sp uopsim.Sampling) error {
 	var pts []uopsim.DesignPoint
 	for _, name := range uopsim.WorkloadNames() {
 		for _, sc := range uopsim.Schemes(2) {
 			pts = append(pts, uopsim.DesignPoint{Workload: name, Scheme: sc, Capacity: 2048})
 		}
 	}
+	gf := GoldenFile{Warmup: goldenWarmup, Measure: goldenMeasure}
+	if sp.Enabled {
+		gf.Warmup, gf.Measure = goldenSampledWarmup, goldenSampledMeasure
+		resolved := sp.WithDefaults(gf.Measure)
+		gf.Sampling = &resolved
+	}
 	params := uopsim.ExperimentParams{
-		WarmupInsts:  goldenWarmup,
-		MeasureInsts: goldenMeasure,
+		WarmupInsts:  gf.Warmup,
+		MeasureInsts: gf.Measure,
 		Parallel:     parallel,
+		Sampling:     sp,
 	}
 	var eng *uopsim.RunEngine
 	if whDir != "" {
@@ -320,7 +338,6 @@ func writeGolden(path string, parallel int, whDir string) error {
 	if err != nil {
 		return err
 	}
-	gf := GoldenFile{Warmup: goldenWarmup, Measure: goldenMeasure}
 	for i, r := range runs {
 		gf.Points = append(gf.Points, GoldenPoint{
 			Workload: pts[i].Workload, Scheme: pts[i].Scheme.Name, Capacity: 2048, Metrics: r.Metrics,

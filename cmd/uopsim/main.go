@@ -17,9 +17,6 @@ import (
 	"strings"
 
 	"uopsim"
-	"uopsim/internal/pipeline"
-	"uopsim/internal/trace"
-	"uopsim/internal/workload"
 )
 
 func main() {
@@ -33,7 +30,6 @@ func main() {
 		list         = flag.Bool("list", false, "list workloads and exit")
 		verbose      = flag.Bool("v", false, "also print uop cache entry statistics")
 		asJSON       = flag.Bool("json", false, "emit metrics as JSON (machine-readable)")
-		replayFile   = flag.String("replay", "", "replay a trace captured by tracegen for this workload instead of walking it live")
 		metricsOut   = flag.String("metrics", "", "write the full metrics registry snapshot as JSON to this file (\"-\" for stdout)")
 		promOut      = flag.String("prom", "", "write the metrics snapshot in Prometheus text format to this file (\"-\" for stdout)")
 		traceOut     = flag.String("trace", "", "record pipeline events and dump the last -trace-depth of them to this file (\"-\" for stdout)")
@@ -63,13 +59,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var sim *uopsim.Simulator
-	var err error
-	if *replayFile != "" {
-		sim, err = newReplaySim(cfg, *workloadName, *replayFile)
-	} else {
-		sim, err = uopsim.NewSimulator(cfg, *workloadName)
-	}
+	sim, err := uopsim.NewSimulator(cfg, *workloadName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "uopsim:", err)
 		os.Exit(1)
@@ -169,24 +159,4 @@ func writeTo(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// newReplaySim opens a tracegen-captured file and builds a replay simulator
-// for the named workload's static program.
-func newReplaySim(cfg uopsim.Config, workloadName, path string) (*uopsim.Simulator, error) {
-	wl, err := workload.Shared(workloadName)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	// The reader streams for the simulator's lifetime; the process exit
-	// closes the file.
-	r, err := trace.NewReader(f)
-	if err != nil {
-		return nil, err
-	}
-	return pipeline.NewReplay(cfg, wl, r)
 }

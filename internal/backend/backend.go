@@ -289,6 +289,3 @@ func (b *Backend) ROBOccupancy() int { return b.robLen }
 
 // RetiredUops returns the committed uop count.
 func (b *Backend) RetiredUops() uint64 { return b.retiredUops.Value() }
-
-// Drained reports whether the backend has no uops in flight.
-func (b *Backend) Drained() bool { return b.robLen == 0 }

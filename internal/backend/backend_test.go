@@ -149,18 +149,3 @@ func TestRetireWidth(t *testing.T) {
 		t.Errorf("commit width = %d, want 2", got)
 	}
 }
-
-func TestDrained(t *testing.T) {
-	b := newBE()
-	if !b.Drained() {
-		t.Fatal("fresh backend should be drained")
-	}
-	done := b.Dispatch(0, uopOf(aluInst(1, isa.RegNone)))
-	if b.Drained() {
-		t.Fatal("in-flight uop should block drained")
-	}
-	b.Commit(done)
-	if !b.Drained() {
-		t.Fatal("commit should drain")
-	}
-}

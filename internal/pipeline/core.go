@@ -10,15 +10,15 @@ import (
 	"uopsim/internal/loopcache"
 	"uopsim/internal/mem"
 	"uopsim/internal/power"
-	"uopsim/internal/trace"
 	"uopsim/internal/uopcache"
 	"uopsim/internal/uopq"
 	"uopsim/internal/workload"
 )
 
 // core is a simulator's fixed-size state: the cache hierarchy, the branch
-// predictor's tables, the back end, the queues and pipes, the walker, and
-// the backings of the fetch-side scratch slices. A Table I core is about
+// predictor's tables, the back end, the queues and pipes, the walker whose
+// stream is the simulator's oracle, and the backings of the fetch-side
+// scratch slices. A Table I core is about
 // 1.6 MB, nearly all of what building a simulator allocates, so Release
 // hands it to corePool and the next constructor resets it in place.
 //
@@ -65,7 +65,7 @@ func takeCore() *core {
 // constructor builds, clearing the storage c already owns (an empty core
 // allocates it), and every other field of s starts from zero, so a Sim on
 // a recycled core is indistinguishable from one on a new core.
-func (s *Sim) init(c *core, cfg Config, wl *workload.Workload, stream trace.Stream, ocCache *uopcache.Cache) {
+func (s *Sim) init(c *core, cfg Config, wl *workload.Workload, ocCache *uopcache.Cache) {
 	c.hier.Reset(cfg.Mem)
 	c.pred.Reset()
 	c.pwb.Reset(cfg.Fetch, &c.pred)
@@ -76,10 +76,7 @@ func (s *Sim) init(c *core, cfg Config, wl *workload.Workload, stream trace.Stre
 	c.ocPipe.Reset(cfg.OCLatency, 1, 8)
 	c.dcPipe.Reset(cfg.ICFetchLatency+cfg.DecodeLatency, cfg.DecodeWidth, 64)
 	c.lcPipe.Reset(1, 1, 4)
-	if stream == nil {
-		c.walker.Reset(wl)
-		stream = &c.walker
-	}
+	c.walker.Reset(wl)
 	// PW ring slots need no clearing: bpuStep builds every field of a slot
 	// before fetch reads it, and keeping them keeps their Conds backings.
 	pwQ := c.pwQ
@@ -91,7 +88,7 @@ func (s *Sim) init(c *core, cfg Config, wl *workload.Workload, stream trace.Stre
 		prog:   wl.Program,
 		wl:     wl,
 		core:   c,
-		oracle: stream,
+		walker: &c.walker,
 		pred:   &c.pred,
 		pwb:    &c.pwb,
 		hier:   &c.hier,
@@ -118,7 +115,7 @@ func (s *Sim) init(c *core, cfg Config, wl *workload.Workload, stream trace.Stre
 	})
 	s.registerMetrics()
 
-	s.advanceOracle()
+	s.orHead = s.walker.Next()
 	entry := s.prog.Entry
 	s.fetchAddr, s.bpuPC, s.curAddr = entry, entry, entry
 	s.nextOraclePC = entry
@@ -126,7 +123,7 @@ func (s *Sim) init(c *core, cfg Config, wl *workload.Workload, stream trace.Stre
 }
 
 // Release ends the simulator's life and hands its core to the next
-// New, NewReplay or NewWithCache, which resets it in place instead of
+// New or NewWithCache, which resets it in place instead of
 // allocating a new one. Call it once the results have been read
 // (StatsSnapshot, Metrics). The Sim must not be used afterwards: running
 // or releasing it again panics, and what its accessors returned

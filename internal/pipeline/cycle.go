@@ -112,14 +112,6 @@ func (s *Sim) step() {
 			LCPipe:   s.lcPipe.Len(),
 		})
 	}
-	if !s.orOK && !s.redirectPending {
-		// A finite (replayed) oracle has ended: instructions fetched past
-		// the last record are wrong-path with no misprediction left to
-		// squash them, so discard them as they reach the queue head.
-		if u, ok := s.uq.Peek(); ok && u.WrongPath {
-			s.uq.Flush()
-		}
-	}
 	s.cycle++
 }
 
@@ -320,9 +312,6 @@ func (s *Sim) flushFrontEnd(c int64, target uint64, flushUQ bool) {
 func (s *Sim) fetchStep(c int64) {
 	if s.fetchStall > c {
 		return
-	}
-	if !s.orOK {
-		return // finite (replayed) oracle exhausted: stop fetching, drain
 	}
 	if s.pw == nil && !s.acquirePW(c) {
 		return
@@ -650,10 +639,10 @@ func (s *Sim) makeItem(c int64, in *isa.Inst, src uopq.Source, pw *fetch.PW) fIt
 		it.predictedNext = in.End()
 	}
 
-	if !s.wrongPath && s.orOK && in.Addr == s.nextOraclePC && s.orHead.InstID == in.ID {
+	if !s.wrongPath && in.Addr == s.nextOraclePC && s.orHead.InstID == in.ID {
 		it.correct = true
 		it.rec = s.orHead
-		s.advanceOracle()
+		s.orHead = s.walker.Next()
 		s.nextOraclePC = it.rec.Next
 		if s.OnConsume != nil {
 			s.OnConsume(it.rec)
@@ -747,41 +736,17 @@ func (s *Sim) consumeCorrect(it *fItem, predicted bool, condPred bpred.Pred) {
 }
 
 // Run advances the simulation until n correct-path instructions have been
-// dispatched, with a generous cycle bound to catch livelock bugs. With a
-// finite (replayed) oracle, Run stops early once the trace is exhausted and
-// the machine has drained.
+// dispatched, with a generous cycle bound to catch livelock bugs. The
+// walker's stream never ends, so Run has no other way out.
 func (s *Sim) Run(n uint64) error {
 	s.live()
 	target := s.m.insts.Value() + n
 	bound := s.cycle + int64(n)*200 + 1_000_000
 	for s.m.insts.Value() < target {
-		if !s.orOK && s.drained() {
-			return nil
-		}
 		if s.cycle > bound {
 			return fmt.Errorf("pipeline: exceeded cycle bound at %d insts of %d (livelock?)", s.m.insts.Value(), target)
 		}
 		s.step()
 	}
 	return nil
-}
-
-// RunToEnd runs a finite (replayed) oracle to exhaustion and drains the
-// machine. It errors on unbounded oracles after a safety limit.
-func (s *Sim) RunToEnd() error {
-	s.live()
-	bound := s.cycle + 500_000_000
-	for !(!s.orOK && s.drained()) {
-		if s.cycle > bound {
-			return fmt.Errorf("pipeline: RunToEnd exceeded cycle bound (unbounded oracle?)")
-		}
-		s.step()
-	}
-	return nil
-}
-
-// drained reports whether no work remains anywhere in the machine.
-func (s *Sim) drained() bool {
-	return s.uq.Len() == 0 && s.be.Drained() &&
-		s.ocPipe.Len() == 0 && s.dcPipe.Len() == 0 && s.lcPipe.Len() == 0
 }

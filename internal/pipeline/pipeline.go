@@ -20,7 +20,6 @@ import (
 	"uopsim/internal/power"
 	"uopsim/internal/program"
 	"uopsim/internal/stats"
-	"uopsim/internal/trace"
 	"uopsim/internal/uopcache"
 	"uopsim/internal/uopq"
 	"uopsim/internal/workload"
@@ -116,7 +115,7 @@ func (c Config) Validate() error {
 type fItem struct {
 	seq        uint64
 	inst       *isa.Inst
-	rec        trace.Rec
+	rec        workload.Rec
 	correct    bool
 	fetchCycle int64
 	src        uopq.Source
@@ -158,9 +157,10 @@ type Sim struct {
 	wl   *workload.Workload
 	core *core // nil once released
 
-	oracle trace.Stream
-	orHead trace.Rec
-	orOK   bool
+	// walker is the core's walker: the architectural (oracle) stream the
+	// front end's correct path must follow. orHead is its next record.
+	walker *workload.Walker
+	orHead workload.Rec
 
 	pred *bpred.Predictor
 	pwb  *fetch.Builder
@@ -218,7 +218,7 @@ type Sim struct {
 	// OnConsume, when set, observes every correct-path instruction in
 	// program order as the front end consumes it (testing hook: the
 	// observed sequence must equal the architectural walker's stream).
-	OnConsume func(trace.Rec)
+	OnConsume func(workload.Rec)
 
 	m   counters
 	reg *stats.Registry
@@ -248,15 +248,7 @@ const (
 
 // New builds a simulator for the workload with a private uop cache.
 func New(cfg Config, wl *workload.Workload) (*Sim, error) {
-	return newSim(cfg, wl, nil, nil, nil)
-}
-
-// NewReplay builds a simulator that replays a pre-recorded dynamic trace
-// (e.g. one written by cmd/tracegen) instead of walking the workload's
-// behaviours. The workload still supplies the static program the trace
-// references. Replayed traces are finite; use RunToEnd.
-func NewReplay(cfg Config, wl *workload.Workload, stream trace.Stream) (*Sim, error) {
-	return newSim(cfg, wl, stream, nil, nil)
+	return newSim(cfg, wl, nil, nil)
 }
 
 // NewWithCache builds a simulator around an externally owned uop cache. Two
@@ -264,16 +256,15 @@ func NewReplay(cfg Config, wl *workload.Workload, stream trace.Stream) (*Sim, er
 // compete for the shared capacity (§V-B1's motivation for PWAC). Callers
 // must ensure the threads' code regions do not alias (workload.BuildAt).
 func NewWithCache(cfg Config, wl *workload.Workload, ocCache *uopcache.Cache) (*Sim, error) {
-	return newSim(cfg, wl, nil, ocCache, nil)
+	return newSim(cfg, wl, ocCache, nil)
 }
 
-// newSim is the one construction path behind New, NewReplay and
-// NewWithCache. It validates cfg before allocating anything, builds a
-// private uop cache unless ocCache is given, walks wl unless a stream is
-// given to replay, and assembles the simulator on core c — or, when c is
-// nil, on a core a released simulator left in the pool (a new one if the
-// pool is empty).
-func newSim(cfg Config, wl *workload.Workload, stream trace.Stream, ocCache *uopcache.Cache, c *core) (*Sim, error) {
+// newSim is the one construction path behind New and NewWithCache. It
+// validates cfg before allocating anything, builds a private uop cache
+// unless ocCache is given, and assembles the simulator on core c — or,
+// when c is nil, on a core a released simulator left in the pool (a new
+// one if the pool is empty).
+func newSim(cfg Config, wl *workload.Workload, ocCache *uopcache.Cache, c *core) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -287,12 +278,8 @@ func newSim(cfg Config, wl *workload.Workload, stream trace.Stream, ocCache *uop
 		c = takeCore()
 	}
 	s := &Sim{}
-	s.init(c, cfg, wl, stream, ocCache)
+	s.init(c, cfg, wl, ocCache)
 	return s, nil
-}
-
-func (s *Sim) advanceOracle() {
-	s.orHead, s.orOK = s.oracle.Next()
 }
 
 // registerMetrics mounts every component's instruments into the Sim's

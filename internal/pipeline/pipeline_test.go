@@ -3,7 +3,6 @@ package pipeline
 import (
 	"testing"
 
-	"uopsim/internal/trace"
 	"uopsim/internal/uopcache"
 	"uopsim/internal/workload"
 )
@@ -47,8 +46,8 @@ func TestOracleSynchronization(t *testing.T) {
 			}
 			ref := workload.NewWalker(wl)
 			var mismatches int
-			sim.OnConsume = func(rec trace.Rec) {
-				want, _ := ref.Next()
+			sim.OnConsume = func(rec workload.Rec) {
+				want := ref.Next()
 				if rec != want && mismatches < 3 {
 					t.Errorf("consumed %+v, walker says %+v", rec, want)
 					mismatches++
@@ -245,67 +244,5 @@ func TestSnapshotDeltas(t *testing.T) {
 	}
 	if b.Cycle <= a.Cycle {
 		t.Error("cycles must advance")
-	}
-}
-
-// TestReplayEquivalence: replaying a captured trace must behave identically
-// to walking the workload live (the oracle streams are equal), and a finite
-// replay must drain cleanly via RunToEnd.
-func TestReplayEquivalence(t *testing.T) {
-	wl := buildWL(t, "bm_ds")
-	w := workload.NewWalker(wl)
-	const n = 60_000
-	recs := make([]trace.Rec, n)
-	for i := range recs {
-		recs[i], _ = w.Next()
-	}
-
-	live, err := New(DefaultConfig(), wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := live.Run(n - 1000); err != nil { // leave slack: live oracle is unbounded
-		t.Fatal(err)
-	}
-	lm := live.Snapshot()
-
-	replay, err := NewReplay(DefaultConfig(), wl, trace.NewSliceStream(recs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := replay.Run(n - 1000); err != nil {
-		t.Fatal(err)
-	}
-	rm := replay.Snapshot()
-	if lm != rm {
-		t.Errorf("replay diverged from live run:\nlive   %+v\nreplay %+v", lm, rm)
-	}
-
-	// Drain the remaining tail of the finite trace.
-	if err := replay.RunToEnd(); err != nil {
-		t.Fatal(err)
-	}
-	if got := replay.Insts(); got != n {
-		t.Errorf("replayed %d of %d instructions", got, n)
-	}
-}
-
-// TestRunToEndOnFiniteTrace checks clean termination right after exhaustion.
-func TestRunToEndOnFiniteTrace(t *testing.T) {
-	wl := buildWL(t, "redis")
-	w := workload.NewWalker(wl)
-	recs := make([]trace.Rec, 5_000)
-	for i := range recs {
-		recs[i], _ = w.Next()
-	}
-	sim, err := NewReplay(DefaultConfig(), wl, trace.NewSliceStream(recs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.RunToEnd(); err != nil {
-		t.Fatal(err)
-	}
-	if sim.Insts() != 5_000 {
-		t.Errorf("insts = %d", sim.Insts())
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"uopsim/internal/trace"
 	"uopsim/internal/uopcache"
 	"uopsim/internal/workload"
 )
@@ -53,13 +52,13 @@ const recycleWarmup, recycleMeasure = 3_000, 12_000
 // It returns the retired core.
 func hostileCore(t *testing.T, name string, scheme int) *core {
 	t.Helper()
-	s, err := newSim(schemeConfig(scheme, 512, 3), sharedWL(t, name), nil, nil, new(core))
+	s, err := newSim(schemeConfig(scheme, 512, 3), sharedWL(t, name), nil, new(core))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.SetObserver(NewOccupancyObserver(s.Registry().Scope("trace"), s.cfg))
 	consumed := 0
-	s.OnConsume = func(trace.Rec) { consumed++ }
+	s.OnConsume = func(workload.Rec) { consumed++ }
 	sp := Sampling{Enabled: true, Intervals: 2, IntervalInsts: 2_000, WarmupInsts: 1_000}
 	if _, err := s.RunSampled(recycleWarmup, recycleMeasure, sp); err != nil {
 		t.Fatal(err)
@@ -81,7 +80,7 @@ type runResult struct {
 // the retired core.
 func measureOn(t *testing.T, c *core, cfg Config, wl *workload.Workload) (runResult, *core) {
 	t.Helper()
-	s, err := newSim(cfg, wl, nil, nil, c)
+	s, err := newSim(cfg, wl, nil, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,34 +131,6 @@ func TestRecycledSimMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestRecycledReplayMatchesFresh replays a recorded trace on a core whose
-// previous simulator walked a workload: the walker state it leaves behind
-// must not leak into the replay.
-func TestRecycledReplayMatchesFresh(t *testing.T) {
-	wl := sharedWL(t, "redis")
-	w := workload.NewWalker(wl)
-	recs := make([]trace.Rec, 20_000)
-	for i := range recs {
-		recs[i], _ = w.Next()
-	}
-	replay := func(c *core) runResult {
-		s, err := newSim(DefaultConfig(), wl, trace.NewSliceStream(recs), nil, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.RunToEnd(); err != nil {
-			t.Fatal(err)
-		}
-		snap, err := json.Marshal(s.StatsSnapshot())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return runResult{MetricsBetween(Snapshot{}, s.Snapshot()), snap}
-	}
-	want := replay(new(core))
-	replay(hostileCore(t, "bm_cc", 4)).mustEqual(t, want)
-}
-
 // TestReleasedSimPanics pins the Release contract: a released Sim cannot
 // run, snapshot or be released again.
 func TestReleasedSimPanics(t *testing.T) {
@@ -177,7 +148,6 @@ func TestReleasedSimPanics(t *testing.T) {
 	}{
 		{"Release", s.Release},
 		{"Run", func() { s.Run(1) }},
-		{"RunToEnd", func() { s.RunToEnd() }},
 		{"Step", s.Step},
 		{"FastForward", func() { s.FastForward(1) }},
 		{"RunMeasured", func() { s.RunMeasured(0, 1) }},
@@ -252,7 +222,6 @@ func TestInvalidConfigAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream := trace.NewSliceStream(nil)
 	narrow := DefaultConfig()
 	narrow.DispatchWidth = 0
 	span := DefaultConfig()
@@ -270,7 +239,6 @@ func TestInvalidConfigAllocatesNothing(t *testing.T) {
 			build func() (*Sim, error)
 		}{
 			{"New", func() (*Sim, error) { return New(cfg, wl) }},
-			{"NewReplay", func() (*Sim, error) { return NewReplay(cfg, wl, stream) }},
 			{"NewWithCache", func() (*Sim, error) { return NewWithCache(cfg, wl, oc) }},
 		} {
 			if _, err := c.build(); err == nil {

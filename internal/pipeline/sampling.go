@@ -6,7 +6,7 @@ import (
 	"reflect"
 
 	"uopsim/internal/isa"
-	"uopsim/internal/trace"
+	"uopsim/internal/workload"
 )
 
 // Sampling configures interval-sampled execution (RunSampled): instead of
@@ -109,20 +109,19 @@ func (sp Sampling) Coverage(measure uint64) float64 {
 // skip — their fill paths are driven by fetch, which is exactly what the
 // per-interval warmup window re-exercises.
 //
-// It returns how many records were actually consumed (short only on a
-// finite replayed oracle).
+// The walker's stream never ends, so every skip consumes all n records:
+// FastForward always returns n.
 func (s *Sim) FastForward(n uint64) uint64 {
 	s.live()
 	if n == 0 {
 		return 0
 	}
-	var skipped uint64
 	lastLine := ^uint64(0)
 	lastTarget := s.nextOraclePC
-	for ; skipped < n && s.orOK; skipped++ {
+	for range n {
 		rec := s.orHead
 		in := s.prog.Inst(rec.InstID)
-		s.advanceOracle()
+		s.orHead = s.walker.Next()
 		s.nextOraclePC = rec.Next
 		if s.OnConsume != nil {
 			s.OnConsume(rec)
@@ -142,7 +141,7 @@ func (s *Sim) FastForward(n uint64) uint64 {
 		}
 	}
 	s.flushFrontEnd(s.cycle, s.nextOraclePC, true)
-	return skipped
+	return n
 }
 
 // warmBranch trains the predictor stack with one skipped branch's
@@ -150,7 +149,7 @@ func (s *Sim) FastForward(n uint64) uint64 {
 // (without its statistics — skipped branches are not lookups). It also
 // feeds the loop-buffer trainer with the architectural equivalent of the
 // fetch-side signal: consecutive backward-taken iterations of one branch.
-func (s *Sim) warmBranch(in *isa.Inst, rec trace.Rec, lastTarget *uint64) {
+func (s *Sim) warmBranch(in *isa.Inst, rec workload.Rec, lastTarget *uint64) {
 	switch in.Branch {
 	case isa.BranchCall, isa.BranchIndirectCall:
 		s.pred.ArchCall(in.End())

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"uopsim/internal/trace"
 	"uopsim/internal/workload"
 )
 
@@ -81,8 +80,8 @@ func TestFastForwardKeepsOracleContinuity(t *testing.T) {
 	}
 	ref := workload.NewWalker(wl)
 	var mismatches int
-	sim.OnConsume = func(rec trace.Rec) {
-		want, _ := ref.Next()
+	sim.OnConsume = func(rec workload.Rec) {
+		want := ref.Next()
 		if rec != want && mismatches < 3 {
 			t.Errorf("consumed %+v, walker says %+v", rec, want)
 			mismatches++

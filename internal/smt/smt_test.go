@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"uopsim/internal/pipeline"
-	"uopsim/internal/trace"
 	"uopsim/internal/uopcache"
 	"uopsim/internal/workload"
 )
@@ -48,18 +47,38 @@ func TestOracleSyncUnderSMT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wlA, _ := workload.BuildAt(mustProfile(t, "bm_ds"), workload.CodeBase)
-	refA := workload.NewWalker(wlA)
-	bad := 0
-	pair.A.OnConsume = func(rec trace.Rec) {
-		want, _ := refA.Next()
-		if rec != want && bad < 3 {
-			t.Errorf("thread A diverged: got %+v want %+v", rec, want)
-			bad++
+	threads := []struct {
+		name    string
+		sim     *pipeline.Sim
+		profile string
+		base    uint64
+	}{
+		{"A", pair.A, "bm_ds", workload.CodeBase},
+		{"B", pair.B, "bm_lla", ThreadBBase},
+	}
+	refs := make([]*workload.Walker, len(threads))
+	for i, th := range threads {
+		wl, err := workload.BuildAt(mustProfile(t, th.profile), th.base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, name, bad := workload.NewWalker(wl), th.name, 0
+		refs[i] = ref
+		th.sim.OnConsume = func(rec workload.Rec) {
+			want := ref.Next()
+			if rec != want && bad < 3 {
+				t.Errorf("thread %s diverged: got %+v want %+v", name, rec, want)
+				bad++
+			}
 		}
 	}
 	if err := pair.Run(40_000); err != nil {
 		t.Fatal(err)
+	}
+	for i, th := range threads {
+		if refs[i].Executed() < 40_000 {
+			t.Errorf("thread %s consumed only %d records", th.name, refs[i].Executed())
+		}
 	}
 }
 

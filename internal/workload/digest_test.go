@@ -38,7 +38,7 @@ func walkerDigest(t *testing.T, name string, n int) string {
 	h := fnv.New64a()
 	buf := make([]byte, 0, 21)
 	for i := 0; i < n; i++ {
-		rec, _ := w.Next()
+		rec := w.Next()
 		buf = binary.LittleEndian.AppendUint32(buf[:0], rec.InstID)
 		taken := byte(0)
 		if rec.Taken {

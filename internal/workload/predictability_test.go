@@ -27,7 +27,7 @@ func offlineAccuracy(t *testing.T, name string, n int, verbose bool) float64 {
 	var conds, miss uint64
 	var missByKind, dynByKind [4]uint64
 	for i := 0; i < n; i++ {
-		rec, _ := w.Next()
+		rec := w.Next()
 		in := wl.Program.Inst(rec.InstID)
 		if !in.IsBranch() {
 			continue
@@ -90,7 +90,7 @@ func TestCalibrationReport(t *testing.T) {
 		var insts, conds, miss uint64
 		n := 400_000
 		for i := 0; i < n; i++ {
-			rec, _ := w.Next()
+			rec := w.Next()
 			insts++
 			in := wl.Program.Inst(rec.InstID)
 			if !in.IsBranch() {
@@ -127,7 +127,7 @@ func TestDynamicFootprint(t *testing.T) {
 		var uops, uniqueUops uint64
 		n := 150_000
 		for i := 0; i < n; i++ {
-			rec, _ := w.Next()
+			rec := w.Next()
 			in := wl.Program.Inst(rec.InstID)
 			uops += uint64(in.NumUops)
 			if !seen[rec.InstID] {
@@ -157,7 +157,7 @@ func TestMPKIRankSanity(t *testing.T) {
 		var miss uint64
 		n := 200_000
 		for i := 0; i < n; i++ {
-			rec, _ := w.Next()
+			rec := w.Next()
 			in := wl.Program.Inst(rec.InstID)
 			if !in.IsBranch() {
 				continue

@@ -5,11 +5,27 @@ import (
 	"uopsim/internal/program"
 	"uopsim/internal/reuse"
 	"uopsim/internal/rng"
-	"uopsim/internal/trace"
 )
 
+// Rec is one committed-path dynamic instruction. The static instruction is
+// referenced by ID into the program's instruction table.
+type Rec struct {
+	// InstID indexes program.Program.Insts.
+	InstID uint32
+	// Taken reports the architectural outcome for branches (always true for
+	// unconditional transfers, false for non-branches).
+	Taken bool
+	// Next is the address of the next instruction on the architectural path
+	// (branch target when taken, fallthrough otherwise).
+	Next uint64
+	// MemAddr is the effective address for loads/stores, 0 otherwise.
+	MemAddr uint64
+}
+
 // Walker executes a Workload architecturally, producing the oracle dynamic
-// instruction stream. It is deterministic for a given workload seed.
+// instruction stream: an unbounded sequence of Recs, deterministic for a
+// given workload seed. A simulator's core owns one walker and follows it
+// as the architectural path its front end must fetch.
 //
 // All walker state is dense, indexed by behaviour slot (Behaviors): the
 // walker runs once per fetched instruction, so it does no map lookups, and
@@ -66,11 +82,11 @@ func (w *Walker) Executed() uint64 { return w.executed }
 // Depth returns the current call-stack depth (diagnostics/tests).
 func (w *Walker) Depth() int { return len(w.stack) }
 
-// Next implements trace.Stream; the workload stream is unbounded so ok is
-// always true.
-func (w *Walker) Next() (trace.Rec, bool) {
+// Next executes one instruction and returns its record. The stream never
+// ends.
+func (w *Walker) Next() Rec {
 	in := w.prog.Inst(w.cur)
-	rec := trace.Rec{InstID: w.cur}
+	rec := Rec{InstID: w.cur}
 	w.executed++
 
 	switch {
@@ -92,10 +108,10 @@ func (w *Walker) Next() (trace.Rec, bool) {
 		next = w.prog.At(rec.Next)
 	}
 	w.cur = next.ID
-	return rec, true
+	return rec
 }
 
-func (w *Walker) stepBranch(in *isa.Inst, rec *trace.Rec) {
+func (w *Walker) stepBranch(in *isa.Inst, rec *Rec) {
 	fall := in.End()
 	switch in.Branch {
 	case isa.BranchCond:

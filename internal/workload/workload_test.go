@@ -99,8 +99,8 @@ func TestBuildDeterminism(t *testing.T) {
 	}
 	wa, wb := NewWalker(a), NewWalker(b)
 	for i := 0; i < 50_000; i++ {
-		ra, _ := wa.Next()
-		rb, _ := wb.Next()
+		ra := wa.Next()
+		rb := wb.Next()
 		if ra != rb {
 			t.Fatalf("walker diverged at step %d", i)
 		}
@@ -113,12 +113,9 @@ func TestBuildDeterminism(t *testing.T) {
 func TestWalkerFollowsArchitecture(t *testing.T) {
 	wl := buildNamed(t, "bm_cc")
 	w := NewWalker(wl)
-	prev, _ := w.Next()
+	prev := w.Next()
 	for i := 0; i < 200_000; i++ {
-		rec, ok := w.Next()
-		if !ok {
-			t.Fatal("walker should be unbounded")
-		}
+		rec := w.Next()
 		in := wl.Program.Inst(rec.InstID)
 		if in.Addr != prev.Next {
 			t.Fatalf("step %d: inst at %#x, previous said next=%#x", i, in.Addr, prev.Next)
@@ -137,7 +134,7 @@ func TestWalkerBranchSemantics(t *testing.T) {
 	wl := buildNamed(t, "bm_ds")
 	w := NewWalker(wl)
 	for i := 0; i < 200_000; i++ {
-		rec, _ := w.Next()
+		rec := w.Next()
 		in := wl.Program.Inst(rec.InstID)
 		switch {
 		case !in.IsBranch():
@@ -169,7 +166,7 @@ func TestWalkerCallStackBalance(t *testing.T) {
 	depth := 0
 	maxDepth := 0
 	for i := 0; i < 300_000; i++ {
-		rec, _ := w.Next()
+		rec := w.Next()
 		in := wl.Program.Inst(rec.InstID)
 		switch in.Branch {
 		case isa.BranchCall, isa.BranchIndirectCall:
@@ -197,7 +194,7 @@ func TestWalkerMemoryRegions(t *testing.T) {
 	w := NewWalker(wl)
 	var memRefs int
 	for i := 0; i < 100_000; i++ {
-		rec, _ := w.Next()
+		rec := w.Next()
 		in := wl.Program.Inst(rec.InstID)
 		isMem := in.Class == isa.ClassLoad || in.Class == isa.ClassStore || in.Class == isa.ClassLoadOp
 		if isMem {
@@ -221,7 +218,7 @@ func TestFixedTripLoopsAreStable(t *testing.T) {
 	// always equal FixedTrip-1.
 	runs := map[uint32]int{}
 	for i := 0; i < 400_000; i++ {
-		rec, _ := w.Next()
+		rec := w.Next()
 		in := wl.Program.Inst(rec.InstID)
 		cb := wl.CondOf(in.ID)
 		if cb == nil || cb.Kind != BehLoop || cb.FixedTrip == 0 {
@@ -275,7 +272,7 @@ func TestStreamStatisticsInBand(t *testing.T) {
 			var insts, branches, taken, mem, ops, imms uint64
 			n := 100_000
 			for i := 0; i < n; i++ {
-				rec, _ := w.Next()
+				rec := w.Next()
 				in := wl.Program.Inst(rec.InstID)
 				insts++
 				ops += uint64(in.NumUops)

@@ -18,9 +18,9 @@ import (
 // core is a simulator's fixed-size state: the cache hierarchy, the branch
 // predictor's tables, the back end, the queues and pipes, the walker whose
 // stream is the simulator's oracle, and the backings of the fetch-side
-// scratch slices. A Table I core is about
-// 1.6 MB, nearly all of what building a simulator allocates, so Release
-// hands it to corePool and the next constructor resets it in place.
+// scratch slices. A Table I core is about 1.6 MB, nearly all of what
+// building a simulator allocates, so Release hands it to corePool and the
+// next constructor resets it in place.
 //
 // The uop cache is not part of it: it is small, its geometry is what
 // design points sweep, and SMT threads share one. Nor is anything a

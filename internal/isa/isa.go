@@ -108,15 +108,20 @@ const NumRegs = 16
 // MaxInstLen is the architectural maximum instruction length in bytes.
 const MaxInstLen = 15
 
+// CodeLimit bounds the code address space: every instruction lies below
+// it. An Inst stores its address and direct-branch target in 32 bits, as
+// x86 direct branches encode rel32 displacements; program.Builder refuses a
+// layout that would cross it.
+const CodeLimit uint64 = 1 << 32
+
 // Inst is one static instruction. Instances are immutable after program
 // construction; the dynamic stream references them by pointer. Fields run
-// widest first, so the struct packs into 32 bytes with no padding.
+// widest first, so the struct packs into 20 bytes with no padding.
 type Inst struct {
-	// Addr is the virtual (and, in this simulator, physical) address of the
-	// first byte.
-	Addr uint64
-	// Target is the static target address for direct branches and calls.
-	Target uint64
+	// addr is the virtual (and, in this simulator, physical) address of the
+	// first byte; target is the static target address for direct branches
+	// and calls. Both lie below CodeLimit; see Addr and Target.
+	addr, target uint32
 	// ID is a dense static-instruction index within the program, used to
 	// attach dynamic behaviour (branch outcome streams, memory streams).
 	ID uint32
@@ -140,8 +145,30 @@ type Inst struct {
 // RegNone marks an absent register operand.
 const RegNone uint8 = 0xff
 
+// Addr returns the address of the instruction's first byte.
+func (in *Inst) Addr() uint64 { return uint64(in.addr) }
+
+// Target returns the static target address of a direct branch or call.
+func (in *Inst) Target() uint64 { return uint64(in.target) }
+
 // End returns the address one past the last byte of the instruction.
-func (in *Inst) End() uint64 { return in.Addr + uint64(in.Len) }
+func (in *Inst) End() uint64 { return uint64(in.addr) + uint64(in.Len) }
+
+// SetAddr places the instruction at addr. It panics when addr is not below
+// CodeLimit; program layout checks its code region before placing any
+// instruction.
+func (in *Inst) SetAddr(addr uint64) { in.addr = code32(addr) }
+
+// SetTarget sets the direct-branch target to addr, which must lie below
+// CodeLimit (see SetAddr).
+func (in *Inst) SetTarget(addr uint64) { in.target = code32(addr) }
+
+func code32(addr uint64) uint32 {
+	if addr >= CodeLimit {
+		panic(fmt.Sprintf("isa: code address %#x not below CodeLimit", addr))
+	}
+	return uint32(addr)
+}
 
 // IsBranch reports whether the instruction is any control transfer.
 func (in *Inst) IsBranch() bool { return in.Class == ClassBranch }
@@ -152,9 +179,9 @@ func (in *Inst) IsMicrocoded() bool { return in.Class == ClassMicrocoded }
 // String renders a short diagnostic form.
 func (in *Inst) String() string {
 	if in.IsBranch() {
-		return fmt.Sprintf("%#x: %s/%s len=%d ->%#x", in.Addr, in.Class, in.Branch, in.Len, in.Target)
+		return fmt.Sprintf("%#x: %s/%s len=%d ->%#x", in.addr, in.Class, in.Branch, in.Len, in.target)
 	}
-	return fmt.Sprintf("%#x: %s len=%d uops=%d", in.Addr, in.Class, in.Len, in.NumUops)
+	return fmt.Sprintf("%#x: %s len=%d uops=%d", in.addr, in.Class, in.Len, in.NumUops)
 }
 
 // ExecLatency returns the execution latency in cycles for a uop of class c.

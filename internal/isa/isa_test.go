@@ -46,7 +46,8 @@ func TestBranchKindPredicates(t *testing.T) {
 }
 
 func TestInstHelpers(t *testing.T) {
-	in := Inst{Addr: 100, Len: 5, Class: ClassBranch, Branch: BranchCond}
+	in := Inst{Len: 5, Class: ClassBranch, Branch: BranchCond}
+	in.SetAddr(100)
 	if in.End() != 105 {
 		t.Errorf("End = %d", in.End())
 	}
@@ -161,12 +162,34 @@ func TestMixClassFrequencies(t *testing.T) {
 	}
 }
 
-// TestInstSize pins the static instruction at 32 bytes: the two addresses,
-// the ID and eight one-byte fields, with no padding between them. Every
-// program image holds one per instruction (569k across the Table II
-// profiles), so each byte here is half a megabyte per process.
+// TestInstSize pins the static instruction at 20 bytes: the 32-bit address
+// and target, the ID and eight one-byte fields, with no padding between
+// them. Every program image holds one per instruction (569k across the
+// Table II profiles), so each byte here is half a megabyte per process.
 func TestInstSize(t *testing.T) {
-	if got := unsafe.Sizeof(Inst{}); got != 32 {
-		t.Errorf("sizeof(Inst) = %d, want 32", got)
+	if got := unsafe.Sizeof(Inst{}); got != 20 {
+		t.Errorf("sizeof(Inst) = %d, want 20", got)
+	}
+}
+
+// TestCodeAddressRange checks that an instruction holds any address below
+// CodeLimit exactly and refuses one at or above it.
+func TestCodeAddressRange(t *testing.T) {
+	var in Inst
+	in.Len = 15
+	in.SetAddr(CodeLimit - 1)
+	in.SetTarget(CodeLimit - 16)
+	if in.Addr() != CodeLimit-1 || in.Target() != CodeLimit-16 || in.End() != CodeLimit+14 {
+		t.Errorf("Addr, Target, End = %#x, %#x, %#x", in.Addr(), in.Target(), in.End())
+	}
+	for _, set := range []func(uint64){in.SetAddr, in.SetTarget} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("placing code at %#x did not panic", CodeLimit)
+				}
+			}()
+			set(CodeLimit)
+		}()
 	}
 }

@@ -177,13 +177,13 @@ func (m Mix) SampleRegs(r *rng.Source, c Class) (dest, src1, src2 uint8) {
 }
 
 // NewInst assembles a full non-branch instruction at addr using the mix.
-// The caller assigns Addr-relative fields (ID) afterwards.
+// The caller assigns the ID afterwards.
 func (m Mix) NewInst(r *rng.Source, addr uint64) Inst {
 	c := m.SampleClass(r)
 	imm := m.SampleImmDisp(r, c)
 	dest, s1, s2 := m.SampleRegs(r, c)
 	return Inst{
-		Addr:    addr,
+		addr:    code32(addr),
 		Len:     m.SampleLen(r, c, imm),
 		Class:   c,
 		Branch:  BranchNone,

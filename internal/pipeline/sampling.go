@@ -126,7 +126,7 @@ func (s *Sim) FastForward(n uint64) uint64 {
 		if s.OnConsume != nil {
 			s.OnConsume(rec)
 		}
-		if line := in.Addr &^ uint64(63); line != lastLine {
+		if line := in.Addr() &^ uint64(63); line != lastLine {
 			lastLine = line
 			s.hier.PrefetchInst(line)
 		}
@@ -158,26 +158,26 @@ func (s *Sim) warmBranch(in *isa.Inst, rec workload.Rec, lastTarget *uint64) {
 	}
 	switch in.Branch {
 	case isa.BranchCond:
-		s.pred.WarmCond(in.Addr, rec.Taken)
+		s.pred.WarmCond(in.Addr(), rec.Taken)
 		s.pred.ArchShift(rec.Taken)
 		if rec.Taken {
-			s.pred.WarmTarget(in.Addr, in.Branch, in.Target, in.Len)
+			s.pred.WarmTarget(in.Addr(), in.Branch, in.Target(), in.Len)
 		}
 	case isa.BranchJump, isa.BranchCall:
-		s.pred.WarmTarget(in.Addr, in.Branch, in.Target, in.Len)
+		s.pred.WarmTarget(in.Addr(), in.Branch, in.Target(), in.Len)
 		s.pred.ArchShift(true)
 	case isa.BranchRet:
-		s.pred.WarmTarget(in.Addr, in.Branch, 0, in.Len)
+		s.pred.WarmTarget(in.Addr(), in.Branch, 0, in.Len)
 		s.pred.ArchShift(true)
 	case isa.BranchIndirect, isa.BranchIndirectCall:
-		s.pred.WarmTarget(in.Addr, in.Branch, rec.Next, in.Len)
+		s.pred.WarmTarget(in.Addr(), in.Branch, rec.Next, in.Len)
 		s.pred.ArchShift(true)
 	}
 
 	taken := rec.Taken || in.Branch != isa.BranchCond
-	if in.Branch == isa.BranchCond && rec.Taken && rec.Next <= in.Addr && *lastTarget == rec.Next {
-		if s.lc.ObserveBackwardTaken(in.Addr, rec.Next) {
-			s.captureLoopAt(rec.Next, in.Addr)
+	if in.Branch == isa.BranchCond && rec.Taken && rec.Next <= in.Addr() && *lastTarget == rec.Next {
+		if s.lc.ObserveBackwardTaken(in.Addr(), rec.Next) {
+			s.captureLoopAt(rec.Next, in.Addr())
 		}
 	} else if taken {
 		s.lc.ObserveOther()

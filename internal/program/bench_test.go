@@ -23,7 +23,7 @@ func BenchmarkProgramAt(b *testing.B) {
 	addrs := make([]uint64, 1<<12)
 	for i := range addrs {
 		if i%2 == 0 {
-			addrs[i] = p.Insts[r.Intn(len(p.Insts))].Addr
+			addrs[i] = p.Insts[r.Intn(len(p.Insts))].Addr()
 		} else {
 			addrs[i] = p.Base + uint64(r.Intn(int(p.CodeBytes())))
 		}

@@ -190,7 +190,8 @@ func (b *Builder) fail(err error) {
 
 // Finish assigns instruction IDs and addresses contiguously from the base
 // address, patches direct-branch targets to the first instruction of their
-// target blocks, and validates the result.
+// target blocks, and validates the result. It fails when the code would
+// reach past isa.CodeLimit.
 func (b *Builder) Finish(entryBlock int) (*Program, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -202,10 +203,17 @@ func (b *Builder) Finish(entryBlock int) (*Program, error) {
 		return nil, fmt.Errorf("builder: invalid entry block %d", entryBlock)
 	}
 
+	var size uint64
+	for i := range b.insts {
+		size += uint64(b.insts[i].Len)
+	}
+	if b.base > isa.CodeLimit || size > isa.CodeLimit-b.base {
+		return nil, fmt.Errorf("builder: %d code bytes at %#x cross the 32-bit code space (isa.CodeLimit)", size, b.base)
+	}
 	addr := b.base
 	for i := range b.insts {
 		in := &b.insts[i]
-		in.Addr = addr
+		in.SetAddr(addr)
 		in.ID = uint32(i)
 		addr += uint64(in.Len)
 	}
@@ -222,10 +230,10 @@ func (b *Builder) Finish(entryBlock int) (*Program, error) {
 		if tb < 0 || tb >= len(b.blocks) {
 			return nil, fmt.Errorf("builder: block %d direct branch with invalid target block %d", bi, tb)
 		}
-		last.Target = p.Insts[b.blocks[tb].first].Addr
+		last.SetTarget(p.Insts[b.blocks[tb].first].Addr())
 	}
 
-	p.Entry = p.Insts[b.blocks[entryBlock].first].Addr
+	p.Entry = p.Insts[b.blocks[entryBlock].first].Addr()
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

@@ -32,8 +32,9 @@ type Block struct {
 }
 
 // Program is an immutable synthesized binary. On the Table II profiles it
-// holds about 37 bytes per instruction: a 32-byte isa.Inst, 4.5 bytes of
-// Blocks and 0.7 bytes of address index.
+// holds about 25 bytes per instruction: a 20-byte isa.Inst, 4.5 bytes of
+// Blocks and 0.7 bytes of address index. Its code lies below
+// isa.CodeLimit.
 type Program struct {
 	// Insts holds every static instruction in address order; ID indexes it.
 	Insts []isa.Inst
@@ -73,7 +74,7 @@ func (p *Program) index() {
 	n := (p.Limit - p.Base + 63) / 64
 	p.bounds, p.rank = make([]uint64, n), make([]uint32, n)
 	for i := range p.Insts {
-		off := p.Insts[i].Addr - p.Base
+		off := p.Insts[i].Addr() - p.Base
 		if p.bounds[off/64] == 0 {
 			p.rank[off/64] = uint32(i)
 		}
@@ -123,16 +124,16 @@ func (p *Program) Validate() error {
 		if in.ID != uint32(i) {
 			return fmt.Errorf("program: inst %d has ID %d", i, in.ID)
 		}
-		if in.Addr != prevEnd {
-			return fmt.Errorf("program: inst %d at %#x not contiguous with previous end %#x", i, in.Addr, prevEnd)
+		if in.Addr() != prevEnd {
+			return fmt.Errorf("program: inst %d at %#x not contiguous with previous end %#x", i, in.Addr(), prevEnd)
 		}
 		if in.Len == 0 || in.Len > isa.MaxInstLen {
 			return fmt.Errorf("program: inst %d has invalid length %d", i, in.Len)
 		}
 		if in.IsBranch() && !in.Branch.IsIndirect() {
 			// Direct branches must land on an instruction boundary.
-			if p.At(in.Target) == nil {
-				return fmt.Errorf("program: inst %d branch target %#x not a boundary", i, in.Target)
+			if p.At(in.Target()) == nil {
+				return fmt.Errorf("program: inst %d branch target %#x not a boundary", i, in.Target())
 			}
 		}
 		prevEnd = in.End()

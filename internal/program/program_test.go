@@ -36,8 +36,8 @@ func TestBuilderLayoutContiguity(t *testing.T) {
 	prevEnd := p.Base
 	for i := range p.Insts {
 		in := &p.Insts[i]
-		if in.Addr != prevEnd {
-			t.Fatalf("inst %d at %#x, expected %#x", i, in.Addr, prevEnd)
+		if in.Addr() != prevEnd {
+			t.Fatalf("inst %d at %#x, expected %#x", i, in.Addr(), prevEnd)
 		}
 		prevEnd = in.End()
 	}
@@ -50,9 +50,9 @@ func TestAddressLookup(t *testing.T) {
 	p := buildSimple(t)
 	for i := range p.Insts {
 		in := &p.Insts[i]
-		got := p.At(in.Addr)
+		got := p.At(in.Addr())
 		if got == nil || got.ID != in.ID {
-			t.Fatalf("At(%#x) failed", in.Addr)
+			t.Fatalf("At(%#x) failed", in.Addr())
 		}
 	}
 	if p.At(p.Base+1) != nil && p.Insts[0].Len > 1 {
@@ -70,13 +70,15 @@ func TestAtIndexWordEdges(t *testing.T) {
 	lens := []uint8{15, 15, 15, 15, 3, 1, 15, 15, 15, 15, 2, 1, 1, 4}
 	p := &Program{Base: 0x1000, Limit: 0x1000}
 	for i, n := range lens {
-		p.Insts = append(p.Insts, isa.Inst{Addr: p.Limit, ID: uint32(i), Len: n})
+		in := isa.Inst{ID: uint32(i), Len: n}
+		in.SetAddr(p.Limit)
+		p.Insts = append(p.Insts, in)
 		p.Limit += uint64(n)
 	}
 	p.index()
 	starts := map[uint64]bool{}
 	for i := range p.Insts {
-		starts[p.Insts[i].Addr-p.Base] = true
+		starts[p.Insts[i].Addr()-p.Base] = true
 	}
 	for _, off := range []uint64{0, 63, 64, 127, 128} {
 		if !starts[off] {
@@ -91,8 +93,8 @@ func TestAtIndexWordEdges(t *testing.T) {
 			}
 			continue
 		}
-		if got.Addr != addr {
-			t.Errorf("At(%#x) = instruction %d at %#x", addr, got.ID, got.Addr)
+		if got.Addr() != addr {
+			t.Errorf("At(%#x) = instruction %d at %#x", addr, got.ID, got.Addr())
 		}
 	}
 	if p.At(0) != nil || p.At(math.MaxUint64) != nil {
@@ -117,7 +119,7 @@ func TestNextWalksSequentially(t *testing.T) {
 		if next == nil {
 			break
 		}
-		if next.Addr != in.End() {
+		if next.Addr() != in.End() {
 			t.Fatalf("Next returned non-adjacent inst")
 		}
 		in = next
@@ -137,9 +139,9 @@ func TestBranchTargetsPatched(t *testing.T) {
 		t.Fatal("block 0 should end in a conditional branch")
 	}
 	blk2 := &p.Blocks[2]
-	want := p.Insts[blk2.First].Addr
-	if br.Target != want {
-		t.Errorf("target = %#x, want %#x", br.Target, want)
+	want := p.Insts[blk2.First].Addr()
+	if br.Target() != want {
+		t.Errorf("target = %#x, want %#x", br.Target(), want)
 	}
 }
 
@@ -172,6 +174,35 @@ func TestFinishErrors(t *testing.T) {
 	b3.AddBranchBlock(1, isa.BranchJump, -1)
 	if _, err := b3.Finish(0); err == nil {
 		t.Error("unpatched direct branch should fail")
+	}
+}
+
+// TestFinishCodeSpace checks the 32-bit code space guard: code that would
+// reach past isa.CodeLimit fails with an error, and code ending exactly at
+// it builds.
+func TestFinishCodeSpace(t *testing.T) {
+	build := func(base uint64) (*Program, error) {
+		b := NewBuilder(base, isa.DefaultMix(), rng.New(1))
+		b0 := b.AddBlock(40)
+		b.AddBranchBlock(2, isa.BranchJump, b0)
+		return b.Finish(b0)
+	}
+	p, err := build(0x1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := p.CodeBytes()
+	for _, base := range []uint64{isa.CodeLimit - size + 1, isa.CodeLimit - 16, isa.CodeLimit, math.MaxUint64 - 8} {
+		if p, err := build(base); err == nil {
+			t.Errorf("build at %#x = [%#x, %#x), want an error", base, p.Base, p.Limit)
+		}
+	}
+	p, err = build(isa.CodeLimit - size)
+	if err != nil {
+		t.Fatalf("build ending at CodeLimit: %v", err)
+	}
+	if p.Limit != isa.CodeLimit || p.Insts[len(p.Insts)-1].Target() != p.Base {
+		t.Errorf("build ending at CodeLimit: limit %#x, back-jump target %#x", p.Limit, p.Insts[len(p.Insts)-1].Target())
 	}
 }
 

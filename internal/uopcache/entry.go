@@ -202,14 +202,14 @@ func (b *Builder) Add(in *isa.Inst, pwID, pwInstance uint64, predictedTaken bool
 		// Sequentiality: a non-contiguous instruction means the previous
 		// entry should already have been terminated (taken branch); guard
 		// against desynchronized callers by terminating here.
-		if in.Addr != b.open.End {
+		if in.Addr() != b.open.End {
 			b.terminate(TermTakenBranch)
 		}
 	}
 	if b.open != nil {
 		// I-cache line boundary (relaxed to MaxICLines under CLASP).
-		if icLine(in.Addr) != icLine(b.open.Start) {
-			linesSpanned := int((icLine(in.Addr)-icLine(b.open.Start))/ICLineBytes) + 1
+		if icLine(in.Addr()) != icLine(b.open.Start) {
+			linesSpanned := int((icLine(in.Addr())-icLine(b.open.Start))/ICLineBytes) + 1
 			if linesSpanned > b.limits.MaxICLines {
 				b.terminate(TermICBoundary)
 			} else if linesSpanned > b.openLines {
@@ -232,7 +232,7 @@ func (b *Builder) Add(in *isa.Inst, pwID, pwInstance uint64, predictedTaken bool
 
 	if b.open == nil {
 		b.open = b.cache.takeEntry()
-		b.open.Start, b.open.End, b.open.PWID = in.Addr, in.Addr, pwID
+		b.open.Start, b.open.End, b.open.PWID = in.Addr(), in.Addr(), pwID
 		b.openLines = 1
 		b.countedThisEntry = false
 	}
@@ -249,7 +249,7 @@ func (b *Builder) Add(in *isa.Inst, pwID, pwInstance uint64, predictedTaken bool
 	e.End = in.End()
 	// Spanning is judged by instruction start bytes (an instruction belongs
 	// to the I-cache line holding its first byte).
-	if icLine(in.Addr) != icLine(e.Start) {
+	if icLine(in.Addr()) != icLine(e.Start) {
 		e.SpansBoundary = true
 	}
 

@@ -14,7 +14,9 @@ func mkInst(id uint32, addr uint64, length, uops, imm uint8, ucoded bool) *isa.I
 	if ucoded {
 		class = isa.ClassMicrocoded
 	}
-	return &isa.Inst{ID: id, Addr: addr, Len: length, NumUops: uops, ImmDisp: imm, Class: class}
+	in := &isa.Inst{ID: id, Len: length, NumUops: uops, ImmDisp: imm, Class: class}
+	in.SetAddr(addr)
+	return in
 }
 
 // seqInsts lays out n identical instructions contiguously from base.

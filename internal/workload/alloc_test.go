@@ -64,12 +64,14 @@ func TestNewWalkerAllocScalesWithBehaviours(t *testing.T) {
 }
 
 // TestProgramImageLiveHeap bounds what the 13 Table II builds keep alive:
-// every uopsimd and uopexp process holds all of them. A 32-byte Inst, a
-// 12-byte Block, exact-size slices and a bitmap-rank address index hold
-// them near 30 MiB; 40-byte Insts and Blocks, append-grown slices and a
-// 4-byte-per-code-byte address table took 51.4 MiB.
+// every uopsimd and uopexp process holds all of them. A 20-byte Inst, a
+// 12-byte Block, 2-byte memory and 32-byte branch behaviours, exact-size
+// slices and a bitmap-rank address index hold them near 18.5 MiB; 32-byte
+// Insts and 24-byte memory behaviours that carried their region took
+// 29.9 MiB, and 40-byte Insts and Blocks, append-grown slices and a
+// 4-byte-per-code-byte address table 51.4 MiB.
 func TestProgramImageLiveHeap(t *testing.T) {
-	const bound = 34 << 20
+	const bound = 21 << 20
 	names := Names()
 	wls := make([]*Workload, len(names))
 	var before, after runtime.MemStats

@@ -38,8 +38,8 @@ func programDigest(p *program.Program) string {
 	buf := make([]byte, 0, 28)
 	for i := range p.Insts {
 		in := &p.Insts[i]
-		buf = binary.LittleEndian.AppendUint64(buf[:0], in.Addr)
-		buf = binary.LittleEndian.AppendUint64(buf, in.Target)
+		buf = binary.LittleEndian.AppendUint64(buf[:0], in.Addr())
+		buf = binary.LittleEndian.AppendUint64(buf, in.Target())
 		buf = binary.LittleEndian.AppendUint32(buf, in.ID)
 		buf = append(buf, in.Len, uint8(in.Class), uint8(in.Branch), in.NumUops, in.ImmDisp, in.Dest, in.Src1, in.Src2)
 		h.Write(buf)
@@ -110,6 +110,29 @@ func TestProgramImageDigests(t *testing.T) {
 	}
 }
 
+// TestBuildAtCodeSpaceTop checks that every profile builds at the second
+// SMT thread's base and at the highest base the 32-bit code space leaves
+// it, and that one byte higher fails with an error.
+func TestBuildAtCodeSpaceTop(t *testing.T) {
+	for _, name := range workload.Names() {
+		prof, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wl, err := workload.BuildAt(prof, smt.ThreadBBase)
+		if err != nil {
+			t.Fatalf("%s at ThreadBBase: %v", name, err)
+		}
+		top := isa.CodeLimit - wl.Program.CodeBytes()
+		if wl, err := workload.BuildAt(prof, top); err != nil || wl.Program.Limit != isa.CodeLimit {
+			t.Fatalf("%s at %#x: %v", name, top, err)
+		}
+		if _, err := workload.BuildAt(prof, top+1); err == nil {
+			t.Fatalf("%s at %#x built across CodeLimit", name, top+1)
+		}
+	}
+}
+
 // TestAtMatchesBruteForce checks the address index against the instruction
 // table itself on every profile: each byte of the code region, and the
 // addresses just outside it, resolve to the instruction whose Addr equals
@@ -124,7 +147,7 @@ func TestAtMatchesBruteForce(t *testing.T) {
 		next := 0 // the first instruction at or above the probed address
 		for addr := p.Base; addr < p.Limit; addr++ {
 			var want *isa.Inst
-			if next < len(p.Insts) && p.Insts[next].Addr == addr {
+			if next < len(p.Insts) && p.Insts[next].Addr() == addr {
 				want = &p.Insts[next]
 				next++
 			}

@@ -92,6 +92,11 @@ type Profile struct {
 	WarmFrac, ColdFrac             float64
 }
 
+// maxTripMean bounds TripMean so that a loop's trip count, up to eight
+// times the mean, fits the walker's 32-bit loop counters and a fixed trip
+// count, up to twice the mean, fits CondBehavior.FixedTrip.
+const maxTripMean = 1 << 28
+
 // validate reports the first configuration error.
 func (p *Profile) validate() error {
 	switch {
@@ -103,8 +108,8 @@ func (p *Profile) validate() error {
 		return fmt.Errorf("workload %s: SegmentsPerFunc must be >= 1", p.Name)
 	case p.BlockInsts < 1:
 		return fmt.Errorf("workload %s: BlockInsts must be >= 1", p.Name)
-	case p.TripMean < 1:
-		return fmt.Errorf("workload %s: TripMean must be >= 1", p.Name)
+	case p.TripMean < 1 || p.TripMean > maxTripMean:
+		return fmt.Errorf("workload %s: TripMean must be in [1, %d]", p.Name, maxTripMean)
 	case p.ChaoticFrac < 0 || p.ChaoticFrac > 1:
 		return fmt.Errorf("workload %s: ChaoticFrac out of range", p.Name)
 	}

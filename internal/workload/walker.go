@@ -118,16 +118,16 @@ func (w *Walker) stepBranch(in *isa.Inst, rec *Rec) {
 		taken := w.condOutcome(in)
 		rec.Taken = taken
 		if taken {
-			rec.Next = in.Target
+			rec.Next = in.Target()
 		} else {
 			rec.Next = fall
 		}
 	case isa.BranchJump:
 		rec.Taken = true
-		rec.Next = in.Target
+		rec.Next = in.Target()
 	case isa.BranchCall:
 		rec.Taken = true
-		rec.Next = in.Target
+		rec.Next = in.Target()
 		w.push(in.ID + 1)
 	case isa.BranchIndirectCall:
 		rec.Taken = true
@@ -141,7 +141,7 @@ func (w *Walker) stepBranch(in *isa.Inst, rec *Rec) {
 		if len(w.stack) > 0 {
 			resume := w.stack[len(w.stack)-1]
 			w.stack = w.stack[:len(w.stack)-1]
-			rec.Next = w.prog.Inst(resume).Addr
+			rec.Next = w.prog.Inst(resume).Addr()
 		} else {
 			rec.Next = w.prog.Entry
 		}
@@ -190,7 +190,7 @@ func (w *Walker) condOutcome(in *isa.Inst) bool {
 
 func (w *Walker) sampleTrips(cb *CondBehavior) int {
 	if cb.FixedTrip > 0 {
-		return cb.FixedTrip
+		return int(cb.FixedTrip)
 	}
 	return w.rnd.Geometric(cb.TripMean, int(8*cb.TripMean)+1)
 }
@@ -210,7 +210,7 @@ func (w *Walker) indirectTarget(in *isa.Inst) uint64 {
 	}
 	idx := w.rnd.Choose(ib.Weights)
 	blk := &w.prog.Blocks[ib.TargetBlocks[idx]]
-	run.target = w.prog.Inst(uint32(blk.First)).Addr
+	run.target = w.prog.Inst(uint32(blk.First)).Addr()
 	if ib.RunLen > 1 {
 		run.remaining = int32(w.rnd.Geometric(ib.RunLen, int(4*ib.RunLen)+1) - 1)
 	}
@@ -222,11 +222,12 @@ func (w *Walker) memAddr(in *isa.Inst) uint64 {
 	if s == 0 {
 		return 0
 	}
-	mb := &w.beh.Mem[s-1]
+	mb := w.beh.Mem[s-1]
+	reg := &w.beh.Regions[mb.Region]
 	if mb.Stride == 0 {
-		return mb.Base + w.rnd.Uint64()%mb.Size
+		return reg.Base + w.rnd.Uint64()%reg.Size
 	}
 	off := w.memPos[s-1]
 	w.memPos[s-1] = off + uint64(mb.Stride)
-	return mb.Base + off%mb.Size
+	return reg.Base + off%reg.Size
 }

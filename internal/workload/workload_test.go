@@ -2,6 +2,7 @@ package workload
 
 import (
 	"testing"
+	"unsafe"
 
 	"uopsim/internal/isa"
 )
@@ -117,8 +118,8 @@ func TestWalkerFollowsArchitecture(t *testing.T) {
 	for i := 0; i < 200_000; i++ {
 		rec := w.Next()
 		in := wl.Program.Inst(rec.InstID)
-		if in.Addr != prev.Next {
-			t.Fatalf("step %d: inst at %#x, previous said next=%#x", i, in.Addr, prev.Next)
+		if in.Addr() != prev.Next {
+			t.Fatalf("step %d: inst at %#x, previous said next=%#x", i, in.Addr(), prev.Next)
 		}
 		if prevInst := wl.Program.Inst(prev.InstID); !prevInst.IsBranch() && prev.Next != prevInst.End() {
 			t.Fatalf("non-branch with non-sequential next at step %d", i)
@@ -142,14 +143,14 @@ func TestWalkerBranchSemantics(t *testing.T) {
 				t.Fatal("non-branch marked taken")
 			}
 		case in.Branch == isa.BranchCond:
-			if rec.Taken && rec.Next != in.Target {
+			if rec.Taken && rec.Next != in.Target() {
 				t.Fatal("taken conditional must go to its target")
 			}
 			if !rec.Taken && rec.Next != in.End() {
 				t.Fatal("not-taken conditional must fall through")
 			}
 		case in.Branch == isa.BranchJump || in.Branch == isa.BranchCall:
-			if !rec.Taken || rec.Next != in.Target {
+			if !rec.Taken || rec.Next != in.Target() {
 				t.Fatal("direct unconditional must jump to its target")
 			}
 		default:
@@ -199,8 +200,9 @@ func TestWalkerMemoryRegions(t *testing.T) {
 		isMem := in.Class == isa.ClassLoad || in.Class == isa.ClassStore || in.Class == isa.ClassLoadOp
 		if isMem {
 			memRefs++
-			if rec.MemAddr < hotBase {
-				t.Fatalf("memory address %#x below the data regions", rec.MemAddr)
+			reg := wl.Behaviors.Regions[wl.Behaviors.Mem[wl.Behaviors.slot[in.ID]-1].Region]
+			if rec.MemAddr < reg.Base || rec.MemAddr >= reg.Base+reg.Size || reg.Base < hotBase {
+				t.Fatalf("memory address %#x outside its region [%#x, %#x)", rec.MemAddr, reg.Base, reg.Base+reg.Size)
 			}
 		} else if rec.MemAddr != 0 {
 			t.Fatalf("non-memory instruction carries address %#x", rec.MemAddr)
@@ -227,7 +229,7 @@ func TestFixedTripLoopsAreStable(t *testing.T) {
 		if rec.Taken {
 			runs[in.ID]++
 		} else {
-			if got := runs[in.ID] + 1; got != cb.FixedTrip {
+			if got := runs[in.ID] + 1; got != int(cb.FixedTrip) {
 				t.Fatalf("loop %d ran %d trips, fixed at %d", in.ID, got, cb.FixedTrip)
 			}
 			runs[in.ID] = 0
@@ -244,6 +246,24 @@ func TestProfileValidation(t *testing.T) {
 	p.ChaoticFrac = 1.5
 	if err := p.validate(); err == nil {
 		t.Error("out-of-range chaotic fraction should fail")
+	}
+	p = *Profiles()[0]
+	p.TripMean = 2 * maxTripMean
+	if err := p.validate(); err == nil {
+		t.Error("a trip mean past the loop counters' range should fail")
+	}
+}
+
+// TestBehaviorSizes pins the behaviour tables' entries: a memory
+// instruction's behaviour is a region index and a stride (196k of them
+// across the Table II profiles), a conditional branch's three float64 or
+// uint64 parameters and three narrow ones.
+func TestBehaviorSizes(t *testing.T) {
+	if got := unsafe.Sizeof(MemBehavior{}); got != 2 {
+		t.Errorf("sizeof(MemBehavior) = %d, want 2", got)
+	}
+	if got := unsafe.Sizeof(CondBehavior{}); got != 32 {
+		t.Errorf("sizeof(CondBehavior) = %d, want 32", got)
 	}
 }
 

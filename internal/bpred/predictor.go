@@ -81,10 +81,10 @@ func (p *Predictor) FindBranch(lineAddr uint64, minOffset int) (BTBBranch, int, 
 	return p.BTB.Lookup(lineAddr, minOffset)
 }
 
-// PredictCond predicts the direction of the conditional branch at pc using
-// speculative history.
-func (p *Predictor) PredictCond(pc uint64) Pred {
-	return p.Tage.Predict(pc, p.spec)
+// PredictCond predicts the direction of the conditional branch at pc into
+// pred, using speculative history.
+func (p *Predictor) PredictCond(pred *Pred, pc uint64) {
+	p.Tage.Predict(pred, pc, p.spec)
 }
 
 // PredictTarget predicts the target of the branch at pc given its BTB record
@@ -120,8 +120,9 @@ func (p *Predictor) SpecShift(taken bool) { p.spec.Shift(taken) }
 // in program order while the front end is on the correct path (speculative
 // and architectural history coincide there).
 func (p *Predictor) TrainCond(pc uint64, taken bool) (predictedTaken bool) {
-	pred := p.Tage.Predict(pc, p.arch)
-	p.UpdateCond(pc, pred, taken)
+	var pred Pred
+	p.Tage.Predict(&pred, pc, p.arch)
+	p.UpdateCond(pc, &pred, taken)
 	return pred.Taken
 }
 
@@ -131,21 +132,23 @@ func (p *Predictor) TrainCond(pc uint64, taken bool) (predictedTaken bool) {
 // keep the direction tables and usefulness state hot, but are not
 // lookups and must not dilute the measured accuracy.
 func (p *Predictor) WarmCond(pc uint64, taken bool) {
-	pred := p.Tage.Predict(pc, p.arch)
-	p.Tage.Update(pc, p.arch, pred, taken)
+	var pred Pred
+	p.Tage.Predict(&pred, pc, p.arch)
+	p.Tage.Update(pc, p.arch, &pred, taken)
 }
 
 // UpdateCond trains TAGE with the fetch-time prediction state (pred, as
-// returned by PredictCond) and the resolved outcome, in program order.
-func (p *Predictor) UpdateCond(pc uint64, pred Pred, taken bool) {
+// PredictCond filled it in) and the resolved outcome, in program order.
+func (p *Predictor) UpdateCond(pc uint64, pred *Pred, taken bool) {
 	p.Tage.Update(pc, p.arch, pred, taken)
 	p.condLookups.Inc()
 	if pred.Taken != taken {
 		p.condMiss.Inc()
 	}
 	if p.Shadow != nil {
-		sp := p.Shadow.Predict(pc, p.arch)
-		p.Shadow.Update(pc, p.arch, sp, taken)
+		var sp Pred
+		p.Shadow.Predict(&sp, pc, p.arch)
+		p.Shadow.Update(pc, p.arch, &sp, taken)
 		if sp.Taken != taken {
 			p.shadowMiss.Inc()
 		}

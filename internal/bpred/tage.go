@@ -72,7 +72,6 @@ type Pred struct {
 	idx  [numTables]uint32
 	tags [numTables]uint16
 	bidx uint32
-	hit  [numTables]bool
 }
 
 func (t *Tage) index(pc uint64, h *History, table int) uint32 {
@@ -85,11 +84,11 @@ func (t *Tage) tag(pc uint64, h *History, table int) uint16 {
 	return uint16(v & ((1 << uint(tagBits[table])) - 1))
 }
 
-// Predict returns the direction prediction for the conditional branch at pc
-// under history h.
-func (t *Tage) Predict(pc uint64, h *History) Pred {
-	var p Pred
+// Predict makes the direction prediction for the conditional branch at pc
+// under history h, overwriting every field of p.
+func (t *Tage) Predict(p *Pred, pc uint64, h *History) {
 	p.provider = -1
+	p.providerWeak = false
 	p.bidx = uint32(pc>>2) & ((1 << logBase) - 1)
 	basePred := t.base[p.bidx] >= 0
 
@@ -98,7 +97,6 @@ func (t *Tage) Predict(pc uint64, h *History) Pred {
 		p.idx[i] = t.index(pc, h, i)
 		p.tags[i] = t.tag(pc, h, i)
 		if t.tables[i][p.idx[i]].tag == p.tags[i] {
-			p.hit[i] = true
 			if p.provider == -1 {
 				p.provider = i
 			} else if alt == -1 {
@@ -122,13 +120,12 @@ func (t *Tage) Predict(pc uint64, h *History) Pred {
 	} else {
 		p.Taken = basePred
 	}
-	return p
 }
 
-// Update trains the predictor with the resolved outcome. pred must be the
-// value returned by Predict for this branch instance, and h the history the
+// Update trains the predictor with the resolved outcome. pred must be what
+// Predict filled in for this branch instance, and h the history the
 // prediction was made under.
-func (t *Tage) Update(pc uint64, h *History, pred Pred, taken bool) {
+func (t *Tage) Update(pc uint64, h *History, pred *Pred, taken bool) {
 	_ = h
 	correct := pred.Taken == taken
 
@@ -183,7 +180,7 @@ func (t *Tage) Update(pc uint64, h *History, pred Pred, taken bool) {
 	}
 }
 
-func (t *Tage) allocate(pred Pred, taken bool) {
+func (t *Tage) allocate(pred *Pred, taken bool) {
 	start := pred.provider + 1
 	// Find a victim with u==0 among longer tables; probabilistically prefer
 	// shorter histories (allocation throttling).

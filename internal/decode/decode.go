@@ -74,7 +74,12 @@ func (p *Pipe[T]) CanPush(cycle int64) bool {
 }
 
 // Push enters v at cycle; it must be guarded by CanPush.
-func (p *Pipe[T]) Push(cycle int64, v T) {
+func (p *Pipe[T]) Push(cycle int64, v T) { *p.PushSlot(cycle) = v }
+
+// PushSlot enters a zero item at cycle and returns it for the caller to
+// fill in place; it must be guarded by CanPush. The item stays put until
+// Drop or Flush removes it.
+func (p *Pipe[T]) PushSlot(cycle int64) *T {
 	if !p.CanPush(cycle) {
 		panic("decode: push on full pipe")
 	}
@@ -84,32 +89,28 @@ func (p *Pipe[T]) Push(cycle int64, v T) {
 	}
 	p.pushedThis++
 	p.pushes.Inc()
-	idx := (p.head + p.count) % len(p.slots)
-	p.slots[idx] = pipeSlot[T]{value: v, ready: cycle + int64(p.latency)}
+	sl := &p.slots[(p.head+p.count)%len(p.slots)]
+	sl.ready = cycle + int64(p.latency)
 	p.count++
+	return &sl.value
 }
 
-// PeekReady returns the oldest item without removing it, if it has completed
-// by cycle.
-func (p *Pipe[T]) PeekReady(cycle int64) (T, bool) {
-	var zero T
+// HeadReady returns the oldest item, in place, if it has completed by
+// cycle. It stays in the pipe until Drop removes it.
+func (p *Pipe[T]) HeadReady(cycle int64) (*T, bool) {
 	if p.count == 0 || p.slots[p.head].ready > cycle {
-		return zero, false
+		return nil, false
 	}
-	return p.slots[p.head].value, true
+	return &p.slots[p.head].value, true
 }
 
-// PopReady removes and returns the oldest item if it has completed by cycle.
-func (p *Pipe[T]) PopReady(cycle int64) (T, bool) {
+// Drop removes the oldest item, which HeadReady reported ready, zeroing
+// its slot.
+func (p *Pipe[T]) Drop() {
 	var zero T
-	if p.count == 0 || p.slots[p.head].ready > cycle {
-		return zero, false
-	}
-	v := p.slots[p.head].value
-	p.slots[p.head] = pipeSlot[T]{}
+	p.slots[p.head].value = zero
 	p.head = (p.head + 1) % len(p.slots)
 	p.count--
-	return v, true
 }
 
 // Len returns the number of in-flight items.

@@ -5,15 +5,28 @@ import (
 	"testing"
 )
 
+// popReady removes and returns the oldest item if it has completed by
+// cycle.
+func popReady[T any](p *Pipe[T], cycle int64) (T, bool) {
+	v, ok := p.HeadReady(cycle)
+	if !ok {
+		var zero T
+		return zero, false
+	}
+	out := *v
+	p.Drop()
+	return out, true
+}
+
 func TestPipeLatency(t *testing.T) {
 	p := NewPipe[int](3, 2, 16)
 	p.Push(10, 42)
 	for c := int64(10); c < 13; c++ {
-		if _, ok := p.PopReady(c); ok {
+		if _, ok := popReady(p, c); ok {
 			t.Fatalf("item emerged at cycle %d, before latency elapsed", c)
 		}
 	}
-	v, ok := p.PopReady(13)
+	v, ok := popReady(p, 13)
 	if !ok || v != 42 {
 		t.Fatalf("expected item at cycle 13, got (%v,%v)", v, ok)
 	}
@@ -40,7 +53,7 @@ func TestPipeOrdering(t *testing.T) {
 		p.Push(0, i)
 	}
 	for i := 0; i < 4; i++ {
-		v, ok := p.PopReady(2)
+		v, ok := popReady(p, 2)
 		if !ok || v != i {
 			t.Fatalf("pop %d = (%v,%v)", i, v, ok)
 		}
@@ -56,7 +69,7 @@ func TestPipeCapacity(t *testing.T) {
 	if p.CanPush(2) {
 		t.Fatal("full pipe must refuse pushes regardless of cycle")
 	}
-	p.PopReady(10)
+	popReady(p, 10)
 	if !p.CanPush(10) {
 		t.Fatal("pop should free capacity")
 	}
@@ -65,19 +78,48 @@ func TestPipeCapacity(t *testing.T) {
 func TestPipePeek(t *testing.T) {
 	p := NewPipe[string](1, 1, 4)
 	p.Push(0, "x")
-	if _, ok := p.PeekReady(0); ok {
+	if _, ok := p.HeadReady(0); ok {
 		t.Fatal("peek before ready")
 	}
-	v, ok := p.PeekReady(1)
-	if !ok || v != "x" {
+	v, ok := p.HeadReady(1)
+	if !ok || *v != "x" {
 		t.Fatal("peek at ready failed")
 	}
 	if p.Len() != 1 {
 		t.Fatal("peek must not remove")
 	}
-	p.PopReady(1)
+	p.Drop()
 	if p.Len() != 0 {
-		t.Fatal("pop must remove")
+		t.Fatal("drop must remove")
+	}
+}
+
+// TestPipeSlotsInPlace checks the in-place trio on a wrapping ring: an item
+// filled through PushSlot comes out of HeadReady as filled, edits through
+// HeadReady stick, and every PushSlot hands out a zero item even where a
+// dropped or flushed item lived.
+func TestPipeSlotsInPlace(t *testing.T) {
+	type item struct{ a, b int }
+	p := NewPipe[item](1, 1, 2)
+	for c := int64(0); c < 6; c++ {
+		v := p.PushSlot(c)
+		if *v != (item{}) {
+			t.Fatalf("cycle %d: PushSlot handed out %+v, want a zero item", c, *v)
+		}
+		v.a = int(c)
+		h, ok := p.HeadReady(c + 1)
+		if !ok || h.a != int(c) {
+			t.Fatalf("cycle %d: HeadReady = %+v, %v", c, h, ok)
+		}
+		h.b = 7
+		if got, _ := p.HeadReady(c + 1); got.b != 7 {
+			t.Fatalf("cycle %d: edit through HeadReady lost", c)
+		}
+		if c%2 == 0 {
+			p.Drop()
+		} else {
+			p.Flush(nil)
+		}
 	}
 }
 
@@ -89,7 +131,7 @@ func TestPipeFlush(t *testing.T) {
 	if p.Len() != 0 {
 		t.Fatal("flush incomplete")
 	}
-	if _, ok := p.PopReady(100); ok {
+	if _, ok := popReady(p, 100); ok {
 		t.Fatal("flushed pipe returned an item")
 	}
 	// Width accounting resets with the flush.
@@ -109,7 +151,7 @@ func TestPipeFlushReleasesInFlight(t *testing.T) {
 	var live []int
 	for c := int64(0); c < 5; c++ {
 		// Pop one, push up to two: the head walks around the 4-slot ring.
-		if v, ok := p.PopReady(c); ok {
+		if v, ok := popReady(p, c); ok {
 			if v != live[0] {
 				t.Fatalf("cycle %d popped %d, want %d", c, v, live[0])
 			}
@@ -132,7 +174,7 @@ func TestPipeFlushReleasesInFlight(t *testing.T) {
 	if p.Len() != 0 {
 		t.Errorf("flush left %d in flight", p.Len())
 	}
-	if _, ok := p.PopReady(100); ok {
+	if _, ok := popReady(p, 100); ok {
 		t.Error("flushed pipe returned an item")
 	}
 	got = got[:0]
@@ -156,7 +198,7 @@ func TestPipePushPanicsWhenFull(t *testing.T) {
 func TestPipeDegenerateParams(t *testing.T) {
 	p := NewPipe[int](0, 0, 0) // clamped to sane minimums
 	p.Push(0, 7)
-	if v, ok := p.PopReady(1); !ok || v != 7 {
+	if v, ok := popReady(p, 1); !ok || v != 7 {
 		t.Fatal("clamped pipe broken")
 	}
 }

@@ -124,7 +124,11 @@ func lineOf(addr uint64) uint64 { return addr &^ uint64(ICLineBytes-1) }
 func (b *Builder) Build(pw *PW, startPC uint64) {
 	b.instance++
 	b.built.Inc()
-	*pw = PW{ID: startPC, Instance: b.instance, Start: startPC, Conds: pw.Conds[:0]}
+	// Field by field: a composite-literal store would build the window on
+	// the stack and copy it over.
+	pw.ID, pw.Instance, pw.Start, pw.End = startPC, b.instance, startPC, 0
+	pw.Term, pw.EndsTaken, pw.TakenPC, pw.NextPC = TermLineEnd, false, 0, 0
+	pw.Conds, pw.TerminalKind, pw.Penalty = pw.Conds[:0], isa.BranchNone, 0
 	line := lineOf(startPC)
 	lineEnd := line + ICLineBytes
 	cur := startPC
@@ -143,11 +147,13 @@ func (b *Builder) Build(pw *PW, startPC uint64) {
 		brPC := br.PC(line)
 		fall := br.FallThrough(line)
 		if br.Kind == isa.BranchCond {
-			p := b.pred.PredictCond(brPC)
-			b.pred.SpecShift(p.Taken)
+			pw.Conds = append(pw.Conds, CondAt{PC: brPC})
+			ca := &pw.Conds[len(pw.Conds)-1]
+			b.pred.PredictCond(&ca.Pred, brPC)
+			ca.Taken = ca.Pred.Taken
+			b.pred.SpecShift(ca.Taken)
 			b.specShifts.Inc()
-			pw.Conds = append(pw.Conds, CondAt{PC: brPC, Pred: p, Taken: p.Taken})
-			if !p.Taken {
+			if !ca.Taken {
 				nt++
 				if nt >= b.cfg.MaxNotTaken && b.cfg.MaxNotTaken > 0 {
 					pw.End = fall

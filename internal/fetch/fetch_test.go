@@ -183,15 +183,35 @@ func samePW(a, b PW) bool {
 	return reflect.DeepEqual(a, b)
 }
 
+// staleFields sets every field of pw but Conds to a non-zero value.
+func staleFields(pw *PW) {
+	v := reflect.ValueOf(pw).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int:
+			f.SetInt(7)
+		case reflect.Uint8, reflect.Uint64:
+			f.SetUint(7)
+		case reflect.Slice:
+		default:
+			panic("staleFields: unhandled kind " + f.Kind().String())
+		}
+	}
+}
+
 // TestBuildIntoReusedPW pins the recycling contract: building into a reused
-// PW yields exactly what a fresh PW would hold, and after the first pass the
-// reused Conds backing absorbs every later window without allocating.
+// PW, whatever its fields hold, yields exactly what a fresh PW would hold,
+// and after the first pass the reused Conds backing absorbs every later
+// window without allocating.
 func TestBuildIntoReusedPW(t *testing.T) {
 	reused := NewBuilder(DefaultConfig(), trainedPredictor())
 	fresh := NewBuilder(DefaultConfig(), trainedPredictor())
 	var pw PW
 	for round := 0; round < 3; round++ {
 		for _, pc := range reuseStarts {
+			staleFields(&pw)
 			reused.Build(&pw, pc)
 			var want PW
 			fresh.Build(&want, pc)

@@ -5,11 +5,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
+	"uopsim/internal/fetch"
 	"uopsim/internal/uopcache"
+	"uopsim/internal/uopq"
 	"uopsim/internal/workload"
 )
 
@@ -286,4 +290,67 @@ func TestRecycledNewAllocBound(t *testing.T) {
 		t.Errorf("pipeline.New(bm_cc) on a recycled core allocated %d bytes, want <= %d", best, recycledNewBytesBound)
 	}
 	t.Logf("pipeline.New(bm_cc) on a recycled core: %d bytes", best)
+}
+
+// TestMakeItemOverwritesStaleItem checks that makeItem writes every field of
+// the item it fills: group, backlog and decode-pipe slots are recycled
+// without being zeroed. Two identical simulators stamp the same instructions,
+// one into a zero item and one into an item whose every field is set, on the
+// correct path and off it, and must produce equal items.
+func TestMakeItemOverwritesStaleItem(t *testing.T) {
+	wl := sharedWL(t, "bm_cc")
+	var sims [2]*Sim
+	for i := range sims {
+		s, err := New(DefaultConfig(), wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Release()
+		sims[i] = s
+	}
+	pw := &fetch.PW{ID: 0x400000, Instance: 3}
+	correct := 0
+	for n := 0; n < 300; n++ {
+		in := wl.Program.At(sims[0].nextOraclePC)
+		if n%4 == 3 {
+			in = wl.Program.Next(in) // not the oracle's next instruction
+		}
+		var items [2]fItem
+		setEveryField(reflect.ValueOf(&items[1]).Elem())
+		for i, s := range sims {
+			s.makeItem(&items[i], int64(n), in, uopq.SrcDecoder, pw)
+			s.wrongPath = false // keep stamping the correct path
+		}
+		if !reflect.DeepEqual(items[0], items[1]) {
+			t.Fatalf("instruction %d: into a zero item %+v, into a stale one %+v", n, items[0], items[1])
+		}
+		if items[0].correct {
+			correct++
+		}
+	}
+	if correct < 200 {
+		t.Fatalf("only %d of 300 stamps were on the correct path", correct)
+	}
+}
+
+// setEveryField sets every field of v, exported or not, to a non-zero value.
+func setEveryField(v reflect.Value) {
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		f = reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			f.SetInt(-7)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			f.SetUint(0x77)
+		case reflect.Pointer:
+			f.Set(reflect.New(f.Type().Elem()))
+		case reflect.Struct:
+			setEveryField(f)
+		default:
+			panic("setEveryField: unhandled kind " + f.Kind().String())
+		}
+	}
 }

@@ -6,8 +6,6 @@
 // fetches the daemon's /v1/stats engine counters. Exit status is nonzero
 // if any request ultimately failed.
 //
-// Usage:
-//
 // With -mode estimate the mix goes to /v1/estimate (warehouse-backed
 // daemons only): confident surrogate predictions answer sub-millisecond,
 // the rest fall through to real simulation, and the report splits the two
@@ -26,9 +24,6 @@
 // membership counters, and the cluster-wide dedupe check — the summed
 // Simulated across shards must equal the mix's unique point count, the
 // proof that fingerprint routing collapsed every repeat fleet-wide.
-// -bench-out additionally replays the (now warm) mix twice — once through
-// the gateway, once against one shard directly — and writes the routing
-// overhead (p50/p95/p99 both ways) plus the balance snapshot as JSON.
 //
 // Usage:
 //
@@ -37,7 +32,6 @@
 //	uopload -url http://localhost:8077 -mode estimate -n 200 -unique 10
 //	uopload -url http://localhost:8077 -mode query -where workload=bm_cc -metrics upc,oc_fetch_ratio
 //	uopload -url http://localhost:8090 -gateway -n 50 -unique 10
-//	uopload -url http://localhost:8090 -gateway -bench-out BENCH_cluster.json
 package main
 
 import (
@@ -46,7 +40,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"uopsim/internal/cluster"
 	"uopsim/internal/server"
@@ -81,17 +74,12 @@ func run() error {
 		qFeatures  = flag.Bool("query-features", false, "query: include each row's stored feature vector")
 		timeout    = flag.Duration("timeout", 0, "per-request timeout forwarded as timeout_ms (0 = server cap)")
 		gateway    = flag.Bool("gateway", false, "target is a uopgate cluster gateway: report per-shard balance and the cluster-wide dedupe check")
-		benchOut   = flag.String("bench-out", "", "gateway: write a warm gateway-vs-direct latency comparison to this JSON file")
 		sample     = flag.Bool("sample", false, "request interval-sampled simulation for every point")
 		sampleK    = flag.Int("sample-intervals", 0, "sampling: measurement intervals per run (0 = server default)")
 		sampleM    = flag.Uint64("sample-insts", 0, "sampling: measured instructions per interval (0 = server default)")
 		sampleW    = flag.Uint64("sample-warmup", 0, "sampling: detailed-warmup instructions per interval (0 = server default)")
 	)
 	flag.Parse()
-
-	if *benchOut != "" && !*gateway {
-		return fmt.Errorf("-bench-out requires -gateway (it measures routing overhead against the cluster)")
-	}
 
 	cfg := server.LoadConfig{
 		Requests:    *n,
@@ -148,13 +136,8 @@ func run() error {
 	fmt.Print(report)
 
 	if *gateway {
-		cs, cerr := reportCluster(*url, cfg.PoolSize())
-		if cerr != nil {
+		if cerr := reportCluster(*url, cfg.PoolSize()); cerr != nil {
 			fmt.Fprintf(os.Stderr, "uopload: cluster stats fetch failed: %v\n", cerr)
-		} else if *benchOut != "" {
-			if berr := writeBench(client, cfg, cs, *benchOut); berr != nil {
-				return berr
-			}
 		}
 	} else if stats, serr := client.Stats(); serr == nil {
 		fmt.Printf("engine %s\n", stats.Engine)
@@ -176,10 +159,10 @@ func run() error {
 // unique pool), the balance ratio and failover counters, then one line per
 // shard. Dead or restarted shards make the summed counters undercount —
 // the dedupe line still prints, the caller decides what to assert.
-func reportCluster(url string, expectUnique int) (*cluster.StatsResponse, error) {
+func reportCluster(url string, expectUnique int) error {
 	cs, err := cluster.NewClient(url).Stats()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	eng := cs.Cluster.Engine
 	fmt.Printf("cluster nodes=%d alive=%d reporting=%d simulated=%d unique_expected=%d dedupe_ok=%v\n",
@@ -196,101 +179,6 @@ func reportCluster(url string, expectUnique int) (*cluster.StatsResponse, error)
 			ns.Name, ns.Node, ns.Alive, ns.Requests, ns.Errors, ns.Points, sim,
 			ns.LatencyP50MS, ns.LatencyP95MS)
 	}
-	return cs, nil
-}
-
-// benchLatencies is one replay's latency profile in BENCH_cluster.json.
-type benchLatencies struct {
-	P50MS float64 `json:"p50_ms"`
-	P95MS float64 `json:"p95_ms"`
-	P99MS float64 `json:"p99_ms"`
-}
-
-// benchShard is one shard's balance row in BENCH_cluster.json.
-type benchShard struct {
-	Name      string `json:"name"`
-	Node      string `json:"node,omitempty"`
-	Requests  uint64 `json:"requests"`
-	Points    int    `json:"points"`
-	Simulated uint64 `json:"simulated"`
-}
-
-// benchReport is BENCH_cluster.json: the warm-mix routing overhead
-// (gateway vs one shard directly) plus the per-shard balance snapshot.
-type benchReport struct {
-	Requests      int            `json:"requests"`
-	Unique        int            `json:"unique"`
-	Nodes         int            `json:"nodes"`
-	Balance       float64        `json:"balance_max_mean"`
-	Gateway       benchLatencies `json:"gateway"`
-	Direct        benchLatencies `json:"direct"`
-	OverheadP50MS float64        `json:"overhead_p50_ms"`
-	Shards        []benchShard   `json:"shards"`
-}
-
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// writeBench measures routing overhead on the warm mix: one pass through
-// the gateway, then the same pass against the first live shard directly
-// (after an unmeasured warm-up there — a single shard does not hold the
-// points it doesn't own until it simulates them once). Runs after the
-// dedupe report on purpose: the direct warm-up simulates off-owner points
-// and would skew the cluster counters it checks.
-func writeBench(gwClient *server.Client, cfg server.LoadConfig, cs *cluster.StatsResponse, path string) error {
-	gwReport, err := server.RunLoad(gwClient, cfg)
-	if err != nil {
-		return fmt.Errorf("bench gateway pass: %w", err)
-	}
-	var directURL string
-	for _, ns := range cs.Nodes {
-		if ns.Alive {
-			directURL = ns.Name
-			break
-		}
-	}
-	if directURL == "" {
-		return fmt.Errorf("bench: no live shard to measure directly")
-	}
-	dClient := server.NewClient(directURL)
-	if _, err := server.RunLoad(dClient, cfg); err != nil { // warm-up, unmeasured
-		return fmt.Errorf("bench direct warm-up: %w", err)
-	}
-	dReport, err := server.RunLoad(dClient, cfg)
-	if err != nil {
-		return fmt.Errorf("bench direct pass: %w", err)
-	}
-	// Re-fetch so the balance rows include the bench passes themselves.
-	after, err := cluster.NewClient(gwClient.BaseURL).Stats()
-	if err != nil {
-		after = cs
-	}
-	out := benchReport{
-		Requests: cfg.Requests,
-		Unique:   cfg.PoolSize(),
-		Nodes:    after.Ring.Nodes,
-		Balance:  after.Balance,
-		Gateway:  benchLatencies{P50MS: ms(gwReport.P50), P95MS: ms(gwReport.P95), P99MS: ms(gwReport.P99)},
-		Direct:   benchLatencies{P50MS: ms(dReport.P50), P95MS: ms(dReport.P95), P99MS: ms(dReport.P99)},
-	}
-	out.OverheadP50MS = out.Gateway.P50MS - out.Direct.P50MS
-	for _, ns := range after.Nodes {
-		var sim uint64
-		if ns.Engine != nil {
-			sim = ns.Engine.Simulated
-		}
-		out.Shards = append(out.Shards, benchShard{
-			Name: ns.Name, Node: ns.Node, Requests: ns.Requests, Points: ns.Points, Simulated: sim,
-		})
-	}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("bench gateway_p50=%.1fms direct_p50=%.1fms overhead_p50=%.1fms -> %s\n",
-		out.Gateway.P50MS, out.Direct.P50MS, out.OverheadP50MS, path)
 	return nil
 }
 

@@ -37,9 +37,7 @@ type ringPoint struct {
 // determine every assignment, regardless of insertion order — and
 // immutable under concurrent readers: the gateway builds it once from the
 // static -nodes list and handles downtime by walking successors, not by
-// mutating the ring. Add/Remove exist for callers that do change the
-// configured set (and for the remap tests); they are not safe to call
-// concurrently with lookups.
+// mutating the ring.
 type Ring struct {
 	vnodes int
 	nodes  []string // sorted, distinct
@@ -63,13 +61,13 @@ func NewRing(nodes []string, vnodes int) *Ring {
 	}
 	r := &Ring{vnodes: vnodes}
 	for _, n := range nodes {
-		r.Add(n)
+		r.add(n)
 	}
 	return r
 }
 
-// Add inserts a node's virtual nodes. Adding a present node is a no-op.
-func (r *Ring) Add(node string) {
+// add inserts a node's virtual nodes. Adding a present node is a no-op.
+func (r *Ring) add(node string) {
 	i := sort.SearchStrings(r.nodes, node)
 	if i < len(r.nodes) && r.nodes[i] == node {
 		return
@@ -81,23 +79,6 @@ func (r *Ring) Add(node string) {
 		r.points = append(r.points, ringPoint{hash: hash64(node + "#" + strconv.Itoa(v)), node: node})
 	}
 	r.sortPoints()
-}
-
-// Remove deletes a node's virtual nodes. Removing an absent node is a
-// no-op.
-func (r *Ring) Remove(node string) {
-	i := sort.SearchStrings(r.nodes, node)
-	if i >= len(r.nodes) || r.nodes[i] != node {
-		return
-	}
-	r.nodes = append(r.nodes[:i], r.nodes[i+1:]...)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
 }
 
 // sortPoints orders the circle by hash, breaking the (astronomically

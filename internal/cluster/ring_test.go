@@ -60,21 +60,17 @@ func TestRingMinimalRemapOnJoin(t *testing.T) {
 	keys := ringKeys(8_000)
 	nodes := ringNodes(8)
 	r := NewRing(nodes, 0)
-	before := make(map[string]string, len(keys))
-	for _, k := range keys {
-		before[k] = r.Owner(k)
-	}
 	const joiner = "http://shard-new:8077"
-	r.Add(joiner)
+	joined := NewRing(append(nodes, joiner), 0)
 	moved := 0
 	for _, k := range keys {
-		after := r.Owner(k)
-		if after == before[k] {
+		before, after := r.Owner(k), joined.Owner(k)
+		if after == before {
 			continue
 		}
 		moved++
 		if after != joiner {
-			t.Fatalf("key %s moved between survivors: %s -> %s", k, before[k], after)
+			t.Fatalf("key %s moved between survivors: %s -> %s", k, before, after)
 		}
 	}
 	fair := float64(len(keys)) / 9
@@ -83,28 +79,28 @@ func TestRingMinimalRemapOnJoin(t *testing.T) {
 	}
 }
 
-// TestRingMinimalRemapOnLeave verifies the inverse: removing a node moves
-// only that node's keys, and every survivor keeps everything it had.
+// TestRingMinimalRemapOnLeave verifies the property the gateway's spill
+// order relies on: while one node is down, the first live node in a key's
+// Owners walk is exactly the key's owner on a ring built without that
+// node. Spilling therefore sends every key where a smaller fleet would
+// own it, and moves no key between two survivors.
 func TestRingMinimalRemapOnLeave(t *testing.T) {
 	keys := ringKeys(8_000)
 	nodes := ringNodes(8)
 	r := NewRing(nodes, 0)
-	before := make(map[string]string, len(keys))
-	for _, k := range keys {
-		before[k] = r.Owner(k)
-	}
 	leaver := nodes[3]
-	r.Remove(leaver)
+	survivors := append(append([]string(nil), nodes[:3]...), nodes[4:]...)
+	smaller := NewRing(survivors, 0)
 	for _, k := range keys {
-		after := r.Owner(k)
-		if before[k] == leaver {
-			if after == leaver {
-				t.Fatalf("key %s still owned by removed node", k)
+		spill := ""
+		for _, o := range r.Owners(k, r.Len()) {
+			if o != leaver {
+				spill = o
+				break
 			}
-			continue
 		}
-		if after != before[k] {
-			t.Fatalf("key %s moved between survivors on leave: %s -> %s", k, before[k], after)
+		if want := smaller.Owner(k); spill != want {
+			t.Fatalf("key %s: first survivor in the spill order is %s, the ring without %s says %s", k, spill, leaver, want)
 		}
 	}
 }

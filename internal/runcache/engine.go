@@ -13,7 +13,7 @@ import (
 // split between Simulated and the hit counters is the dedupe/caching
 // evidence the experiment harness reports (and CI asserts on).
 type Stats struct {
-	// Submitted is the total number of Do calls plus Lookup hits.
+	// Submitted is the total number of DoLazy calls plus Lookup hits.
 	Submitted uint64 `json:"submitted"`
 	// Unique is the number of distinct fingerprints submitted.
 	Unique uint64 `json:"unique"`
@@ -79,7 +79,7 @@ type entry[T any] struct {
 	err  error
 }
 
-// Resolution identifies how one DoResolved call obtained its result. A
+// Resolution identifies how one DoLazy call obtained its result. A
 // long-lived service reports it per request so clients (and its load
 // generator) can measure cache effectiveness without scraping counters.
 type Resolution uint8
@@ -114,7 +114,7 @@ func New[T any]() *Engine[T] {
 }
 
 // SetStore attaches a persistence back end (in production, a
-// warehouse.Store). Configure before the first Do.
+// warehouse.Store). Configure before the first DoLazy.
 func (e *Engine[T]) SetStore(s Store) { e.store = s }
 
 // Store returns the attached persistence back end, or nil for an
@@ -128,7 +128,7 @@ func (e *Engine[T]) Store() Store { return e.store }
 // one counts in BadBlobs and the point is simulated. The simulator is
 // deterministic, so any holder's copy of a fingerprint is as good as a
 // fresh run. Engines without a store never consult it. Configure before
-// the first Do.
+// the first DoLazy.
 func (e *Engine[T]) SetPeerLoad(fn func(Fingerprint) ([]byte, bool)) { e.peerLoad = fn }
 
 // SetValidate installs a semantic check applied to decoded disk blobs; a
@@ -180,34 +180,25 @@ func (e *Engine[T]) StatsSnapshot() stats.Snapshot {
 	return r.Snapshot()
 }
 
-// Do resolves the design point at fp, running compute at most once per
-// fingerprint per process. Safe for concurrent use.
-func (e *Engine[T]) Do(fp Fingerprint, compute func() (T, error)) (T, error) {
-	v, _, err := e.DoLazy(fp, nil, compute)
-	return v, err
-}
-
-// DoResolved is Do plus how: whether this call computed, joined an
-// in-process entry, or was served from disk. Duplicate submissions of an
-// entry report ResolvedMemo regardless of how its first submitter
-// resolved it.
-func (e *Engine[T]) DoResolved(fp Fingerprint, compute func() (T, error)) (T, Resolution, error) {
-	return e.DoLazy(fp, nil, compute)
-}
-
-// DoFeatured is DoResolved carrying the point's canonical feature vector,
-// which a feature-indexed store (the warehouse) persists alongside the
-// blob so stored results answer config-field queries. Features never enter
-// the fingerprint — submitting the same fp with and without them resolves
-// to one entry — and a featureless store drops them.
+// DoFeatured is DoLazy with the point's canonical feature vector already
+// in hand, which a feature-indexed store (the warehouse) persists
+// alongside the blob so stored results answer config-field queries.
+// Features never enter the fingerprint — submitting the same fp with and
+// without them resolves to one entry — and a featureless store drops them.
 func (e *Engine[T]) DoFeatured(fp Fingerprint, feat Features, compute func() (T, error)) (T, Resolution, error) {
 	return e.DoLazy(fp, func() (Features, error) { return feat, nil }, compute)
 }
 
-// DoLazy is DoFeatured with the feature vector built on demand: features
-// runs only when a freshly simulated result is about to be stored, so memo
-// and disk hits never pay for it. A features error fails the point and
-// stores nothing. A nil features stores the blob without a vector.
+// DoLazy resolves the design point at fp, running compute at most once per
+// fingerprint per process, and reports how: whether this call computed,
+// joined an in-process entry, or was served from disk. Duplicate
+// submissions of an entry report ResolvedMemo regardless of how its first
+// submitter resolved it. Safe for concurrent use.
+//
+// features builds the point's feature vector on demand: it runs only when
+// a freshly simulated result is about to be stored, so memo and disk hits
+// never pay for it. A features error fails the point and stores nothing. A
+// nil features stores the blob without a vector.
 func (e *Engine[T]) DoLazy(fp Fingerprint, features func() (Features, error), compute func() (T, error)) (T, Resolution, error) {
 	e.mu.Lock()
 	e.st.Submitted++

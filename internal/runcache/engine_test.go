@@ -20,13 +20,13 @@ func TestEngineMemoizesCompute(t *testing.T) {
 		calls++
 		return payload{N: 42, S: "x"}, nil
 	}
-	a, err := e.Do("fp1", compute)
+	a, _, err := e.DoLazy("fp1", nil, compute)
 	if err != nil || a.N != 42 {
-		t.Fatalf("first Do = %+v, %v", a, err)
+		t.Fatalf("first DoLazy = %+v, %v", a, err)
 	}
-	b, err := e.Do("fp1", compute)
+	b, _, err := e.DoLazy("fp1", nil, compute)
 	if err != nil || b != a {
-		t.Fatalf("memoized Do = %+v, %v (want %+v)", b, err, a)
+		t.Fatalf("memoized DoLazy = %+v, %v (want %+v)", b, err, a)
 	}
 	if calls != 1 {
 		t.Errorf("compute ran %d times, want 1", calls)
@@ -35,7 +35,7 @@ func TestEngineMemoizesCompute(t *testing.T) {
 	if st.Submitted != 2 || st.Unique != 1 || st.MemoHits != 1 || st.Simulated != 1 {
 		t.Errorf("stats = %+v", st)
 	}
-	if _, err := e.Do("fp2", compute); err != nil {
+	if _, _, err := e.DoLazy("fp2", nil, compute); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.Unique != 2 || st.Simulated != 2 {
@@ -51,10 +51,10 @@ func TestEngineMemoizesErrors(t *testing.T) {
 	calls := 0
 	boom := errors.New("boom")
 	compute := func() (payload, error) { calls++; return payload{}, boom }
-	if _, err := e.Do("fp", compute); !errors.Is(err, boom) {
+	if _, _, err := e.DoLazy("fp", nil, compute); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := e.Do("fp", compute); !errors.Is(err, boom) {
+	if _, _, err := e.DoLazy("fp", nil, compute); !errors.Is(err, boom) {
 		t.Fatalf("memoized err = %v", err)
 	}
 	if calls != 1 {
@@ -83,7 +83,7 @@ func TestEngineSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], _ = e.Do("shared", compute)
+			results[i], _, _ = e.DoLazy("shared", nil, compute)
 		}(i)
 	}
 	for e.Stats().Submitted < goroutines {
@@ -110,7 +110,7 @@ func TestEngineDiskRoundTrip(t *testing.T) {
 	e1 := New[payload]()
 	e1.SetStore(store)
 	want := payload{N: 9, S: "persisted"}
-	if _, err := e1.Do("fp", func() (payload, error) { return want, nil }); err != nil {
+	if _, _, err := e1.DoLazy("fp", nil, func() (payload, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if st := e1.Stats(); st.Simulated != 1 || st.DiskWrites != 1 {
@@ -121,7 +121,7 @@ func TestEngineDiskRoundTrip(t *testing.T) {
 	// recompute.
 	e2 := New[payload]()
 	e2.SetStore(store)
-	got, err := e2.Do("fp", func() (payload, error) {
+	got, _, err := e2.DoLazy("fp", nil, func() (payload, error) {
 		t.Error("compute ran despite a valid disk blob")
 		return payload{}, nil
 	})
@@ -139,9 +139,9 @@ func TestEngineCorruptBlobResimulated(t *testing.T) {
 	e := New[payload]()
 	e.SetStore(store)
 	want := payload{N: 3}
-	got, err := e.Do("fp", func() (payload, error) { return want, nil })
+	got, _, err := e.DoLazy("fp", nil, func() (payload, error) { return want, nil })
 	if err != nil || got != want {
-		t.Fatalf("Do = %+v, %v", got, err)
+		t.Fatalf("DoLazy = %+v, %v", got, err)
 	}
 	st := e.Stats()
 	if st.BadBlobs != 1 || st.Simulated != 1 || st.DiskHits != 0 {
@@ -170,9 +170,9 @@ func TestEngineValidateRejectsBlob(t *testing.T) {
 		}
 		return nil
 	})
-	got, err := e.Do("fp", func() (payload, error) { return payload{N: 5}, nil })
+	got, _, err := e.DoLazy("fp", nil, func() (payload, error) { return payload{N: 5}, nil })
 	if err != nil || got.N != 5 {
-		t.Fatalf("Do = %+v, %v", got, err)
+		t.Fatalf("DoLazy = %+v, %v", got, err)
 	}
 	if st := e.Stats(); st.BadBlobs != 1 || st.Simulated != 1 {
 		t.Errorf("stats = %+v", st)
@@ -184,16 +184,16 @@ func TestEngineVerifyPassesOnHonestBlob(t *testing.T) {
 	e1 := New[payload]()
 	e1.SetStore(store)
 	want := payload{N: 11, S: "v"}
-	if _, err := e1.Do("fp", func() (payload, error) { return want, nil }); err != nil {
+	if _, _, err := e1.DoLazy("fp", nil, func() (payload, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
 
 	e2 := New[payload]()
 	e2.SetStore(store)
 	e2.SetVerifyEvery(1)
-	got, err := e2.Do("fp", func() (payload, error) { return want, nil })
+	got, _, err := e2.DoLazy("fp", nil, func() (payload, error) { return want, nil })
 	if err != nil || got != want {
-		t.Fatalf("verified Do = %+v, %v", got, err)
+		t.Fatalf("verified DoLazy = %+v, %v", got, err)
 	}
 	if st := e2.Stats(); st.Verified != 1 || st.VerifyFailed != 0 {
 		t.Errorf("stats = %+v", st)
@@ -209,7 +209,7 @@ func TestEngineVerifyDetectsTamperedBlob(t *testing.T) {
 	e := New[payload]()
 	e.SetStore(store)
 	e.SetVerifyEvery(1)
-	_, err := e.Do("fp", func() (payload, error) { return payload{N: 1, S: "fresh"}, nil })
+	_, _, err := e.DoLazy("fp", nil, func() (payload, error) { return payload{N: 1, S: "fresh"}, nil })
 	if err == nil {
 		t.Fatal("tampered blob must fail verification")
 	}
@@ -228,7 +228,7 @@ func TestEngineVerifyEverySamples(t *testing.T) {
 	e1.SetStore(store)
 	for _, fp := range []Fingerprint{"a", "b", "c", "d"} {
 		fp := fp
-		if _, err := e1.Do(fp, func() (payload, error) { return payload{N: 1, S: string(fp)}, nil }); err != nil {
+		if _, _, err := e1.DoLazy(fp, nil, func() (payload, error) { return payload{N: 1, S: string(fp)}, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -237,7 +237,7 @@ func TestEngineVerifyEverySamples(t *testing.T) {
 	e2.SetVerifyEvery(2)
 	for _, fp := range []Fingerprint{"a", "b", "c", "d"} {
 		fp := fp
-		if _, err := e2.Do(fp, func() (payload, error) { return payload{N: 1, S: string(fp)}, nil }); err != nil {
+		if _, _, err := e2.DoLazy(fp, nil, func() (payload, error) { return payload{N: 1, S: string(fp)}, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -272,21 +272,21 @@ func TestDoResolved(t *testing.T) {
 	e1.SetStore(store)
 	compute := func() (payload, error) { return payload{N: 7}, nil }
 
-	if _, how, err := e1.DoResolved("fp", compute); err != nil || how != ResolvedCompute {
-		t.Fatalf("first DoResolved = (%s, %v), want simulated", how, err)
+	if _, how, err := e1.DoLazy("fp", nil, compute); err != nil || how != ResolvedCompute {
+		t.Fatalf("first DoLazy = (%s, %v), want simulated", how, err)
 	}
-	if _, how, err := e1.DoResolved("fp", compute); err != nil || how != ResolvedMemo {
-		t.Fatalf("repeat DoResolved = (%s, %v), want memo", how, err)
+	if _, how, err := e1.DoLazy("fp", nil, compute); err != nil || how != ResolvedMemo {
+		t.Fatalf("repeat DoLazy = (%s, %v), want memo", how, err)
 	}
 
 	e2 := New[payload]()
 	e2.SetStore(store)
-	if _, how, err := e2.DoResolved("fp", compute); err != nil || how != ResolvedDisk {
-		t.Fatalf("fresh-engine DoResolved = (%s, %v), want disk", how, err)
+	if _, how, err := e2.DoLazy("fp", nil, compute); err != nil || how != ResolvedDisk {
+		t.Fatalf("fresh-engine DoLazy = (%s, %v), want disk", how, err)
 	}
 	// The disk-loaded entry memoizes like any other.
-	if _, how, err := e2.DoResolved("fp", compute); err != nil || how != ResolvedMemo {
-		t.Fatalf("post-disk DoResolved = (%s, %v), want memo", how, err)
+	if _, how, err := e2.DoLazy("fp", nil, compute); err != nil || how != ResolvedMemo {
+		t.Fatalf("post-disk DoLazy = (%s, %v), want memo", how, err)
 	}
 }
 
@@ -310,7 +310,7 @@ func TestStatsSnapshot(t *testing.T) {
 	e := New[payload]()
 	compute := func() (payload, error) { return payload{N: 1}, nil }
 	for i := 0; i < 3; i++ {
-		if _, err := e.Do("fp", compute); err != nil {
+		if _, _, err := e.DoLazy("fp", nil, compute); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -340,7 +340,7 @@ func TestStatsSnapshot(t *testing.T) {
 
 // TestLookupCompletedOnly: Lookup answers only completed, successful
 // entries, never blocks on one in flight, and counts a hit exactly as a
-// memo-joining Do would.
+// memo-joining DoLazy would.
 func TestLookupCompletedOnly(t *testing.T) {
 	e := New[payload]()
 	if _, ok := e.Lookup("absent"); ok {
@@ -350,7 +350,7 @@ func TestLookupCompletedOnly(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		e.Do("slow", func() (payload, error) { <-release; return payload{N: 3}, nil })
+		e.DoLazy("slow", nil, func() (payload, error) { <-release; return payload{N: 3}, nil })
 	}()
 	for e.Stats().Submitted < 1 {
 		runtime.Gosched()
@@ -371,7 +371,7 @@ func TestLookupCompletedOnly(t *testing.T) {
 	}
 
 	boom := errors.New("boom")
-	e.Do("bad", func() (payload, error) { return payload{}, boom })
+	e.DoLazy("bad", nil, func() (payload, error) { return payload{}, boom })
 	before = e.Stats()
 	if _, ok := e.Lookup("bad"); ok {
 		t.Fatal("Lookup answered an entry that resolved to an error")

@@ -17,9 +17,9 @@ func TestEngineQuarantinesCorruptBlob(t *testing.T) {
 	e := New[payload]()
 	e.SetStore(store)
 	want := payload{N: 7, S: "fresh"}
-	got, err := e.Do("fp", func() (payload, error) { return want, nil })
+	got, _, err := e.DoLazy("fp", nil, func() (payload, error) { return want, nil })
 	if err != nil || got != want {
-		t.Fatalf("Do = %+v, %v", got, err)
+		t.Fatalf("DoLazy = %+v, %v", got, err)
 	}
 	if st := e.Stats(); st.BadBlobs != 1 || st.Simulated != 1 {
 		t.Fatalf("first-run stats = %+v", st)
@@ -30,12 +30,12 @@ func TestEngineQuarantinesCorruptBlob(t *testing.T) {
 
 	e2 := New[payload]()
 	e2.SetStore(store)
-	got2, err := e2.Do("fp", func() (payload, error) {
+	got2, _, err := e2.DoLazy("fp", nil, func() (payload, error) {
 		t.Fatal("re-simulated a point the repaired blob should serve")
 		return payload{}, nil
 	})
 	if err != nil || got2 != want {
-		t.Fatalf("second-run Do = %+v, %v", got2, err)
+		t.Fatalf("second-run DoLazy = %+v, %v", got2, err)
 	}
 	if st := e2.Stats(); st.DiskHits != 1 || st.BadBlobs != 0 {
 		t.Fatalf("second-run stats = %+v", st)

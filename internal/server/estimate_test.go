@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"uopsim/internal/experiments"
 )
@@ -139,13 +140,15 @@ func TestEstimateValidation(t *testing.T) {
 // TestRunEstimateLoadgen drives the estimate load mode end to end: a
 // repeat-heavy mix where the first draw of each point falls through and
 // every repeat is served by the surrogate, with the accuracy spot-check
-// exercising /v1/simulate for ground truth.
+// exercising /v1/simulate for ground truth. The run is paced, so it
+// cannot finish before its last request's slot.
 func TestRunEstimateLoadgen(t *testing.T) {
 	_, _, url := newWarehouseServer(t, Config{Workers: 2, QueueDepth: 32})
 	rep, err := RunEstimate(NewClient(url), LoadConfig{
 		Requests:    12,
 		Unique:      2,
 		Concurrency: 2, // ≤ unique so a repeat never races its cold draw
+		RPS:         20,
 		Workloads:   []string{"bm_ds"},
 		Capacities:  []int{1024, 2048},
 		Warmup:      2_000,
@@ -156,6 +159,9 @@ func TestRunEstimateLoadgen(t *testing.T) {
 	}
 	if rep.OK != rep.Requests {
 		t.Fatalf("estimate run dropped requests: %+v", rep)
+	}
+	if min := time.Duration(rep.Requests-1) * time.Second / 20; rep.Elapsed < min {
+		t.Fatalf("elapsed %s < %s: the estimate run ignored RPS", rep.Elapsed, min)
 	}
 	if rep.Sources["simulated"] < 1 || rep.Sources["surrogate"] < 1 {
 		t.Fatalf("mix should split across tiers: %+v", rep.Sources)

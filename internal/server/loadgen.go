@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -22,7 +23,8 @@ type LoadConfig struct {
 	Unique      int
 	Concurrency int
 	// RPS, when positive, paces issuance; 0 issues as fast as the
-	// concurrency allows (the saturation mode that exercises 429s).
+	// concurrency allows (the saturation mode that exercises 429s). A
+	// sweep run sends one batch and ignores it.
 	RPS int
 	// Warmup and Measure are the per-point run lengths.
 	Warmup  uint64
@@ -218,111 +220,39 @@ func quantilesOf(lats []time.Duration) LatencyQuantiles {
 	}
 }
 
-// modeQuantiles folds per-mode latency samples into the report shape.
-func modeQuantiles(byMode map[string][]time.Duration) map[string]LatencyQuantiles {
-	out := make(map[string]LatencyQuantiles, len(byMode))
-	for k, lats := range byMode {
-		out[k] = quantilesOf(lats)
-	}
-	return out
-}
-
-// RunLoad replays cfg against the daemon at base via /v1/simulate: the
-// sweep-shaped mix (Requests draws over Unique points) that demonstrates
-// the engine collapsing repeats, and — unpaced against a small queue — the
-// 429/Retry-After backpressure contract.
-func RunLoad(client *Client, cfg LoadConfig) (LoadReport, error) {
-	cfg = cfg.withDefaults()
-	pool := cfg.points()
+// mix draws the run's Requests points: the unique pool repeated in order,
+// then shuffled with Seed, so every mode replays the same sequence.
+func (c LoadConfig) mix() ([]experiments.PointRequest, error) {
+	pool := c.points()
 	if len(pool) == 0 {
-		return LoadReport{}, fmt.Errorf("server: load config yields no design points")
+		return nil, fmt.Errorf("server: load config yields no design points")
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	reqs := make([]experiments.PointRequest, cfg.Requests)
+	reqs := make([]experiments.PointRequest, c.Requests)
 	for i := range reqs {
 		reqs[i] = pool[i%len(pool)]
 	}
-	rng.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
-
-	// Optional pacing: one shared ticker gate at the target rate.
-	var gate <-chan time.Time
-	var ticker *time.Ticker
-	if cfg.RPS > 0 {
-		ticker = time.NewTicker(time.Second / time.Duration(cfg.RPS))
-		defer ticker.Stop()
-		gate = ticker.C
-	}
-
-	var (
-		mu        sync.Mutex
-		latencies []time.Duration
-		modeLats  = map[string][]time.Duration{}
-		report    = LoadReport{Requests: cfg.Requests, Resolutions: map[string]int{}, Modes: map[string]int{}}
-	)
-	jobs := make(chan experiments.PointRequest)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < cfg.Concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for pt := range jobs {
-				if gate != nil {
-					<-gate
-				}
-				t0 := time.Now()
-				resp, retries, n429, err := simulateWithRetry(client, pt, cfg)
-				lat := time.Since(t0)
-				mu.Lock()
-				report.Retries += retries
-				report.Status429 += n429
-				if err != nil {
-					report.Failed++
-				} else {
-					report.OK++
-					report.Resolutions[resp.Resolution]++
-					report.Modes[resp.Mode]++
-					latencies = append(latencies, lat)
-					modeLats[resp.Mode] = append(modeLats[resp.Mode], lat)
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for _, pt := range reqs {
-		jobs <- pt
-	}
-	close(jobs)
-	wg.Wait()
-	report.Elapsed = time.Since(start)
-
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	report.P50 = percentile(latencies, 0.50)
-	report.P90 = percentile(latencies, 0.90)
-	report.P95 = percentile(latencies, 0.95)
-	report.P99 = percentile(latencies, 0.99)
-	if n := len(latencies); n > 0 {
-		report.Max = latencies[n-1]
-	}
-	report.ModeLatency = modeQuantiles(modeLats)
-	return report, nil
+	rand.New(rand.NewSource(c.Seed)).Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
+	return reqs, nil
 }
 
-// simulateWithRetry issues one request, retrying 429s per the config and
-// counting how often backpressure was observed.
-func simulateWithRetry(client *Client, pt experiments.PointRequest, cfg LoadConfig) (resp *SimulateResponse, retries, n429 int, err error) {
-	for attempt := 0; ; attempt++ {
-		resp, err = client.Simulate(SimulateRequest{PointRequest: pt, TimeoutMS: cfg.TimeoutMS})
-		if err == nil {
-			return resp, retries, n429, nil
-		}
+func newReport(cfg LoadConfig) LoadReport {
+	return LoadReport{Requests: cfg.Requests, Resolutions: map[string]int{}, Modes: map[string]int{}}
+}
+
+// withRetry runs call, retrying 429s up to cfg.Retries times (none when
+// negative) after the server's Retry-After hint — 100ms when absent,
+// capped by cfg.RetryDelay when set. n429 counts every 429 seen, retries
+// the ones retried.
+func withRetry[R any](cfg LoadConfig, call func() (R, error)) (resp R, retries, n429 int, err error) {
+	for {
+		resp, err = call()
 		se, ok := err.(*StatusError)
 		if !ok || se.Code != 429 {
-			return nil, retries, n429, err
+			return resp, retries, n429, err
 		}
 		n429++
-		if cfg.Retries < 0 || attempt >= cfg.Retries {
-			return nil, retries, n429, err
+		if retries >= cfg.Retries {
+			return resp, retries, n429, err
 		}
 		retries++
 		delay := se.RetryAfter
@@ -336,6 +266,92 @@ func simulateWithRetry(client *Client, pt experiments.PointRequest, cfg LoadConf
 	}
 }
 
+// drive issues cfg's mix from cfg.Concurrency workers, paced to cfg.RPS
+// when positive, each request through withRetry(call). For every answer
+// fold runs under the report's lock and returns the ModeLatency key the
+// request's latency is profiled under. drive fills in the counts, Elapsed
+// and the latency percentiles.
+func drive[R any](cfg LoadConfig, report *LoadReport, call func(experiments.PointRequest) (R, error), fold func(experiments.PointRequest, R) string) error {
+	reqs, err := cfg.mix()
+	if err != nil {
+		return err
+	}
+	var gate <-chan time.Time
+	if cfg.RPS > 0 {
+		ticker := time.NewTicker(time.Second / time.Duration(cfg.RPS))
+		defer ticker.Stop()
+		gate = ticker.C
+	}
+	var (
+		mu       sync.Mutex
+		lats     []time.Duration
+		modeLats = map[string][]time.Duration{}
+		wg       sync.WaitGroup
+	)
+	jobs := make(chan experiments.PointRequest)
+	start := time.Now()
+	for w := 0; w < cfg.Concurrency; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for pt := range jobs {
+				t0 := time.Now()
+				resp, retries, n429, err := withRetry(cfg, func() (R, error) { return call(pt) })
+				lat := time.Since(t0)
+				mu.Lock()
+				report.Retries += retries
+				report.Status429 += n429
+				if err != nil {
+					report.Failed++
+				} else {
+					report.OK++
+					key := fold(pt, resp)
+					lats = append(lats, lat)
+					modeLats[key] = append(modeLats[key], lat)
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	for _, pt := range reqs {
+		if gate != nil {
+			<-gate
+		}
+		jobs <- pt
+	}
+	close(jobs)
+	wg.Wait()
+	report.Elapsed = time.Since(start)
+
+	all := quantilesOf(lats)
+	report.P50, report.P90, report.P95, report.P99 = all.P50, percentile(lats, 0.90), all.P95, all.P99
+	if n := len(lats); n > 0 {
+		report.Max = lats[n-1]
+	}
+	report.ModeLatency = make(map[string]LatencyQuantiles, len(modeLats))
+	for k, l := range modeLats {
+		report.ModeLatency[k] = quantilesOf(l)
+	}
+	return nil
+}
+
+// RunLoad replays cfg against the daemon at base via /v1/simulate: the
+// sweep-shaped mix (Requests draws over Unique points) that demonstrates
+// the engine collapsing repeats, and — unpaced against a small queue — the
+// 429/Retry-After backpressure contract.
+func RunLoad(client *Client, cfg LoadConfig) (LoadReport, error) {
+	cfg = cfg.withDefaults()
+	report := newReport(cfg)
+	err := drive(cfg, &report, func(pt experiments.PointRequest) (*SimulateResponse, error) {
+		return client.Simulate(SimulateRequest{PointRequest: pt, TimeoutMS: cfg.TimeoutMS})
+	}, func(_ experiments.PointRequest, resp *SimulateResponse) string {
+		report.Resolutions[resp.Resolution]++
+		report.Modes[resp.Mode]++
+		return resp.Mode
+	})
+	return report, err
+}
+
 // RunEstimate replays the mix against /v1/estimate: the same
 // Requests-over-Unique draw, each answered by whichever tier the
 // confidence gate picks. Repeat draws are the fast tier's best case — the
@@ -346,84 +362,35 @@ func simulateWithRetry(client *Client, pt experiments.PointRequest, cfg LoadConf
 // accuracy against ground truth.
 func RunEstimate(client *Client, cfg LoadConfig) (LoadReport, error) {
 	cfg = cfg.withDefaults()
-	pool := cfg.points()
-	if len(pool) == 0 {
-		return LoadReport{}, fmt.Errorf("server: load config yields no design points")
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	reqs := make([]experiments.PointRequest, cfg.Requests)
-	for i := range reqs {
-		reqs[i] = pool[i%len(pool)]
-	}
-	rng.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
-
 	type surrogateHit struct {
 		pt  experiments.PointRequest
 		upc float64
 	}
-	var (
-		mu        sync.Mutex
-		latencies []time.Duration
-		modeLats  = map[string][]time.Duration{}
-		hits      = map[string]surrogateHit{}
-		report    = LoadReport{
-			Requests:    cfg.Requests,
-			Resolutions: map[string]int{},
-			Modes:       map[string]int{},
-			Sources:     map[string]int{},
-		}
-	)
-	jobs := make(chan experiments.PointRequest)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < cfg.Concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for pt := range jobs {
-				t0 := time.Now()
-				resp, retries, n429, err := estimateWithRetry(client, pt, cfg)
-				lat := time.Since(t0)
-				mu.Lock()
-				report.Retries += retries
-				report.Status429 += n429
-				if err != nil {
-					report.Failed++
-				} else {
-					report.OK++
-					report.Sources[resp.Source]++
-					if resp.Source == "simulated" {
-						report.Resolutions[resp.Resolution]++
-						report.Modes[resp.Mode]++
-					} else {
-						key := fmt.Sprintf("%s/%s/%d", pt.Workload, pt.Scheme, pt.Capacity)
-						if _, dup := hits[key]; !dup {
-							hits[key] = surrogateHit{pt: pt, upc: resp.Metrics["upc"]}
-						}
-					}
-					latencies = append(latencies, lat)
-					modeLats[resp.Source] = append(modeLats[resp.Source], lat)
-				}
-				mu.Unlock()
+	hits := map[string]surrogateHit{}
+	report := newReport(cfg)
+	report.Sources = map[string]int{}
+	err := drive(cfg, &report, func(pt experiments.PointRequest) (*EstimateResponse, error) {
+		return client.Estimate(EstimateRequest{
+			PointRequest:  pt,
+			MinConfidence: cfg.MinConfidence,
+			TimeoutMS:     cfg.TimeoutMS,
+		})
+	}, func(pt experiments.PointRequest, resp *EstimateResponse) string {
+		report.Sources[resp.Source]++
+		if resp.Source == "simulated" {
+			report.Resolutions[resp.Resolution]++
+			report.Modes[resp.Mode]++
+		} else {
+			key := fmt.Sprintf("%s/%s/%d", pt.Workload, pt.Scheme, pt.Capacity)
+			if _, dup := hits[key]; !dup {
+				hits[key] = surrogateHit{pt: pt, upc: resp.Metrics["upc"]}
 			}
-		}()
+		}
+		return resp.Source
+	})
+	if err != nil {
+		return report, err
 	}
-	for _, pt := range reqs {
-		jobs <- pt
-	}
-	close(jobs)
-	wg.Wait()
-	report.Elapsed = time.Since(start)
-
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	report.P50 = percentile(latencies, 0.50)
-	report.P90 = percentile(latencies, 0.90)
-	report.P95 = percentile(latencies, 0.95)
-	report.P99 = percentile(latencies, 0.99)
-	if n := len(latencies); n > 0 {
-		report.Max = latencies[n-1]
-	}
-	report.ModeLatency = modeQuantiles(modeLats)
 
 	// Accuracy spot-check: ask /v1/simulate for ground truth on a few of
 	// the points the surrogate answered. Cheap — these points are in the
@@ -447,7 +414,7 @@ func RunEstimate(client *Client, cfg LoadConfig) (LoadReport, error) {
 			if truth == 0 {
 				continue
 			}
-			e := 100 * absFloat(h.upc-truth) / absFloat(truth)
+			e := 100 * math.Abs(h.upc-truth) / math.Abs(truth)
 			report.EstimateChecked++
 			report.EstimateUPCMAEPct += e
 			if e > report.EstimateUPCWorstPct {
@@ -461,64 +428,18 @@ func RunEstimate(client *Client, cfg LoadConfig) (LoadReport, error) {
 	return report, nil
 }
 
-func absFloat(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-// estimateWithRetry issues one estimate, retrying 429s (which only a
-// fall-through can produce) per the config.
-func estimateWithRetry(client *Client, pt experiments.PointRequest, cfg LoadConfig) (resp *EstimateResponse, retries, n429 int, err error) {
-	for attempt := 0; ; attempt++ {
-		resp, err = client.Estimate(EstimateRequest{
-			PointRequest:  pt,
-			MinConfidence: cfg.MinConfidence,
-			TimeoutMS:     cfg.TimeoutMS,
-		})
-		if err == nil {
-			return resp, retries, n429, nil
-		}
-		se, ok := err.(*StatusError)
-		if !ok || se.Code != 429 {
-			return nil, retries, n429, err
-		}
-		n429++
-		if cfg.Retries < 0 || attempt >= cfg.Retries {
-			return nil, retries, n429, err
-		}
-		retries++
-		delay := se.RetryAfter
-		if delay <= 0 {
-			delay = 100 * time.Millisecond
-		}
-		if cfg.RetryDelay > 0 && delay > cfg.RetryDelay {
-			delay = cfg.RetryDelay
-		}
-		time.Sleep(delay)
-	}
-}
-
 // RunSweep replays the same mix as one /v1/sweep batch, checking the
 // stream's index integrity: every index answered exactly once.
 func RunSweep(client *Client, cfg LoadConfig) (LoadReport, error) {
 	cfg = cfg.withDefaults()
-	pool := cfg.points()
-	if len(pool) == 0 {
-		return LoadReport{}, fmt.Errorf("server: load config yields no design points")
+	reqs, err := cfg.mix()
+	if err != nil {
+		return LoadReport{}, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	reqs := make([]experiments.PointRequest, cfg.Requests)
-	for i := range reqs {
-		reqs[i] = pool[i%len(pool)]
-	}
-	rng.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
-
-	report := LoadReport{Requests: cfg.Requests, Resolutions: map[string]int{}, Modes: map[string]int{}}
+	report := newReport(cfg)
 	seen := make([]bool, len(reqs))
 	start := time.Now()
-	err := client.Sweep(SweepRequest{Points: reqs, TimeoutMS: cfg.TimeoutMS}, func(line SweepLine) error {
+	err = client.Sweep(SweepRequest{Points: reqs, TimeoutMS: cfg.TimeoutMS}, func(line SweepLine) error {
 		if line.Index < 0 || line.Index >= len(seen) {
 			return fmt.Errorf("server: sweep answered out-of-range index %d", line.Index)
 		}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -37,6 +38,75 @@ func TestLoadConfigPoints(t *testing.T) {
 		if _, err := workload.ByName(name); err != nil {
 			t.Fatalf("default workload mix: %v", err)
 		}
+	}
+}
+
+// TestWithRetry runs the shared 429 loop against a fake call that answers
+// 429 a fixed number of times before it succeeds.
+func TestWithRetry(t *testing.T) {
+	boom := errors.New("connection refused")
+	for _, tc := range []struct {
+		name       string
+		cfg        LoadConfig
+		fails      int   // 429s before the call succeeds
+		err        error // returned instead of a 429, when set
+		retryAfter time.Duration
+		wantCalls  int
+		wantRetry  int
+		want429    int
+		wantErr    bool
+	}{
+		{name: "success after k 429s", cfg: LoadConfig{Retries: 3, RetryDelay: time.Millisecond},
+			fails: 2, wantCalls: 3, wantRetry: 2, want429: 2},
+		{name: "429 past Retries fails", cfg: LoadConfig{Retries: 2, RetryDelay: time.Millisecond},
+			fails: 100, wantCalls: 3, wantRetry: 2, want429: 3, wantErr: true},
+		{name: "negative Retries makes one attempt", cfg: LoadConfig{Retries: -1},
+			fails: 100, wantCalls: 1, wantRetry: 0, want429: 1, wantErr: true},
+		{name: "non-429 error is not retried", cfg: LoadConfig{Retries: 3},
+			err: boom, wantCalls: 1, wantErr: true},
+		{name: "non-429 status is not retried", cfg: LoadConfig{Retries: 3},
+			err: &StatusError{Code: 503}, wantCalls: 1, wantErr: true},
+		{name: "RetryDelay caps a longer Retry-After", cfg: LoadConfig{Retries: 1, RetryDelay: time.Millisecond},
+			fails: 1, retryAfter: time.Hour, wantCalls: 2, wantRetry: 1, want429: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var (
+				calls, got, retries, n429 int
+				err                       error
+			)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				got, retries, n429, err = withRetry(tc.cfg, func() (int, error) {
+					calls++
+					if tc.err != nil {
+						return 0, tc.err
+					}
+					if calls <= tc.fails {
+						return 0, &StatusError{Code: 429, RetryAfter: tc.retryAfter}
+					}
+					return 42, nil
+				})
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("still sleeping after 10s: RetryDelay did not cap the Retry-After hint")
+			}
+			if calls != tc.wantCalls || retries != tc.wantRetry || n429 != tc.want429 {
+				t.Fatalf("calls=%d retries=%d status429=%d, want %d/%d/%d",
+					calls, retries, n429, tc.wantCalls, tc.wantRetry, tc.want429)
+			}
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("err = %v, want error %v", err, tc.wantErr)
+			}
+			if tc.err != nil && err != tc.err {
+				t.Fatalf("err = %v, want the call's own %v", err, tc.err)
+			}
+			if !tc.wantErr && got != 42 {
+				t.Fatalf("answer = %d, want 42", got)
+			}
+		})
 	}
 }
 

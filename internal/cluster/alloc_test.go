@@ -9,10 +9,11 @@ import (
 
 // TestWarmHitAllocBound bounds what a memoised answer costs the whole
 // path — client, gateway hop and shard, all in this process — in bytes
-// allocated per call. A warm hit runs no simulation, so its garbage is
-// serving overhead: fingerprinting, reading each body once at its final
-// size and decoding the snapshot into one slice keep it near the size of
-// the answer itself.
+// and objects allocated per call. A warm hit runs no simulation, so its
+// garbage is serving overhead: fingerprinting, reading each body once at
+// its final size and decoding the snapshot into one slice with interned
+// paths keep it near the size of the answer itself, and the object count
+// independent of how many samples the snapshot holds.
 func TestWarmHitAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation is not representative under -race: sync.Pool drops buffers on purpose")
@@ -42,8 +43,17 @@ func TestWarmHitAllocBound(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perCall := float64(after.TotalAlloc-before.TotalAlloc) / calls / 1024
-	t.Logf("warm hit: %.1f KiB, %.0f objects per call", perCall, float64(after.Mallocs-before.Mallocs)/calls)
+	objects := float64(after.Mallocs-before.Mallocs) / calls
+	t.Logf("warm hit: %.1f KiB, %.0f objects per call", perCall, objects)
 	if perCall > 50 {
 		t.Fatalf("a warm hit allocates %.1f KiB per call, want <= 50", perCall)
 	}
+	if objects > warmHitObjectBound {
+		t.Fatalf("a warm hit allocates %.0f objects per call, want <= %d", objects, warmHitObjectBound)
+	}
 }
+
+// warmHitObjectBound is the measured warm-hit cost (229 objects per call;
+// 446 when each of the snapshot's 98 samples allocated its path and kind)
+// plus 15% headroom.
+const warmHitObjectBound = 265

@@ -67,8 +67,16 @@ func runChaosSchedule(t *testing.T, rng *rand.Rand, pts []experiments.PointReque
 		}
 		return idx[rng.Intn(len(idx))], len(idx)
 	}
+	// awaitAlive waits for a probe round that started after shard i came
+	// back to find it alive. A round already running may have probed the
+	// shard while it was down and not yet reported it, so a liveness read
+	// before that round ends can be stale: the report would then down a
+	// live shard under the next request, which the oracle does not model.
 	awaitAlive := func(i int) {
-		waitFor(t, "gateway sees "+c.shards[i].node, func() bool { return c.gw.mem.alive(c.shards[i].url) })
+		fresh := c.gw.mem.probes.Value() + 2
+		waitFor(t, "gateway sees "+c.shards[i].node, func() bool {
+			return c.gw.mem.probes.Value() >= fresh && c.gw.mem.alive(c.shards[i].url)
+		})
 	}
 
 	var history []string

@@ -78,7 +78,9 @@ func validatePoint(r PointResult) error {
 // pipeline.SimVersion), the full workload profile value (name, seed and
 // every synthesis knob), the complete pipeline configuration, and the run
 // lengths. Canonical encoding is reflection-based and exhaustive, so a
-// Config field added without fingerprint coverage fails Key loudly.
+// Config field added without fingerprint coverage fails Key loudly. Key
+// encodes a pointer as the value it points at, so prof goes in as a
+// pointer: the key is the profile value's, without boxing a copy of it.
 func pointFingerprint(p Params, prof *workload.Profile, cfg pipeline.Config) (runcache.Fingerprint, error) {
 	if sp := p.Sampling.WithDefaults(p.MeasureInsts); sp.Enabled {
 		// Sampled points key on the resolved sampling shape under an
@@ -88,10 +90,10 @@ func pointFingerprint(p Params, prof *workload.Profile, cfg pipeline.Config) (ru
 		// Disabled sampling keeps the original part list: every blob
 		// cached before sampling existed stays addressable.
 		return runcache.Key(pipeline.SimVersion, workload.GenVersion,
-			*prof, cfg, p.WarmupInsts, p.MeasureInsts, "sampled", sp)
+			prof, cfg, p.WarmupInsts, p.MeasureInsts, "sampled", sp)
 	}
 	return runcache.Key(pipeline.SimVersion, workload.GenVersion,
-		*prof, cfg, p.WarmupInsts, p.MeasureInsts)
+		prof, cfg, p.WarmupInsts, p.MeasureInsts)
 }
 
 // smtFingerprint addresses one two-thread SMT design point (distinct part
@@ -151,7 +153,7 @@ func point(p Params, name string, cfg pipeline.Config) (PointResult, error) {
 	if p.Engine == nil {
 		return simulatePoint(p, name, cfg)
 	}
-	prof, err := workload.ByName(name)
+	prof, err := workload.Lookup(name)
 	if err != nil {
 		return PointResult{}, err
 	}

@@ -106,7 +106,7 @@ func (r PointRequest) Validate() error {
 		return fmt.Errorf("experiments: request needs a workload (one of %s)",
 			strings.Join(workload.Names(), ", "))
 	}
-	if err := workload.CheckName(r.Workload); err != nil {
+	if _, err := workload.Lookup(r.Workload); err != nil {
 		return err
 	}
 	if r.Measure == 0 {
@@ -201,7 +201,7 @@ type PreparedPoint struct {
 // Prepare resolves the request's profile, configuration and fingerprint.
 // Call it on the WithDefaults form.
 func (r PointRequest) Prepare() (PreparedPoint, error) {
-	prof, err := workload.ByName(r.Workload)
+	prof, err := workload.Lookup(r.Workload)
 	if err != nil {
 		return PreparedPoint{}, err
 	}

@@ -26,7 +26,7 @@ func DerivedMetricValues(r PointResult) map[string]float64 {
 // the vector a sweep stores in the warehouse for the same design point, so
 // a surrogate trained on warehouse records can answer wire requests.
 func (r PointRequest) Features() (runcache.Features, error) {
-	prof, err := workload.ByName(r.Workload)
+	prof, err := workload.Lookup(r.Workload)
 	if err != nil {
 		return nil, err
 	}
@@ -42,7 +42,7 @@ func (r PointRequest) Features() (runcache.Features, error) {
 // design point at p's run lengths.
 func FeaturesForPoint(pt Point, p Params) (runcache.Features, error) {
 	p = p.withDefaults()
-	prof, err := workload.ByName(pt.Workload)
+	prof, err := workload.Lookup(pt.Workload)
 	if err != nil {
 		return nil, err
 	}

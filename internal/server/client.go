@@ -128,18 +128,15 @@ func (c *Client) Post(path string, req any, dst *bytes.Buffer) error {
 	return nil
 }
 
-// call posts req to path and decodes the 200 body into out, after
-// presize, when given, has seen the body. The body is read into a pooled
-// buffer: json.Unmarshal copies every string it decodes, so nothing in out
+// call posts req to path and decodes the 200 body into out. The body is
+// read into a pooled buffer: json.Unmarshal copies every string it decodes
+// (a snapshot's paths come from its intern table), so nothing in out
 // aliases the buffer once it is reused.
-func (c *Client) call(path string, req, out any, presize func(body []byte)) error {
+func (c *Client) call(path string, req, out any) error {
 	buf := GetBody()
 	defer PutBody(buf)
 	if err := c.Post(path, req, buf); err != nil {
 		return err
-	}
-	if presize != nil {
-		presize(buf.Bytes())
 	}
 	if err := json.Unmarshal(buf.Bytes(), out); err != nil {
 		return fmt.Errorf("server: decoding %s response: %w", path, err)
@@ -167,7 +164,7 @@ func PutBody(b *bytes.Buffer) {
 // so callers can switch on Code (429 → honor RetryAfter and retry).
 func (c *Client) Simulate(req SimulateRequest) (*SimulateResponse, error) {
 	var out SimulateResponse
-	if err := c.call("/v1/simulate", req, &out, out.Result.Snapshot.Presize); err != nil {
+	if err := c.call("/v1/simulate", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

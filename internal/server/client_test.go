@@ -90,7 +90,7 @@ func TestClientFailsOnShortBody(t *testing.T) {
 // TestClientPooledBufferKeepsAnswers: Client reads every answer into a
 // pooled buffer, so a second call reuses the bytes the first was decoded
 // from. The first answer's strings must not change, and its snapshot was
-// decoded into a slice presized to fit.
+// decoded into a slice sized once to fit.
 func TestClientPooledBufferKeepsAnswers(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	c := NewClient(ts.URL)
@@ -100,7 +100,7 @@ func TestClientPooledBufferKeepsAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := len(first.Result.Snapshot.Samples); n == 0 || cap(first.Result.Snapshot.Samples) != n {
-		t.Fatalf("answer holds %d samples in a slice of capacity %d, want it presized to fit", n, cap(first.Result.Snapshot.Samples))
+		t.Fatalf("answer holds %d samples in a slice of capacity %d, want it sized once to fit", n, cap(first.Result.Snapshot.Samples))
 	}
 	before, err := json.Marshal(first)
 	if err != nil {

@@ -120,9 +120,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
-	defer cancel()
-	resp, code, err := s.resolveOne(ctx, pp, false)
+	resp, code, err := s.resolveRequest(r, req.TimeoutMS, pp)
 	if err != nil {
 		if code == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", s.retryAfter())
@@ -150,7 +148,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 // *StatusError; a daemon without a warehouse answers 501.
 func (c *Client) Estimate(req EstimateRequest) (*EstimateResponse, error) {
 	var out EstimateResponse
-	if err := c.call("/v1/estimate", req, &out, nil); err != nil {
+	if err := c.call("/v1/estimate", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

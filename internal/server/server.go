@@ -402,19 +402,46 @@ func (s *Server) retryAfter() string {
 	return strconv.Itoa(secs)
 }
 
-// resolveOne answers one validated, prepared point. A completed memo
-// entry answers at once, before admission: it takes no worker slot and
-// cannot be refused. Everything else — disk hits, joiners of an in-flight
-// entry, simulations — goes through the pool and is waited for under ctx.
-// It returns the response, or an HTTP status code and error. wait selects
-// the admission mode: fail-fast (simulate, 429) or blocking (sweep points
-// trickle in as capacity frees).
+// resolveOne answers one validated, prepared point: a completed memo
+// entry at once (memoHit), everything else through admit under ctx.
 func (s *Server) resolveOne(ctx context.Context, pp experiments.PreparedPoint, wait bool) (*SimulateResponse, int, error) {
-	start := time.Now()
-	if res, ok := s.eng.Lookup(pp.Fingerprint); ok {
-		s.met.fastHits.Inc()
-		return simulateResponse(pp, runcache.ResolvedMemo, res, start), http.StatusOK, nil
+	if resp, ok := s.memoHit(pp); ok {
+		return resp, http.StatusOK, nil
 	}
+	return s.admit(ctx, pp, wait)
+}
+
+// resolveRequest is resolveOne for a single-point request: the request's
+// deadline is derived only when the memo misses, so a memo hit builds no
+// timer it would never use.
+func (s *Server) resolveRequest(r *http.Request, timeoutMS int64, pp experiments.PreparedPoint) (*SimulateResponse, int, error) {
+	if resp, ok := s.memoHit(pp); ok {
+		return resp, http.StatusOK, nil
+	}
+	ctx, cancel := s.requestContext(r.Context(), timeoutMS)
+	defer cancel()
+	return s.admit(ctx, pp, false)
+}
+
+// memoHit answers a point whose memo entry has completed. It runs before
+// admission: it takes no worker slot and cannot be refused.
+func (s *Server) memoHit(pp experiments.PreparedPoint) (*SimulateResponse, bool) {
+	start := time.Now()
+	res, ok := s.eng.Lookup(pp.Fingerprint)
+	if !ok {
+		return nil, false
+	}
+	s.met.fastHits.Inc()
+	return simulateResponse(pp, runcache.ResolvedMemo, res, start), true
+}
+
+// admit resolves a point the memo could not answer — disk hits, joiners
+// of an in-flight entry, simulations — through the pool, waiting under
+// ctx. It returns the response, or an HTTP status code and error. wait
+// selects the admission mode: fail-fast (simulate, 429) or blocking
+// (sweep points trickle in as capacity frees).
+func (s *Server) admit(ctx context.Context, pp experiments.PreparedPoint, wait bool) (*SimulateResponse, int, error) {
+	start := time.Now()
 	var (
 		res  experiments.PointResult
 		how  runcache.Resolution
@@ -487,9 +514,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, code, "%v", err)
 		return
 	}
-	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
-	defer cancel()
-	resp, code, err := s.resolveOne(ctx, pp, false)
+	resp, code, err := s.resolveRequest(r, req.TimeoutMS, pp)
 	if err != nil {
 		if code == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", s.retryAfter())

@@ -67,19 +67,19 @@ func TestDecodeSnapshotRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestSnapshotPresizeMatchesPlainDecode: presizing Samples changes how
-// they are allocated, never what is decoded, including the nil/empty
-// distinction for null, [] and an absent field, and for a snapshot nested
-// in a larger document.
-func TestSnapshotPresizeMatchesPlainDecode(t *testing.T) {
+// TestSnapshotUnmarshalMatchesPlainDecode: the one-pass decoder changes
+// how a snapshot is allocated, never what is decoded, including the
+// nil/empty distinction for null, [] and an absent field, and for a
+// snapshot nested in a larger document.
+func TestSnapshotUnmarshalMatchesPlainDecode(t *testing.T) {
 	full, err := json.Marshal(validSnapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
 	hist := `{"samples":[{"path":"a.lat","kind":"hist","value":2,"count":3,"buckets":[{"le":1,"count":1},{"le":4,"count":2}]}]}`
 	for _, doc := range []string{string(full), hist, `{"samples":null}`, `{"samples":[]}`, `{}`, `null`} {
-		var got, want Snapshot
-		got.Presize([]byte(doc))
+		var got Snapshot
+		var want plainSnapshot
 		if err := json.Unmarshal([]byte(doc), &got); err != nil {
 			t.Fatalf("%s: %v", doc, err)
 		}
@@ -87,7 +87,7 @@ func TestSnapshotPresizeMatchesPlainDecode(t *testing.T) {
 			t.Fatalf("%s: %v", doc, err)
 		}
 		if !reflect.DeepEqual(got.Samples, want.Samples) || (got.Samples == nil) != (want.Samples == nil) {
-			t.Errorf("%s: presized decode %#v, plain decode %#v", doc, got.Samples, want.Samples)
+			t.Errorf("%s: one-pass decode %#v, plain decode %#v", doc, got.Samples, want.Samples)
 		}
 		if n := len(got.Samples); n > 0 && cap(got.Samples) != n {
 			t.Errorf("%s: %d samples in a slice of capacity %d, want it sized once", doc, n, cap(got.Samples))
@@ -100,16 +100,15 @@ func TestSnapshotPresizeMatchesPlainDecode(t *testing.T) {
 	}
 	b := []byte(`{"before":"x","snap":` + string(full) + `,"after":7}`)
 	var w wrapped
-	w.Snap.Presize(b)
 	if err := json.Unmarshal(b, &w); err != nil {
 		t.Fatal(err)
 	}
 	if w.Before != "x" || w.After != 7 || !reflect.DeepEqual(w.Snap, validSnapshot()) || cap(w.Snap.Samples) != 3 {
-		t.Errorf("nested presized decode gave %+v (capacity %d)", w, cap(w.Snap.Samples))
+		t.Errorf("nested decode gave %+v (capacity %d)", w, cap(w.Snap.Samples))
 	}
 }
 
-// TestDecodeSnapshotRejectsInvalid: a presized decode keeps
+// TestDecodeSnapshotRejectsInvalid: a one-pass decode keeps
 // DecodeSnapshot's validation: unsorted samples and unknown kinds fail.
 func TestDecodeSnapshotRejectsInvalid(t *testing.T) {
 	unsorted := validSnapshot()

@@ -65,13 +65,14 @@ func TestNewWalkerAllocScalesWithBehaviours(t *testing.T) {
 
 // TestProgramImageLiveHeap bounds what the 13 Table II builds keep alive:
 // every uopsimd and uopexp process holds all of them. A 20-byte Inst, a
-// 12-byte Block, 2-byte memory and 32-byte branch behaviours, exact-size
-// slices and a bitmap-rank address index hold them near 18.5 MiB; 32-byte
-// Insts and 24-byte memory behaviours that carried their region took
+// 12-byte Block, a 2-byte behaviour slot per instruction, 2-byte memory
+// and 32-byte branch behaviours, exact-size slices and a bitmap-rank
+// address index hold them near 17.3 MiB; 4-byte slots took 18.4 MiB,
+// 32-byte Insts and 24-byte memory behaviours that carried their region
 // 29.9 MiB, and 40-byte Insts and Blocks, append-grown slices and a
 // 4-byte-per-code-byte address table 51.4 MiB.
 func TestProgramImageLiveHeap(t *testing.T) {
-	const bound = 21 << 20
+	const bound = 20 << 20
 	names := Names()
 	wls := make([]*Workload, len(names))
 	var before, after runtime.MemStats

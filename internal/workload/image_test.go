@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"uopsim/internal/isa"
@@ -130,6 +131,21 @@ func TestBuildAtCodeSpaceTop(t *testing.T) {
 		if _, err := workload.BuildAt(prof, top+1); err == nil {
 			t.Fatalf("%s at %#x built across CodeLimit", name, top+1)
 		}
+	}
+}
+
+// TestBuildAtSlotLimit: a profile that needs more behaviours of one kind
+// than a uint16 slot indexes fails to build instead of wrapping its slots.
+// bm_cc, the largest Table II profile, has 34,368 memory behaviours; three
+// times its functions need about 100k.
+func TestBuildAtSlotLimit(t *testing.T) {
+	prof, err := workload.ByName("bm_cc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof.NumFuncs *= 3
+	if _, err := workload.BuildAt(prof, workload.CodeBase); err == nil || !strings.Contains(err.Error(), "more than the 65535 a slot indexes") {
+		t.Fatalf("bm_cc with %d functions built with error %v, want the slot limit", prof.NumFuncs, err)
 	}
 }
 

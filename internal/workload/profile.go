@@ -271,20 +271,22 @@ var table = Profiles()
 // ByName returns a copy of the profile with the given name; the caller may
 // modify it without affecting later lookups.
 func ByName(name string) (*Profile, error) {
-	if err := CheckName(name); err != nil {
+	p, err := Lookup(name)
+	if err != nil {
 		return nil, err
 	}
-	cp := *find(name)
+	cp := *p
 	return &cp, nil
 }
 
-// CheckName returns the error ByName would for name, without copying the
-// profile: nil when the Table II set has a profile of that name.
-func CheckName(name string) error {
-	if find(name) == nil {
-		return fmt.Errorf("workload: unknown profile %q (have %v)", name, Names())
+// Lookup returns the Table II profile with the given name itself, not a
+// copy, for callers that only read it (fingerprints, feature vectors):
+// every caller shares it, so it must never be modified.
+func Lookup(name string) (*Profile, error) {
+	if p := find(name); p != nil {
+		return p, nil
 	}
-	return nil
+	return nil, fmt.Errorf("workload: unknown profile %q (have %v)", name, Names())
 }
 
 func find(name string) *Profile {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"uopsim/internal/isa"
 	"uopsim/internal/program"
@@ -80,14 +81,21 @@ const (
 	numRegions
 )
 
+// maxSlots is the most behaviours one Behaviors table may hold: slot 0
+// means none, so a uint16 slot indexes 65,535.
+const maxSlots = math.MaxUint16
+
 // Behaviors attaches dynamic semantics to a synthesized program. Each
 // static instruction has one slot: 0 when it carries no behaviour, else 1 +
 // its index into the table of its kind. One slot suffices because the
 // instruction's class fixes the kind: conditional branches index Cond,
 // indirect branches and calls index Indirect, loads and stores index Mem.
-// Tables are in block and instruction-ID order.
+// Tables are in block and instruction-ID order. A slot is a uint16, so a
+// table holds at most maxSlots behaviours; the largest in Table II is
+// bm_cc's 34,368 memory behaviours, and BuildAt refuses a profile that
+// would need more.
 type Behaviors struct {
-	slot     []uint32
+	slot     []uint16
 	Cond     []CondBehavior
 	Indirect []IndirectBehavior
 	Mem      []MemBehavior
@@ -237,14 +245,17 @@ func BuildAt(p *Profile, base uint64) (*Workload, error) {
 	// Memory behaviours: one per static memory instruction in ID order,
 	// drawn from a derived stream so they are independent of structure
 	// generation.
-	beh.slot = make([]uint32, prog.NumInsts())
+	beh.slot = make([]uint16, prog.NumInsts())
 	nMem := 0
 	for i := range prog.Insts {
 		switch prog.Insts[i].Class {
 		case isa.ClassLoad, isa.ClassStore, isa.ClassLoadOp:
 			nMem++
-			beh.slot[i] = uint32(nMem)
+			beh.slot[i] = uint16(nMem)
 		}
+	}
+	if n := max(nMem, len(condByBlock), len(indByBlock)); n > maxSlots {
+		return nil, fmt.Errorf("workload %s: %d behaviours of one kind, more than the %d a slot indexes", p.Name, n, maxSlots)
 	}
 	beh.Regions = dataRegions(p)
 	memR := r.Derive(4)
@@ -262,10 +273,10 @@ func BuildAt(p *Profile, base uint64) (*Workload, error) {
 		last := blk.First + blk.N - 1
 		if cb, ok := condByBlock[blockID]; ok {
 			beh.Cond = append(beh.Cond, cb)
-			beh.slot[last] = uint32(len(beh.Cond))
+			beh.slot[last] = uint16(len(beh.Cond))
 		} else if ib, ok := indByBlock[blockID]; ok {
 			beh.Indirect = append(beh.Indirect, ib)
-			beh.slot[last] = uint32(len(beh.Indirect))
+			beh.slot[last] = uint16(len(beh.Indirect))
 		}
 	}
 	return &Workload{Profile: p, Program: prog, Behaviors: beh}, nil

@@ -44,8 +44,9 @@ func TestGoldenMetricsViaSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// DecodeSnapshot presizes Samples; it must decode exactly what a
-		// plain decode of the same bytes gives, in a slice sized once.
+		// DecodeSnapshot takes Snapshot's one-pass decoder; it must decode
+		// exactly what encoding/json's reflection gives for the same bytes,
+		// in a slice sized once.
 		var plain struct {
 			Samples []stats.Sample `json:"samples"`
 		}
@@ -53,7 +54,7 @@ func TestGoldenMetricsViaSnapshotRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(decoded.Samples, plain.Samples) || cap(decoded.Samples) != len(plain.Samples) {
-			t.Fatalf("a presized decode differs from a plain decode (%d samples, capacity %d, plain %d)", len(decoded.Samples), cap(decoded.Samples), len(plain.Samples))
+			t.Fatalf("a one-pass decode differs from a plain decode (%d samples, capacity %d, plain %d)", len(decoded.Samples), cap(decoded.Samples), len(plain.Samples))
 		}
 		return decoded
 	}

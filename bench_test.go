@@ -9,8 +9,13 @@
 package uopsim
 
 import (
+	"encoding/json"
+	"flag"
 	"fmt"
+	"os"
+	"slices"
 	"testing"
+	"time"
 
 	"uopsim/internal/pipeline"
 	"uopsim/internal/workload"
@@ -81,12 +86,107 @@ func primeCorePool(b *testing.B, name string, cfg Config) {
 // BenchmarkTableII regenerates the workload table's measured column.
 func BenchmarkTableII(b *testing.B) {
 	for _, name := range benchWorkloads {
-		b.Run(name, func(b *testing.B) {
-			simulate(b, name, DefaultConfig(), func(b *testing.B, m Metrics) {
-				b.ReportMetric(m.BranchMPKI, "MPKI")
-				b.ReportMetric(m.UPC, "UPC")
+		b.Run(name, func(b *testing.B) { tableIIRow(b, name) })
+	}
+}
+
+// tableIIRow is one BenchmarkTableII row; TestBenchPipeline times the same body.
+func tableIIRow(b *testing.B, name string) {
+	simulate(b, name, DefaultConfig(), func(b *testing.B, m Metrics) {
+		b.ReportMetric(m.BranchMPKI, "MPKI")
+		b.ReportMetric(m.UPC, "UPC")
+	})
+}
+
+var updateBench = flag.Bool("update-bench", false, "rewrite BENCH_pipeline.json from BenchmarkTableII's rows, keeping the previous report under before")
+
+// pipelineReport is BENCH_pipeline.json: one BenchmarkTableII row per
+// workload, with the report it replaced under Before.
+type pipelineReport struct {
+	Bench   string `json:"bench"`
+	Warmup  uint64 `json:"warmup_insts"`
+	Measure uint64 `json:"measure_insts"`
+	// Iters is b.N of each row.
+	Iters   int             `json:"iters_per_workload"`
+	Results []pipelineRow   `json:"results"`
+	Before  *pipelineReport `json:"before,omitempty"`
+}
+
+type pipelineRow struct {
+	Workload    string  `json:"workload"`
+	InstsPerSec float64 `json:"insts_per_sec"`
+	AllocsPerOp int64   `json:"allocs_per_op"`
+	BytesPerOp  int64   `json:"bytes_per_op"`
+	NsPerOp     int64   `json:"ns_per_op"`
+	UPC         float64 `json:"upc"`
+	MPKI        float64 `json:"mpki"`
+	// Snapshot is every counter of one more, untimed run.
+	Snapshot StatsSnapshot `json:"snapshot"`
+}
+
+// TestBenchPipeline checks that BENCH_pipeline.json has one row per
+// BenchmarkTableII workload at the benchmark's run lengths. With
+// -update-bench it first measures the rows and rewrites the file:
+//
+//	go test -run TestBenchPipeline -update-bench -benchtime 3x .
+func TestBenchPipeline(t *testing.T) {
+	const file = "BENCH_pipeline.json"
+	raw, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep pipelineReport
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatalf("%s: %v", file, err)
+	}
+	if *updateBench {
+		prev := rep
+		prev.Before = nil // keep one level of history
+		rep = pipelineReport{Bench: "TableII", Warmup: benchWarmup, Measure: benchMeasure, Before: &prev}
+		for _, name := range benchWorkloads {
+			res := testing.Benchmark(func(b *testing.B) { tableIIRow(b, name) })
+			if res.N == 0 {
+				t.Fatalf("%s: benchmark failed (run BenchmarkTableII to see why)", name)
+			}
+			if rep.Iters != 0 && res.N != rep.Iters {
+				t.Fatalf("rows ran b.N = %d and %d: pass -benchtime Nx", rep.Iters, res.N)
+			}
+			rep.Iters = res.N
+			sim, err := NewSimulator(DefaultConfig(), name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sim.RunMeasured(benchWarmup, benchMeasure); err != nil {
+				t.Fatal(err)
+			}
+			rep.Results = append(rep.Results, pipelineRow{
+				Workload:    name,
+				InstsPerSec: res.Extra["insts/s"],
+				AllocsPerOp: res.AllocsPerOp(),
+				BytesPerOp:  res.AllocedBytesPerOp(),
+				NsPerOp:     res.NsPerOp(),
+				UPC:         res.Extra["UPC"],
+				MPKI:        res.Extra["MPKI"],
+				Snapshot:    sim.StatsSnapshot(),
 			})
-		})
+			sim.Release()
+			t.Logf("%-8s %s", name, res)
+		}
+		b, err := json.MarshalIndent(rep, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(file, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var names []string
+	for _, r := range rep.Results {
+		names = append(names, r.Workload)
+	}
+	if rep.Warmup != benchWarmup || rep.Measure != benchMeasure || !slices.Equal(names, benchWorkloads) {
+		t.Errorf("%s has rows %v at %d+%d insts, BenchmarkTableII has %v at %d+%d",
+			file, names, rep.Warmup, rep.Measure, benchWorkloads, benchWarmup, benchMeasure)
 	}
 }
 
@@ -122,14 +222,14 @@ func BenchmarkFig4(b *testing.B) {
 	})
 }
 
-// entryStats runs the baseline and reports entry-shape statistics
-// (Figs 5, 6, 12 share this harness).
-func entryStatsBench(b *testing.B, report func(*testing.B, *pipeline.Sim)) {
+// entryStatsBench runs cfg and reports entry-shape statistics from the
+// final slice (Figs 5, 6, 9, 12, 18 and 19 share this harness).
+func entryStatsBench(b *testing.B, cfg Config, report func(*testing.B, *pipeline.Sim)) {
 	b.Helper()
 	for _, name := range benchWorkloads {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sim, err := NewSimulator(DefaultConfig(), name)
+				sim, err := NewSimulator(cfg, name)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -146,7 +246,7 @@ func entryStatsBench(b *testing.B, report func(*testing.B, *pipeline.Sim)) {
 
 // BenchmarkFig5 reports the entry-size distribution buckets.
 func BenchmarkFig5(b *testing.B) {
-	entryStatsBench(b, func(b *testing.B, sim *pipeline.Sim) {
+	entryStatsBench(b, DefaultConfig(), func(b *testing.B, sim *pipeline.Sim) {
 		st := sim.UopCacheStats()
 		b.ReportMetric(100*st.SizeHist.Fraction(0), "pct_1-19B")
 		b.ReportMetric(100*st.SizeHist.Fraction(1), "pct_20-39B")
@@ -156,7 +256,7 @@ func BenchmarkFig5(b *testing.B) {
 
 // BenchmarkFig6 reports the taken-branch termination fraction.
 func BenchmarkFig6(b *testing.B) {
-	entryStatsBench(b, func(b *testing.B, sim *pipeline.Sim) {
+	entryStatsBench(b, DefaultConfig(), func(b *testing.B, sim *pipeline.Sim) {
 		b.ReportMetric(100*sim.UopCacheStats().TakenTermFraction(), "pct_takenTerm")
 	})
 }
@@ -164,28 +264,14 @@ func BenchmarkFig6(b *testing.B) {
 // BenchmarkFig9 reports the fraction of CLASP entries spanning I-cache line
 // boundaries.
 func BenchmarkFig9(b *testing.B) {
-	for _, name := range benchWorkloads {
-		b.Run(name, func(b *testing.B) {
-			cfg := WithCLASP(DefaultConfig())
-			for i := 0; i < b.N; i++ {
-				sim, err := NewSimulator(cfg, name)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := sim.RunMeasured(benchWarmup, benchMeasure); err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					b.ReportMetric(100*sim.UopCacheStats().SpanFraction(), "pct_spanning")
-				}
-			}
-		})
-	}
+	entryStatsBench(b, WithCLASP(DefaultConfig()), func(b *testing.B, sim *pipeline.Sim) {
+		b.ReportMetric(100*sim.UopCacheStats().SpanFraction(), "pct_spanning")
+	})
 }
 
 // BenchmarkFig12 reports the entries-per-PW distribution.
 func BenchmarkFig12(b *testing.B) {
-	entryStatsBench(b, func(b *testing.B, sim *pipeline.Sim) {
+	entryStatsBench(b, DefaultConfig(), func(b *testing.B, sim *pipeline.Sim) {
 		d := &sim.UopCacheStats().EntriesPerPW
 		b.ReportMetric(100*d.Fraction(1), "pct_1entry")
 		b.ReportMetric(100*d.Fraction(2), "pct_2entries")
@@ -230,47 +316,19 @@ func BenchmarkFig17(b *testing.B) {
 
 // BenchmarkFig18 reports the compacted-fill ratio under F-PWAC.
 func BenchmarkFig18(b *testing.B) {
-	for _, name := range benchWorkloads {
-		b.Run(name, func(b *testing.B) {
-			cfg := WithCompaction(DefaultConfig(), AllocFPWAC, 2)
-			for i := 0; i < b.N; i++ {
-				sim, err := NewSimulator(cfg, name)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := sim.RunMeasured(benchWarmup, benchMeasure); err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					b.ReportMetric(100*sim.UopCacheStats().CompactedFraction(), "pct_compacted")
-				}
-			}
-		})
-	}
+	entryStatsBench(b, WithCompaction(DefaultConfig(), AllocFPWAC, 2), func(b *testing.B, sim *pipeline.Sim) {
+		b.ReportMetric(100*sim.UopCacheStats().CompactedFraction(), "pct_compacted")
+	})
 }
 
 // BenchmarkFig19 reports the allocation-technique distribution under F-PWAC.
 func BenchmarkFig19(b *testing.B) {
-	for _, name := range benchWorkloads {
-		b.Run(name, func(b *testing.B) {
-			cfg := WithCompaction(DefaultConfig(), AllocFPWAC, 2)
-			for i := 0; i < b.N; i++ {
-				sim, err := NewSimulator(cfg, name)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := sim.RunMeasured(benchWarmup, benchMeasure); err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					r, p, f := sim.UopCacheStats().AllocDistribution()
-					b.ReportMetric(100*r, "pct_RAC")
-					b.ReportMetric(100*p, "pct_PWAC")
-					b.ReportMetric(100*f, "pct_FPWAC")
-				}
-			}
-		})
-	}
+	entryStatsBench(b, WithCompaction(DefaultConfig(), AllocFPWAC, 2), func(b *testing.B, sim *pipeline.Sim) {
+		r, p, f := sim.UopCacheStats().AllocDistribution()
+		b.ReportMetric(100*r, "pct_RAC")
+		b.ReportMetric(100*p, "pct_PWAC")
+		b.ReportMetric(100*f, "pct_FPWAC")
+	})
 }
 
 // BenchmarkFig20 reports UPC per scheme with 3 compacted entries/line.
@@ -292,6 +350,94 @@ func BenchmarkFig22(b *testing.B) {
 	schemeBench(b, 4096, 2, func(b *testing.B, m Metrics) {
 		b.ReportMetric(m.UPC, "UPC")
 	})
+}
+
+// BenchmarkSurrogate measures the fast tier behind /v1/estimate against
+// its two promises: a p99 predict latency under 1 ms, and at least 100x
+// the throughput of one real simulation. The exact tier answers stored
+// points; the knn tier answers the same grid at unstored capacities. CI
+// gates p99_us and speedup_x on both rows of
+//
+//	go test -run '^$' -bench '^BenchmarkSurrogate$' -benchtime 20000x .
+//
+// The parent body runs once. It resolves a 325-point corpus (every
+// workload x Schemes(2) x 5 capacities, 2k+10k insts) into a warehouse
+// and trains the model uopsimd serves from it.
+func BenchmarkSurrogate(b *testing.B) {
+	params := ExperimentParams{WarmupInsts: 2_000, MeasureInsts: 10_000}
+	var pts []DesignPoint
+	for _, name := range WorkloadNames() {
+		for _, sc := range Schemes(2) {
+			for _, capacity := range []int{512, 1024, 2048, 4096, 8192} {
+				pts = append(pts, DesignPoint{Workload: name, Scheme: sc, Capacity: capacity})
+			}
+		}
+	}
+	eng, ws, err := NewWarehouseRunEngine(b.TempDir(), WarehouseOptions{}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ws.Close()
+	params.Engine = eng
+	if _, err := RunDesignPoints(params, pts); err != nil {
+		b.Fatal(err)
+	}
+	model, _, err := TrainSurrogate(ws, SurrogateOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if model.Len() < len(pts) {
+		b.Fatalf("surrogate trained on %d points, want the full %d-point corpus", model.Len(), len(pts))
+	}
+	exact := make([]Features, len(pts))
+	knn := make([]Features, len(pts))
+	for i, pt := range pts {
+		if exact[i], err = DesignPointFeatures(pt, params); err != nil {
+			b.Fatal(err)
+		}
+		pt.Capacity += 256
+		if knn[i], err = DesignPointFeatures(pt, params); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// The speedup's denominator: the mean wall clock of 3 simulations of
+	// the first corpus point, after an untimed one.
+	cfg := pts[0].Scheme.Configure(pts[0].Capacity)
+	var simNs float64
+	for i := 0; i < 4; i++ {
+		start := time.Now()
+		if _, err := Run(cfg, pts[0].Workload, params.WarmupInsts, params.MeasureInsts); err != nil {
+			b.Fatal(err)
+		}
+		if i > 0 {
+			simNs += float64(time.Since(start).Nanoseconds()) / 3
+		}
+	}
+	for _, tier := range []struct {
+		name  string
+		feats []Features
+		exact bool
+	}{{"exact", exact, true}, {"knn", knn, false}} {
+		b.Run(tier.name, func(b *testing.B) {
+			lats := make([]time.Duration, b.N)
+			b.ResetTimer()
+			for i := range lats {
+				t0 := time.Now()
+				pred, ok := model.Predict(tier.feats[i%len(tier.feats)])
+				lats[i] = time.Since(t0)
+				if !ok {
+					b.Fatalf("surrogate refused a corpus-adjacent query (i=%d)", i)
+				}
+				if pred.Exact != tier.exact {
+					b.Fatalf("query exactness = %v, want %v (i=%d)", pred.Exact, tier.exact, i)
+				}
+			}
+			b.StopTimer()
+			slices.Sort(lats)
+			b.ReportMetric(float64(lats[(len(lats)-1)*99/100].Nanoseconds())/1e3, "p99_us")
+			b.ReportMetric(simNs*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "speedup_x")
+		})
+	}
 }
 
 // BenchmarkSimulatorThroughput measures raw simulation speed (engineering

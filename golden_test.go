@@ -1,7 +1,9 @@
 package uopsim_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"reflect"
 	"testing"
@@ -9,7 +11,10 @@ import (
 	"uopsim"
 )
 
-// goldenPoint / goldenFile mirror cmd/uopbench's -golden output.
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_metrics.json and testdata/golden_sampled.json from the current simulator")
+
+// goldenPoint / goldenFile are the golden files' layout: a header that is
+// the spec for the file's runs, then one point per workload x scheme.
 type goldenPoint struct {
 	Workload string         `json:"workload"`
 	Scheme   string         `json:"scheme"`
@@ -29,8 +34,13 @@ type goldenFile struct {
 // reported number: every scheme x workload point must produce bit-identical
 // Metrics versus testdata/golden_metrics.json (full runs) and
 // testdata/golden_sampled.json (interval-sampled runs, subtests under
-// "sampled/"), both generated by cmd/uopbench -golden. Regenerate a file
-// only for a change that intentionally alters simulated behaviour.
+// "sampled/"). Each file must also be byte-for-byte what the writer makes
+// of it, so a regeneration of an unchanged simulator is a no-op.
+//
+// Only for a change that intentionally alters simulated behaviour,
+// regenerate both files with
+//
+//	go test -run TestGoldenMetrics -update-golden .
 func TestGoldenMetrics(t *testing.T) {
 	schemes := map[string]uopsim.Scheme{}
 	for _, sc := range uopsim.Schemes(2) {
@@ -45,8 +55,21 @@ func TestGoldenMetrics(t *testing.T) {
 		if err := json.Unmarshal(raw, &gf); err != nil {
 			t.Fatal(err)
 		}
+		if *updateGolden {
+			if raw, err = regenerateGolden(&gf); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(file, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if len(gf.Points) == 0 {
 			t.Fatalf("%s has no points", file)
+		}
+		if b, err := marshalGolden(gf); err != nil {
+			t.Fatal(err)
+		} else if !bytes.Equal(b, raw) {
+			t.Errorf("%s is not what -update-golden writes for its own contents: it was edited or reformatted by hand", file)
 		}
 		prefix := ""
 		if gf.Sampling != nil {
@@ -77,6 +100,36 @@ func TestGoldenMetrics(t *testing.T) {
 			})
 		}
 	}
+}
+
+// regenerateGolden reruns every workload x Schemes(2) point at capacity
+// 2048 with the run lengths and sampling in gf's header, replaces gf's
+// points, and returns the file's new bytes.
+func regenerateGolden(gf *goldenFile) ([]byte, error) {
+	var pts []uopsim.DesignPoint
+	for _, name := range uopsim.WorkloadNames() {
+		for _, sc := range uopsim.Schemes(2) {
+			pts = append(pts, uopsim.DesignPoint{Workload: name, Scheme: sc, Capacity: 2048})
+		}
+	}
+	params := uopsim.ExperimentParams{WarmupInsts: gf.Warmup, MeasureInsts: gf.Measure}
+	if gf.Sampling != nil {
+		params.Sampling = *gf.Sampling
+	}
+	runs, err := uopsim.RunDesignPoints(params, pts)
+	if err != nil {
+		return nil, err
+	}
+	gf.Points = make([]goldenPoint, len(runs))
+	for i, r := range runs {
+		gf.Points[i] = goldenPoint{Workload: pts[i].Workload, Scheme: pts[i].Scheme.Name, Capacity: pts[i].Capacity, Metrics: r.Metrics}
+	}
+	return marshalGolden(*gf)
+}
+
+func marshalGolden(gf goldenFile) ([]byte, error) {
+	b, err := json.MarshalIndent(gf, "", "  ")
+	return append(b, '\n'), err
 }
 
 // TestGoldenMetricsViaRegistry proves the metrics registry is a lossless

@@ -213,7 +213,8 @@ type Point struct {
 // index-for-index with pts. A failed point leaves a zero Run at its index
 // and is reported through the aggregated error, so callers can salvage
 // partial batches. This is the external face of the sweep executor
-// (cmd/uopbench's golden dump drives its Table II loop through it).
+// (the golden-file regeneration and BenchmarkSurrogate's corpus go
+// through it).
 func RunPoints(p Params, pts []Point) ([]Run, error) {
 	p = p.withDefaults()
 	jobs := make([]job, len(pts))

@@ -568,17 +568,25 @@ func TestMemoHitAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("memo-hit /v1/simulate: %.0f allocs", allocs)
-	if allocs > memoHitAllocBound {
-		t.Fatalf("memo-hit /v1/simulate allocates %.0f times, bound %d", allocs, memoHitAllocBound)
+	bound := memoHitAllocBound
+	if raceEnabled {
+		bound = memoHitAllocBoundRace
+	}
+	if allocs > float64(bound) {
+		t.Fatalf("memo-hit /v1/simulate allocates %.0f times, bound %d", allocs, bound)
 	}
 	if got := s.statsResponse().Pool.Admitted; got != 1 {
 		t.Fatalf("admitted = %d after one simulation and memo hits, want 1", got)
 	}
 }
 
-// memoHitAllocBound is twice the measured memo-hit cost: 34 allocations,
-// about 46 under -race, where sync.Pool drops some of what it is given.
-const memoHitAllocBound = 68
+// A memo hit measures 34 allocations. Building the request deadline it
+// never uses adds 4, so the bound leaves room for 2. Under -race sync.Pool
+// drops some of what it is given, and the count varies from 44 to 51.
+const (
+	memoHitAllocBound     = 36
+	memoHitAllocBoundRace = 60
+)
 
 // TestMetricsEndpoint spot-checks the Prometheus exposition: server scope,
 // runcache scope, and parseable sample lines.

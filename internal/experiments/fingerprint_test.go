@@ -1,11 +1,18 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
+	"hash"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"uopsim/internal/runcache"
+	"uopsim/internal/workload"
 )
 
 var updateFingerprints = flag.Bool("update-fingerprints", false, "rewrite testdata/request_fingerprints.json from the current encoder")
@@ -97,5 +104,63 @@ func TestFingerprintAllocBound(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(50, func() { _, _ = req.Fingerprint() }); n > 10 {
 		t.Fatalf("PointRequest.Fingerprint allocates %.0f times, want <= 10", n)
+	}
+}
+
+// TestFeatureVectorsPinned pins the bytes of every feature vector a sweep
+// stores: warehouse records carry them, and the surrogate's exact-match
+// tier keys on their canonical form, so an encoder change that moves one
+// byte strands every stored record's exact hit. The digests hash each
+// pair as %q=%q; over single-thread points (every workload × scheme at
+// three capacities) and SMT pairs (each workload with the next, every
+// scheme, 2048 uops).
+func TestFeatureVectorsPinned(t *testing.T) {
+	digest := func(h hash.Hash, f runcache.Features) {
+		for _, kv := range f {
+			fmt.Fprintf(h, "%q=%q;", kv.Key, kv.Value)
+		}
+	}
+	names := workload.Names()
+	single := sha256.New()
+	for _, w := range names {
+		for _, s := range Schemes(2) {
+			for _, c := range []int{256, 2048, 16384} {
+				f, err := FeaturesForPoint(Point{w, s, c}, Params{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				digest(single, f)
+			}
+		}
+	}
+	smt := sha256.New()
+	for i := range names {
+		a, err := workload.Lookup(names[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := workload.Lookup(names[(i+1)%len(names)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range Schemes(2) {
+			f, err := smtFeatures(Params{}.withDefaults(), a, b, s.Configure(2048))
+			if err != nil {
+				t.Fatal(err)
+			}
+			digest(smt, f)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		h    hash.Hash
+		want string
+	}{
+		{"single-thread", single, "0553eb4df89a7c9d9fbe54aa1d90187c287fba3b24b4e5cf7017ab9db16974c6"},
+		{"smt", smt, "da46654d016bfda4af0b549e4951c2f0a1dc14b6f6427d162bec643aa90ef5d0"},
+	} {
+		if got := hex.EncodeToString(c.h.Sum(nil)); got != c.want {
+			t.Errorf("%s feature vectors digest to %s, want %s", c.name, got, c.want)
+		}
 	}
 }

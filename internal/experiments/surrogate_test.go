@@ -212,3 +212,46 @@ func TestSurrogateCompactConcurrentWithPredicts(t *testing.T) {
 		}
 	}
 }
+
+// TestEstimateTierAllocBounds bounds what the estimate tier allocates per
+// query before any HTTP work: building the request's feature vector (one
+// encoding buffer, one string, one pair slice, the head pairs and two run
+// lengths; 107 objects when every key was concatenated and the slice grew
+// by doubling) and one interpolating Predict over the real vectors of
+// every scheme (38 objects when each query built canonical strings and a
+// map of its numeric features).
+func TestEstimateTierAllocBounds(t *testing.T) {
+	req := PointRequest{Workload: "bm_cc", Scheme: "F-PWAC", Capacity: 8192,
+		Warmup: goldenWarmup, Measure: goldenMeasure}.WithDefaults()
+	if n := testing.AllocsPerRun(50, func() { _, _ = req.Features() }); n > 8 {
+		t.Fatalf("PointRequest.Features allocates %.0f times, want <= 8", n)
+	}
+
+	p := Params{WarmupInsts: goldenWarmup, MeasureInsts: goldenMeasure}
+	var pts []surrogate.Point
+	for i, sc := range Schemes(2) {
+		for _, c := range []int{1024, 2048, 4096} {
+			feat, err := FeaturesForPoint(Point{Workload: "bm_cc", Scheme: sc, Capacity: c}, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			metrics := make(map[string]float64, len(derivedMetrics))
+			for name := range derivedMetrics {
+				metrics[name] = float64(i*c + len(name))
+			}
+			pts = append(pts, surrogate.Point{Fingerprint: runcache.Fingerprint(fmt.Sprint(sc.Name, c)), Features: feat, Metrics: metrics})
+		}
+	}
+	m := surrogate.New(surrogate.Options{})
+	m.Fit(pts)
+	feat, err := req.Features()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pred, ok := m.Predict(feat); !ok || pred.Exact {
+		t.Fatalf("the query should interpolate: ok=%v %+v", ok, pred)
+	}
+	if n := testing.AllocsPerRun(50, func() { _, _ = m.Predict(feat) }); n > 8 {
+		t.Fatalf("Model.Predict allocates %.0f times, want <= 8", n)
+	}
+}

@@ -26,7 +26,9 @@ package surrogate
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -144,13 +146,14 @@ type partition struct {
 // normalization, and the per-signature trees. Replaced wholesale on
 // retrain; tombstones accumulate in byFP between fits.
 type fitState struct {
-	dims  []string // sorted numeric feature keys
-	index map[string]int
-	mean  []float64
-	scale []float64
-	parts map[string]*partition
-	byFP  map[runcache.Fingerprint]*mpoint
-	dead  int // tombstoned points still referenced by trees
+	dims    []string // sorted numeric feature keys
+	index   map[string]int
+	mean    []float64
+	scale   []float64
+	metrics []string // sorted union of the fitted points' metric names
+	parts   map[string]*partition
+	byFP    map[runcache.Fingerprint]*mpoint
+	dead    int // tombstoned points still referenced by trees
 }
 
 // Model is the surrogate. All methods are safe for concurrent use;
@@ -190,27 +193,27 @@ func New(opts Options) *Model {
 	}
 }
 
-// splitFeatures separates a feature vector into its numeric dimensions and
-// its categorical signature (the sorted non-numeric pairs, canonically
-// joined). Duplicate numeric keys keep the last value, matching the
-// last-wins convention of the feature flattening.
-func splitFeatures(feat runcache.Features) (num map[string]float64, sig string) {
-	num = make(map[string]float64, len(feat))
-	var cat runcache.Features
+// splitFeatures walks feat once, the same walk for fitting and for
+// queries. Each numeric pair goes to num in order, so a key that repeats
+// ends on its last value; num returning false stops the walk and
+// splitFeatures reports false. The categorical pairs are appended to cat
+// and returned sorted by key, then value: their canonical form is the
+// point's partition signature.
+func splitFeatures(feat runcache.Features, cat []runcache.KV, num func(key string, v float64) bool) ([]runcache.KV, bool) {
 	for _, kv := range feat {
-		if v, ok := kv.Numeric(); ok {
-			num[kv.Key] = v
-		} else {
+		if v, ok := kv.Numeric(); !ok {
 			cat = append(cat, kv)
+		} else if !num(kv.Key, v) {
+			return cat, false
 		}
 	}
-	sort.Slice(cat, func(i, j int) bool {
-		if cat[i].Key != cat[j].Key {
-			return cat[i].Key < cat[j].Key
+	slices.SortFunc(cat, func(a, b runcache.KV) int {
+		if c := strings.Compare(a.Key, b.Key); c != 0 {
+			return c
 		}
-		return cat[i].Value < cat[j].Value
+		return strings.Compare(a.Value, b.Value)
 	})
-	return num, cat.Canonical()
+	return cat, true
 }
 
 // Fit replaces the whole training set and rebuilds the fitted state.
@@ -333,37 +336,66 @@ func (m *Model) refitLocked() {
 	}
 	sort.Slice(fps, func(i, j int) bool { return fps[i] < fps[j] })
 
+	type numeric struct {
+		key string
+		v   float64
+	}
 	type encoded struct {
 		p   Point
-		num map[string]float64
+		num []numeric
 		sig string
+		vec []float64 // values by dimension, normalized once the fit is known
+		has []bool    // which dimensions the point carries
 	}
 	encs := make([]encoded, 0, len(fps))
 	dimSet := make(map[string]bool)
+	metricSet := make(map[string]bool)
+	var sig []byte
 	for _, fp := range fps {
-		p := m.corpus[fp]
-		num, sig := splitFeatures(p.Features)
-		for k := range num {
+		e := encoded{p: m.corpus[fp]}
+		e.num = make([]numeric, 0, len(e.p.Features))
+		cat, _ := splitFeatures(e.p.Features, nil, func(k string, v float64) bool {
+			e.num = append(e.num, numeric{k, v})
 			dimSet[k] = true
+			return true
+		})
+		sig = runcache.Features(cat).AppendCanonical(sig[:0])
+		e.sig = string(sig)
+		for k := range e.p.Metrics {
+			metricSet[k] = true
 		}
-		encs = append(encs, encoded{p: p, num: num, sig: sig})
+		encs = append(encs, e)
 	}
-	dims := make([]string, 0, len(dimSet))
-	for k := range dimSet {
-		dims = append(dims, k)
+	sortedKeys := func(set map[string]bool) []string {
+		keys := make([]string, 0, len(set))
+		for k := range set {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		return keys
 	}
-	sort.Strings(dims)
+	dims := sortedKeys(dimSet)
 
 	st := &fitState{
-		dims:  dims,
-		index: make(map[string]int, len(dims)),
-		mean:  make([]float64, len(dims)),
-		scale: make([]float64, len(dims)),
-		parts: make(map[string]*partition),
-		byFP:  make(map[runcache.Fingerprint]*mpoint, len(encs)),
+		dims:    dims,
+		index:   make(map[string]int, len(dims)),
+		mean:    make([]float64, len(dims)),
+		scale:   make([]float64, len(dims)),
+		metrics: sortedKeys(metricSet),
+		parts:   make(map[string]*partition),
+		byFP:    make(map[runcache.Fingerprint]*mpoint, len(encs)),
 	}
 	for i, d := range dims {
 		st.index[d] = i
+	}
+	for i := range encs {
+		e := &encs[i]
+		e.vec = make([]float64, len(dims))
+		e.has = make([]bool, len(dims))
+		for _, n := range e.num {
+			j := st.index[n.key]
+			e.vec[j], e.has[j] = n.v, true
+		}
 	}
 	// Per-dimension mean and stddev over the points that carry the
 	// dimension; a missing value imputes to the mean (normalized 0), and a
@@ -373,8 +405,8 @@ func (m *Model) refitLocked() {
 	// fit must be a pure function of the corpus.
 	count := make([]float64, len(dims))
 	for _, e := range encs {
-		for i, k := range dims {
-			if v, ok := e.num[k]; ok {
+		for i, v := range e.vec {
+			if e.has[i] {
 				st.mean[i] += v
 				count[i]++
 			}
@@ -386,8 +418,8 @@ func (m *Model) refitLocked() {
 		}
 	}
 	for _, e := range encs {
-		for i, k := range dims {
-			if v, ok := e.num[k]; ok {
+		for i, v := range e.vec {
+			if e.has[i] {
 				d := v - st.mean[i]
 				st.scale[i] += d * d
 			}
@@ -402,13 +434,12 @@ func (m *Model) refitLocked() {
 		}
 	}
 	for _, e := range encs {
-		vec := make([]float64, len(dims))
-		for i, k := range dims {
-			if v, ok := e.num[k]; ok {
-				vec[i] = (v - st.mean[i]) / st.scale[i]
+		for i, v := range e.vec {
+			if e.has[i] {
+				e.vec[i] = (v - st.mean[i]) / st.scale[i]
 			}
 		}
-		mp := &mpoint{fp: e.p.Fingerprint, vec: vec, metrics: e.p.Metrics}
+		mp := &mpoint{fp: e.p.Fingerprint, vec: e.vec, metrics: e.p.Metrics}
 		st.byFP[e.p.Fingerprint] = mp
 		part := st.parts[e.sig]
 		if part == nil {
@@ -436,11 +467,17 @@ func (m *Model) refitLocked() {
 // categorical signature, or numeric keys the fitted layout has never seen
 // (an incomparable query must fall through to simulation, not alias to a
 // distance-zero neighbor).
+//
+//uopvet:hotpath
 func (m *Model) Predict(feat runcache.Features) (Prediction, bool) {
 	m.predictions.Add(1)
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if ev, ok := m.exact[feat.Canonical()]; ok {
+	// Both lookups key a map with string(buf) over a stack buffer, which
+	// the compiler does without allocating.
+	var keyArr [2048]byte
+	key := feat.AppendCanonical(keyArr[:0])
+	if ev, ok := m.exact[string(key)]; ok {
 		m.exactHits.Add(1)
 		return Prediction{Metrics: ev.metrics, Confidence: 1, Neighbors: 1, Exact: true}, true
 	}
@@ -449,23 +486,26 @@ func (m *Model) Predict(feat runcache.Features) (Prediction, bool) {
 		m.noPrediction.Add(1)
 		return Prediction{}, false
 	}
-	num, sig := splitFeatures(feat)
-	part := st.parts[sig]
-	if part == nil || part.tree == nil {
+	vec := make([]float64, len(st.dims))
+	var catArr [8]runcache.KV
+	cat, known := splitFeatures(feat, catArr[:0], func(k string, v float64) bool {
+		i, ok := st.index[k]
+		if ok {
+			vec[i] = (v - st.mean[i]) / st.scale[i]
+		}
+		return ok
+	})
+	if !known {
+		// A numeric key the layout has never seen would be silently
+		// dropped from the distance — two different configs could
+		// alias at distance zero. Refuse instead.
 		m.noPrediction.Add(1)
 		return Prediction{}, false
 	}
-	vec := make([]float64, len(st.dims))
-	for k, v := range num {
-		i, ok := st.index[k]
-		if !ok {
-			// A numeric key the layout has never seen would be silently
-			// dropped from the distance — two different configs could
-			// alias at distance zero. Refuse instead.
-			m.noPrediction.Add(1)
-			return Prediction{}, false
-		}
-		vec[i] = (v - st.mean[i]) / st.scale[i]
+	part := st.parts[string(runcache.Features(cat).AppendCanonical(key[:0]))]
+	if part == nil || part.tree == nil {
+		m.noPrediction.Add(1)
+		return Prediction{}, false
 	}
 	acc := knnAcc{k: m.opts.K, items: make([]neighbor, 0, m.opts.K)}
 	part.tree.search(vec, 0, &acc)
@@ -473,32 +513,25 @@ func (m *Model) Predict(feat runcache.Features) (Prediction, bool) {
 		m.noPrediction.Add(1)
 		return Prediction{}, false
 	}
-	pred := m.interpolate(acc.items, len(st.dims))
+	pred := m.interpolate(acc.items, st)
 	m.interpolated.Add(1)
 	return pred, true
 }
 
 // interpolate blends the neighbors' metric vectors with inverse-square-
-// distance weights and scores the blend's confidence.
-func (m *Model) interpolate(nbrs []neighbor, dims int) Prediction {
+// distance weights and scores the blend's confidence. It walks the fit's
+// union of metric names: a name no neighbor carries gets no weight, so it
+// stays out of the blend and out of the spread.
+func (m *Model) interpolate(nbrs []neighbor, st *fitState) Prediction {
 	const eps = 1e-9
-	weights := make([]float64, len(nbrs))
+	var wArr [8]float64
+	weights := wArr[:0]
 	var wsum float64
-	for i, nb := range nbrs {
-		weights[i] = 1 / (nb.d2 + eps)
-		wsum += weights[i]
-	}
-	keys := make(map[string]bool)
 	for _, nb := range nbrs {
-		for k := range nb.p.metrics {
-			keys[k] = true
-		}
+		weights = append(weights, 1/(nb.d2+eps))
+		wsum += weights[len(weights)-1]
 	}
-	names := make([]string, 0, len(keys))
-	for k := range keys {
-		names = append(names, k)
-	}
-	sort.Strings(names)
+	names := st.metrics
 	out := make(map[string]float64, len(names))
 	for _, name := range names {
 		var v, w float64
@@ -518,7 +551,7 @@ func (m *Model) interpolate(nbrs []neighbor, dims int) Prediction {
 	// and the weighted relative spread of the reference metric ("how steep
 	// is the surface here"). Either one large means the interpolation is a
 	// guess.
-	d1 := math.Sqrt(nbrs[0].d2 / float64(dims))
+	d1 := math.Sqrt(nbrs[0].d2 / float64(len(st.dims)))
 	scored := names
 	if m.opts.ReferenceMetric != "" {
 		if _, ok := out[m.opts.ReferenceMetric]; ok {

@@ -20,15 +20,11 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"uopsim/internal/cluster"
@@ -67,31 +63,9 @@ func run() error {
 	gw.Start()
 	defer gw.Stop()
 
-	hs := &http.Server{Addr: *addr, Handler: gw}
-	errc := make(chan error, 1)
-	go func() {
-		log.Printf("uopgate: listening on %s fronting %d shards (%d vnodes each)",
-			*addr, gw.Ring().Len(), gw.Ring().VNodes())
-		if err := hs.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-		}
-	}()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-
-	// The gateway holds no state of its own — shutdown is just closing the
+	// The gateway holds no state of its own: shutdown is just closing the
 	// listener and stopping the prober (deferred).
-	log.Printf("uopgate: shutting down")
-	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil {
-		log.Printf("uopgate: shutdown: %v", err)
-	}
-	return nil
+	log.Printf("uopgate: listening on %s fronting %d shards (%d vnodes each)",
+		*addr, gw.Ring().Len(), gw.Ring().VNodes())
+	return server.ListenAndServe("uopgate", &http.Server{Addr: *addr, Handler: gw}, 10*time.Second, nil)
 }

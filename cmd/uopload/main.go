@@ -136,7 +136,7 @@ func run() error {
 	fmt.Print(report)
 
 	if *gateway {
-		if cerr := reportCluster(*url, cfg.PoolSize()); cerr != nil {
+		if cerr := reportCluster(client, cfg.PoolSize()); cerr != nil {
 			fmt.Fprintf(os.Stderr, "uopload: cluster stats fetch failed: %v\n", cerr)
 		}
 	} else if stats, serr := client.Stats(); serr == nil {
@@ -159,8 +159,8 @@ func run() error {
 // unique pool), the balance ratio and failover counters, then one line per
 // shard. Dead or restarted shards make the summed counters undercount —
 // the dedupe line still prints, the caller decides what to assert.
-func reportCluster(url string, expectUnique int) error {
-	cs, err := cluster.NewClient(url).Stats()
+func reportCluster(client *server.Client, expectUnique int) error {
+	cs, err := server.GetJSON[cluster.StatsResponse](client, "/v1/stats")
 	if err != nil {
 		return err
 	}

@@ -32,16 +32,12 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	_ "net/http/pprof" // registered on the -pprof side listener only
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"uopsim/internal/experiments"
@@ -124,37 +120,11 @@ func run() error {
 		}()
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv}
-	errc := make(chan error, 1)
-	go func() {
-		log.Printf("uopsimd: listening on %s (warehouse=%q)", *addr, *whDir)
-		if err := hs.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-		}
-	}()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-
-	// Graceful shutdown: stop accepting connections, then drain the pool so
+	// On SIGTERM: stop accepting connections, then drain the pool so
 	// admitted simulations finish and land in the cache.
-	log.Printf("uopsimd: shutting down, draining in-flight work (budget %s)", *drainTimeout)
-	sctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil {
-		log.Printf("uopsimd: shutdown: %v", err)
-	}
-	done := make(chan struct{})
-	go func() { srv.Drain(); close(done) }()
-	select {
-	case <-done:
-	case <-sctx.Done():
-		log.Printf("uopsimd: drain budget exhausted, exiting with work in flight")
+	log.Printf("uopsimd: listening on %s (warehouse=%q)", *addr, *whDir)
+	if err := server.ListenAndServe("uopsimd", &http.Server{Addr: *addr, Handler: srv}, *drainTimeout, srv.Drain); err != nil {
+		return err
 	}
 	log.Printf("uopsimd: engine %s", srv.Engine().Stats())
 	if ws != nil {

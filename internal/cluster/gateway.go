@@ -1,11 +1,10 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -101,13 +100,13 @@ func New(cfg Config) (*Gateway, error) {
 	g.mem = newMembership(mems, cfg.ProbeInterval, cfg.ProbeFails)
 	g.met = newGwMetrics(g.names, g.ring, g.mem)
 	g.mux = http.NewServeMux()
-	g.mux.HandleFunc("/v1/simulate", g.handleSimulate)
-	g.mux.HandleFunc("/v1/estimate", g.handleEstimate)
-	g.mux.HandleFunc("/v1/sweep", g.handleSweep)
-	g.mux.HandleFunc("/v1/query", g.handleQuery)
-	g.mux.HandleFunc("/v1/stats", g.handleStats)
+	g.mux.HandleFunc("/v1/simulate", server.Method(http.MethodPost, "POST a SimulateRequest to this endpoint", g.handleSimulate))
+	g.mux.HandleFunc("/v1/estimate", server.Method(http.MethodPost, "POST an EstimateRequest to this endpoint", g.handleEstimate))
+	g.mux.HandleFunc("/v1/sweep", server.Method(http.MethodPost, "POST a SweepRequest to this endpoint", g.handleSweep))
+	g.mux.HandleFunc("/v1/query", server.Method(http.MethodPost, "POST a QueryRequest to this endpoint", g.handleQuery))
+	g.mux.HandleFunc("/v1/stats", server.Method(http.MethodGet, "GET this endpoint", g.handleStats))
 	g.mux.HandleFunc("/healthz", g.handleHealthz)
-	g.mux.HandleFunc("/metrics", g.handleMetrics)
+	g.mux.HandleFunc("/metrics", server.Metrics(g.met.reg, "uopgate"))
 	return g, nil
 }
 
@@ -171,66 +170,28 @@ func (g *Gateway) forwardStatusError(w http.ResponseWriter, se *server.StatusErr
 }
 
 func (g *Gateway) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		server.WriteError(w, http.StatusMethodNotAllowed, "POST a SimulateRequest to this endpoint")
-		return
-	}
-	g.met.requests.Inc()
 	var req server.SimulateRequest
-	if err := server.DecodeJSON(w, r, simulateBodyLimit, &req); err != nil {
-		server.WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	pt := req.PointRequest.WithDefaults()
-	if err := pt.Validate(); err != nil {
-		server.WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	fp, err := pt.Fingerprint()
-	if err != nil {
-		server.WriteError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	body := server.GetBody()
-	defer server.PutBody(body)
-	cands := g.candidates(fp)
-	for i, name := range cands {
-		if i > 0 {
-			g.met.retries.Inc()
-		}
-		t0 := time.Now()
-		body.Reset()
-		err := g.shards[name].client.Post("/v1/simulate", server.SimulateRequest{PointRequest: pt, TimeoutMS: req.TimeoutMS}, body)
-		g.met.observeNode(name, time.Since(t0), err != nil)
-		if err == nil {
-			g.served(fp, name)
-			writeBody(w, body)
-			return
-		}
-		if se, ok := passThrough(err); ok {
-			g.met.errors.Inc()
-			g.forwardStatusError(w, se)
-			return
-		}
-		g.mem.reportFailure(name)
-	}
-	g.met.errors.Inc()
-	server.WriteError(w, http.StatusBadGateway, "no live shard could serve the point (%d tried, %d/%d nodes alive)",
-		len(cands), g.mem.aliveCount(), g.ring.Len())
+	g.routePoint(w, r, "/v1/simulate", "point", &req, &req.PointRequest)
 }
 
 func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		server.WriteError(w, http.StatusMethodNotAllowed, "POST an EstimateRequest to this endpoint")
-		return
-	}
-	g.met.requests.Inc()
 	var req server.EstimateRequest
-	if err := server.DecodeJSON(w, r, simulateBodyLimit, &req); err != nil {
-		server.WriteError(w, http.StatusBadRequest, "%v", err)
+	g.routePoint(w, r, "/v1/estimate", "estimate", &req, &req.PointRequest)
+}
+
+// routePoint forwards a one-point request to path on the point's live
+// ring owners in spill-over order, until one answers. req is the body to
+// decode and forward (a pointer, so it is boxed once, not per candidate),
+// pt the point inside it; noun names the point in the 502 message. A
+// shard's 200 goes back byte for byte, read whole before any byte goes
+// out, so a shard that dies mid-body fails over to the next candidate
+// instead of leaving a truncated 200.
+func (g *Gateway) routePoint(w http.ResponseWriter, r *http.Request, path, noun string, req any, pt *experiments.PointRequest) {
+	g.met.requests.Inc()
+	if !server.DecodeRequest(w, r, req) {
 		return
 	}
-	pt := req.PointRequest.WithDefaults()
+	*pt = pt.WithDefaults()
 	if err := pt.Validate(); err != nil {
 		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -242,8 +203,6 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	body := server.GetBody()
 	defer server.PutBody(body)
-	fwd := req
-	fwd.PointRequest = pt
 	cands := g.candidates(fp)
 	for i, name := range cands {
 		if i > 0 {
@@ -251,11 +210,11 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		}
 		t0 := time.Now()
 		body.Reset()
-		err := g.shards[name].client.Post("/v1/estimate", fwd, body)
+		err := g.shards[name].client.Post(path, req, body)
 		g.met.observeNode(name, time.Since(t0), err != nil)
 		if err == nil {
 			g.served(fp, name)
-			writeBody(w, body)
+			server.WriteBody(w, http.StatusOK, body.Bytes())
 			return
 		}
 		if se, ok := passThrough(err); ok {
@@ -266,32 +225,14 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		g.mem.reportFailure(name)
 	}
 	g.met.errors.Inc()
-	server.WriteError(w, http.StatusBadGateway, "no live shard could serve the estimate (%d tried, %d/%d nodes alive)",
-		len(cands), g.mem.aliveCount(), g.ring.Len())
-}
-
-// sweepBodyLimit mirrors the daemon's: scale with the point cap.
-func (g *Gateway) sweepBodyLimit() int64 {
-	return simulateBodyLimit + int64(g.cfg.MaxSweepPoints)*(16<<10)
+	server.WriteError(w, http.StatusBadGateway, "no live shard could serve the %s (%d tried, %d/%d nodes alive)",
+		noun, len(cands), g.mem.aliveCount(), g.ring.Len())
 }
 
 func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		server.WriteError(w, http.StatusMethodNotAllowed, "POST a SweepRequest to this endpoint")
-		return
-	}
 	g.met.requests.Inc()
-	var req server.SweepRequest
-	if err := server.DecodeJSON(w, r, g.sweepBodyLimit(), &req); err != nil {
-		server.WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if len(req.Points) == 0 {
-		server.WriteError(w, http.StatusBadRequest, "sweep needs at least one point")
-		return
-	}
-	if len(req.Points) > g.cfg.MaxSweepPoints {
-		server.WriteError(w, http.StatusBadRequest, "sweep of %d points exceeds this gateway's cap of %d", len(req.Points), g.cfg.MaxSweepPoints)
+	req, ok := server.DecodeSweep(w, r, g.cfg.MaxSweepPoints, "gateway")
+	if !ok {
 		return
 	}
 	pts := make([]experiments.PointRequest, len(req.Points))
@@ -310,10 +251,6 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 		fps[i] = fp
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
 	// Scatter in rounds: group unanswered points by their best untried
 	// candidate, run one /v1/sweep per shard concurrently, remap each
 	// line's index back to the caller's array, requeue whatever a failed
@@ -322,17 +259,7 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// the orchestrator closes it when every point is answered or exhausted.
 	lines := make(chan server.SweepLine, len(pts))
 	go g.scatterSweep(pts, fps, req.TimeoutMS, lines)
-
-	enc := json.NewEncoder(w)
-	for line := range lines {
-		if err := enc.Encode(line); err != nil {
-			// Client went away; keep draining so the scatterer can exit.
-			continue
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	server.StreamSweep(w, lines)
 }
 
 // scatterSweep drives the rounds and closes lines when done.
@@ -367,14 +294,8 @@ func (g *Gateway) scatterSweep(pts []experiments.PointRequest, fps []runcache.Fi
 			groups[target] = append(groups[target], idx)
 		}
 		for _, idx := range exhausted {
-			g.met.errors.Inc()
-			lines <- server.SweepLine{
-				Index:    idx,
-				Workload: pts[idx].Workload,
-				Scheme:   pts[idx].Scheme,
-				Error: fmt.Sprintf("no live shard could serve the point (%d/%d nodes alive)",
-					g.mem.aliveCount(), g.ring.Len()),
-			}
+			g.failLine(lines, pts, idx, fmt.Sprintf("no live shard could serve the point (%d/%d nodes alive)",
+				g.mem.aliveCount(), g.ring.Len()))
 		}
 		var (
 			ansMu    sync.Mutex
@@ -411,7 +332,19 @@ func (g *Gateway) scatterSweep(pts []experiments.PointRequest, fps []runcache.Fi
 					lines <- sl
 					return nil
 				})
-				if err != nil {
+				if se, ok := passThrough(err); ok {
+					// The shard refused the sub-batch before streaming a
+					// line (a point over its per-point cap): its answer
+					// stands for every point in it, and strikes nothing.
+					ansMu.Lock()
+					for _, idx := range idxs {
+						answered[idx] = true
+					}
+					ansMu.Unlock()
+					for _, idx := range idxs {
+						g.failLine(lines, pts, idx, se.Message)
+					}
+				} else if err != nil {
 					// Transport failure or mid-stream death: the shard is
 					// suspect; whatever it left unanswered goes back into
 					// the next round.
@@ -424,7 +357,7 @@ func (g *Gateway) scatterSweep(pts []experiments.PointRequest, fps []runcache.Fi
 		next := pending[:0]
 		ansMu.Lock()
 		for _, idx := range pending {
-			if !answered[idx] && !contains(exhausted, idx) {
+			if !answered[idx] && !slices.Contains(exhausted, idx) {
 				next = append(next, idx)
 			}
 		}
@@ -434,23 +367,14 @@ func (g *Gateway) scatterSweep(pts []experiments.PointRequest, fps []runcache.Fi
 	// Anything still pending exhausted the round bound (every shard tried
 	// or down): emit error lines so the caller gets one line per point.
 	for _, idx := range pending {
-		g.met.errors.Inc()
-		lines <- server.SweepLine{
-			Index:    idx,
-			Workload: pts[idx].Workload,
-			Scheme:   pts[idx].Scheme,
-			Error:    "every shard failed or was down before the point resolved",
-		}
+		g.failLine(lines, pts, idx, "every shard failed or was down before the point resolved")
 	}
 }
 
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
+// failLine answers point idx of a sweep with an error line and counts it.
+func (g *Gateway) failLine(lines chan<- server.SweepLine, pts []experiments.PointRequest, idx int, msg string) {
+	g.met.errors.Inc()
+	lines <- server.SweepLine{Index: idx, Workload: pts[idx].Workload, Scheme: pts[idx].Scheme, Error: msg}
 }
 
 // handleQuery fans the query out to every live shard and merges: rows
@@ -459,60 +383,45 @@ func contains(xs []int, x int) bool {
 // one, the limit applied to the merged set. The barrier is inherent — a
 // global sort needs every shard's rows.
 func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		server.WriteError(w, http.StatusMethodNotAllowed, "POST a QueryRequest to this endpoint")
-		return
-	}
 	g.met.requests.Inc()
 	var q server.QueryRequest
-	if err := server.DecodeJSON(w, r, simulateBodyLimit, &q); err != nil {
-		server.WriteError(w, http.StatusBadRequest, "%v", err)
+	if !server.DecodeRequest(w, r, &q) {
 		return
 	}
 	type shardRows struct {
 		rows []server.QueryRow
 		err  error
+		ok   bool // the shard was live and answered
 	}
 	results := make([]shardRows, len(g.names))
-	var wg sync.WaitGroup
-	for i, name := range g.names {
-		if !g.mem.alive(name) {
-			results[i].err = fmt.Errorf("shard %s is down", name)
-			continue
-		}
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			t0 := time.Now()
-			err := g.shards[name].client.Query(q, func(row server.QueryRow) error {
-				results[i].rows = append(results[i].rows, row)
-				return nil
-			})
-			g.met.observeNode(name, time.Since(t0), err != nil)
-			if err != nil {
-				results[i].err = err
-				if _, ok := passThrough(err); !ok {
-					g.mem.reportFailure(name)
-				}
+	g.eachLive(func(i int, name string) {
+		t0 := time.Now()
+		err := g.shards[name].client.Query(q, func(row server.QueryRow) error {
+			results[i].rows = append(results[i].rows, row)
+			return nil
+		})
+		g.met.observeNode(name, time.Since(t0), err != nil)
+		results[i].err, results[i].ok = err, err == nil
+		if err != nil {
+			if _, ok := passThrough(err); !ok {
+				g.mem.reportFailure(name)
 			}
-		}(i, name)
-	}
-	wg.Wait()
+		}
+	})
 	var (
 		merged     []server.QueryRow
 		reached    int
 		badRequest *server.StatusError
 	)
-	for i := range results {
-		if results[i].err != nil {
-			var se *server.StatusError
-			if errors.As(results[i].err, &se) && se.Code == http.StatusBadRequest {
-				badRequest = se // the query itself is malformed; every shard agrees
-			}
-			continue
+	for _, res := range results {
+		var se *server.StatusError
+		if errors.As(res.err, &se) && se.Code == http.StatusBadRequest {
+			badRequest = se // the query itself is malformed; every shard agrees
 		}
-		reached++
-		merged = append(merged, results[i].rows...)
+		if res.ok {
+			reached++
+			merged = append(merged, res.rows...)
+		}
 	}
 	if badRequest != nil {
 		g.met.errors.Inc()
@@ -536,14 +445,23 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if q.Limit > 0 && len(deduped) > q.Limit {
 		deduped = deduped[:q.Limit]
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	for _, row := range deduped {
-		if err := enc.Encode(row); err != nil {
-			return // client went away
+	server.WriteRows(w, deduped)
+}
+
+// eachLive runs fn concurrently for every live shard, i indexing g.names,
+// and returns once every call has.
+func (g *Gateway) eachLive(fn func(i int, name string)) {
+	var wg sync.WaitGroup
+	for i, name := range g.names {
+		if g.mem.alive(name) {
+			wg.Add(1)
+			go func(i int, name string) {
+				defer wg.Done()
+				fn(i, name)
+			}(i, name)
 		}
 	}
+	wg.Wait()
 }
 
 // NodeStatus is one shard's row in /v1/stats: gateway-side traffic
@@ -608,10 +526,6 @@ type StatsResponse struct {
 }
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		server.WriteError(w, http.StatusMethodNotAllowed, "GET this endpoint")
-		return
-	}
 	server.WriteJSON(w, http.StatusOK, g.statsResponse())
 }
 
@@ -637,22 +551,9 @@ func (g *Gateway) statsResponse() StatsResponse {
 	// Fetch every live shard's /v1/stats concurrently so the cluster
 	// totals are one consistent-ish snapshot rather than a serial drift.
 	engines := make([]*server.StatsResponse, len(g.names))
-	var wg sync.WaitGroup
-	for i, name := range g.names {
-		if !g.mem.alive(name) {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			st, err := g.shards[name].client.Stats()
-			if err != nil {
-				return
-			}
-			engines[i] = st
-		}(i, name)
-	}
-	wg.Wait()
+	g.eachLive(func(i int, name string) {
+		engines[i], _ = g.shards[name].client.Stats()
+	})
 	for i, name := range g.names {
 		nc := met.perNode[name]
 		ns := NodeStatus{
@@ -714,23 +615,4 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	server.WriteJSON(w, http.StatusOK, body)
-}
-
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	g.met.reg.Snapshot().WritePrometheus(w, "uopgate")
-}
-
-// simulateBodyLimit matches the daemon's single-point body bound.
-const simulateBodyLimit = 4 << 20
-
-// writeBody forwards a shard's 200 JSON answer byte for byte, with its
-// Content-Length. The whole answer was read before any byte goes out, so a
-// shard that dies mid-body fails over to the next candidate instead of
-// leaving a truncated 200.
-func writeBody(w http.ResponseWriter, body *bytes.Buffer) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(body.Len()))
-	w.WriteHeader(http.StatusOK)
-	w.Write(body.Bytes()) //nolint — the connection is gone if this fails
 }

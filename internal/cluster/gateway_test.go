@@ -25,10 +25,11 @@ import (
 // modeling a node dying the moment a scatter batch lands on it. swap
 // replaces the process behind the address: a restart.
 //
-// truncate instead lets the shard answer /v1/simulate in full, then sends
-// the status and only half the body before severing the connection: a
-// process dying mid-write. record keeps a copy of every /v1/simulate body the shard
-// sent, for byte-identity checks.
+// truncate instead lets the shard answer a point route (/v1/simulate or
+// /v1/estimate) in full, then sends the status and only half the body
+// before severing the connection: a process dying mid-write. record keeps
+// a copy of every point-route body the shard sent, for byte-identity
+// checks.
 type flakyHandler struct {
 	serving sync.RWMutex // held shared while a request is served
 	h       http.Handler // nil while restarting; guarded by serving
@@ -45,8 +46,8 @@ type flakyHandler struct {
 func (f *flakyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	f.mu.Lock()
 	kill := f.down || (f.failSweeps && r.URL.Path == "/v1/sweep")
-	simulate := r.URL.Path == "/v1/simulate"
-	truncate, record := f.truncate && simulate, f.record && simulate
+	point := r.URL.Path == "/v1/simulate" || r.URL.Path == "/v1/estimate"
+	truncate, record := f.truncate && point, f.record && point
 	f.mu.Unlock()
 	f.serving.RLock()
 	defer f.serving.RUnlock()
@@ -500,7 +501,7 @@ func TestGatewayStatsEndpoint(t *testing.T) {
 	if _, err := client.Simulate(server.SimulateRequest{PointRequest: testPoints(1)[0]}); err != nil {
 		t.Fatal(err)
 	}
-	cs, err := NewClient(gwURL).Stats()
+	cs, err := server.GetJSON[StatsResponse](client, "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,92 +531,256 @@ func TestGatewayStatsEndpoint(t *testing.T) {
 	}
 }
 
-// TestGatewayForwardsShardBodyVerbatim: the gateway's /v1/simulate answer
-// is the owner's body byte for byte, with its Content-Length, on a miss
-// and on a memo hit.
+// TestGatewayForwardsShardBodyVerbatim: on each point route the gateway's
+// answer is the owner's body byte for byte, with its Content-Length: on a
+// miss, on a repeat, and on a 400 the shard raises itself (a point over
+// its per-point cap, which the gateway does not check). The 400 passes
+// through without striking or retrying the shard.
 func TestGatewayForwardsShardBodyVerbatim(t *testing.T) {
-	gw, gwURL, shards := newTestCluster(t, 3)
-	pt := testPoints(1)[0]
-	owner, _ := shardFor(t, gw, shards, pt)
-	owner.fl.mu.Lock()
-	owner.fl.record = true
-	owner.fl.mu.Unlock()
-	body, err := json.Marshal(server.SimulateRequest{PointRequest: pt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []string{"simulated", "memo"} {
-		resp, err := http.Post(gwURL+"/v1/simulate", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("request %d: HTTP %d: %s", i, resp.StatusCode, got)
-		}
-		if resp.ContentLength != int64(len(got)) {
-			t.Fatalf("request %d: gateway declared Content-Length %d for a %d-byte body", i, resp.ContentLength, len(got))
-		}
-		owner.fl.mu.Lock()
-		sent := owner.fl.sent
-		owner.fl.mu.Unlock()
-		if len(sent) != i+1 {
-			t.Fatalf("owner sent %d bodies after %d requests", len(sent), i+1)
-		}
-		if !bytes.Equal(got, sent[i]) {
-			t.Fatalf("request %d: gateway body differs from the shard's:\n%s\nvs\n%s", i, got, sent[i])
-		}
-		var ans server.SimulateResponse
-		if err := json.Unmarshal(got, &ans); err != nil || ans.Resolution != want {
-			t.Fatalf("request %d: resolution %q (%v), want %q", i, ans.Resolution, err, want)
-		}
+	for _, route := range []struct {
+		path string
+		body func(experiments.PointRequest) any
+		// tier reads which tier answered from a 200 body; tiers are the
+		// answers to a miss and to its repeat.
+		tier  func([]byte) (string, error)
+		tiers [2]string
+	}{
+		{
+			path: "/v1/simulate",
+			body: func(pt experiments.PointRequest) any { return server.SimulateRequest{PointRequest: pt} },
+			tier: func(b []byte) (string, error) {
+				var ans server.SimulateResponse
+				err := json.Unmarshal(b, &ans)
+				return ans.Resolution, err
+			},
+			tiers: [2]string{"simulated", "memo"},
+		},
+		{
+			path: "/v1/estimate",
+			body: func(pt experiments.PointRequest) any { return server.EstimateRequest{PointRequest: pt} },
+			tier: func(b []byte) (string, error) {
+				var ans server.EstimateResponse
+				err := json.Unmarshal(b, &ans)
+				return ans.Source, err
+			},
+			tiers: [2]string{"simulated", "surrogate"},
+		},
+	} {
+		t.Run(strings.TrimPrefix(route.path, "/v1/"), func(t *testing.T) {
+			gw, gwURL, shards := newTestCluster(t, 3)
+			for _, sh := range shards {
+				sh.fl.mu.Lock()
+				sh.fl.record = true
+				sh.fl.mu.Unlock()
+			}
+			// ask sends pt through the gateway and returns the status, the
+			// body, and the last body pt's owner sent, checking that the
+			// two bodies match and the gateway declared the length.
+			ask := func(pt experiments.PointRequest) (int, []byte, int) {
+				t.Helper()
+				owner, _ := shardFor(t, gw, shards, pt)
+				body, err := json.Marshal(route.body(pt))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.Post(gwURL+route.path, "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.ContentLength != int64(len(got)) {
+					t.Fatalf("gateway declared Content-Length %d for a %d-byte body", resp.ContentLength, len(got))
+				}
+				owner.fl.mu.Lock()
+				sent := owner.fl.sent
+				owner.fl.mu.Unlock()
+				if len(sent) == 0 || !bytes.Equal(got, sent[len(sent)-1]) {
+					t.Fatalf("gateway body differs from the owner's last one:\n%s\nvs %d sent", got, len(sent))
+				}
+				return resp.StatusCode, got, len(sent)
+			}
+			pt := testPoints(1)[0]
+			for i, want := range route.tiers {
+				code, got, sent := ask(pt)
+				if code != http.StatusOK {
+					t.Fatalf("request %d: HTTP %d: %s", i, code, got)
+				}
+				if sent != i+1 {
+					t.Fatalf("owner sent %d bodies after %d requests", sent, i+1)
+				}
+				if tier, err := route.tier(got); err != nil || tier != want {
+					t.Fatalf("request %d: answered by %q (%v), want %q", i, tier, err, want)
+				}
+			}
+
+			over := pt
+			over.Measure = 3_000_000
+			code, got, _ := ask(over)
+			if code != http.StatusBadRequest || !strings.Contains(string(got), "per-point cap") {
+				t.Fatalf("over-cap point: HTTP %d: %s, want the shard's 400", code, got)
+			}
+			if md, rt := gw.mem.markdowns.Value(), gw.met.retries.Value(); md != 0 || rt != 0 {
+				t.Fatalf("a shard's 400 caused %d markdowns and %d retries, want none", md, rt)
+			}
+		})
 	}
 }
 
-// TestGatewayRetriesShardDyingMidBody: an owner that sends 200 and half
-// its body before the connection drops is a failed shard, not an answer;
-// the gateway retries the next ring owner and returns a whole body.
+// TestGatewayRetriesShardDyingMidBody: on each point route, an owner that
+// sends 200 and half its body before the connection drops is a failed
+// shard, not an answer; the gateway retries the next ring owner and
+// returns a whole body.
 func TestGatewayRetriesShardDyingMidBody(t *testing.T) {
-	gw, gwURL, shards := newTestCluster(t, 3)
-	pt := testPoints(1)[0]
-	owner, _ := shardFor(t, gw, shards, pt)
-	owner.fl.mu.Lock()
-	owner.fl.truncate = true
-	owner.fl.mu.Unlock()
+	for _, tc := range []struct {
+		path string
+		ask  func(*server.Client, experiments.PointRequest, runcache.Fingerprint) error
+	}{
+		{"/v1/simulate", func(c *server.Client, pt experiments.PointRequest, fp runcache.Fingerprint) error {
+			resp, err := c.Simulate(server.SimulateRequest{PointRequest: pt})
+			if err != nil {
+				return err
+			}
+			if resp.Fingerprint != string(fp) || resp.Result.Metrics.Cycles <= 0 {
+				return fmt.Errorf("answer %s with %d cycles, want a whole answer for %s", resp.Fingerprint, resp.Result.Metrics.Cycles, fp)
+			}
+			return nil
+		}},
+		{"/v1/estimate", func(c *server.Client, pt experiments.PointRequest, _ runcache.Fingerprint) error {
+			resp, err := c.Estimate(server.EstimateRequest{PointRequest: pt})
+			if err != nil {
+				return err
+			}
+			if resp.Source != "simulated" || resp.Metrics["upc"] <= 0 {
+				return fmt.Errorf("answer from %q with upc %v, want a whole simulated answer", resp.Source, resp.Metrics["upc"])
+			}
+			return nil
+		}},
+	} {
+		t.Run(strings.TrimPrefix(tc.path, "/v1/"), func(t *testing.T) {
+			gw, gwURL, shards := newTestCluster(t, 3)
+			pt := testPoints(1)[0]
+			owner, _ := shardFor(t, gw, shards, pt)
+			owner.fl.mu.Lock()
+			owner.fl.truncate = true
+			owner.fl.mu.Unlock()
 
-	resp, err := server.NewClient(gwURL).Simulate(server.SimulateRequest{PointRequest: pt})
-	if err != nil {
-		t.Fatalf("simulate through a shard dying mid-body: %v", err)
+			fp, err := pt.Fingerprint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.ask(server.NewClient(gwURL), pt, fp); err != nil {
+				t.Fatalf("%s through a shard dying mid-body: %v", tc.path, err)
+			}
+			owner.fl.mu.Lock()
+			truncated := owner.fl.truncated
+			owner.fl.mu.Unlock()
+			if truncated != 1 {
+				t.Fatalf("owner cut %d answers short, want 1", truncated)
+			}
+			if errs, retries := gw.met.errors.Value(), gw.met.retries.Value(); retries < 1 || errs != 0 {
+				t.Fatalf("gateway counted %d retries and %d errors, want a retry and no error", retries, errs)
+			}
+			// The owner stored its result before the connection dropped, so
+			// the next owner pulls it instead of simulating again.
+			var sim, pulled uint64
+			for _, sh := range shards {
+				st := sh.srv.Engine().Stats()
+				sim += st.Simulated
+				pulled += st.PeerHits
+			}
+			if sim != 1 || pulled != 1 {
+				t.Fatalf("cluster simulated %d times and pulled %d blobs, want 1 and 1", sim, pulled)
+			}
+		})
 	}
-	fp, err := pt.Fingerprint()
+}
+
+// TestGatewaySweepPassesShardRefusalThrough: a shard that refuses a
+// sub-batch with a 400 (a point over its per-point cap, which the gateway
+// does not check) has answered, not failed. The point's line carries the
+// shard's message, no shard is struck or retried, and the cluster keeps
+// serving.
+func TestGatewaySweepPassesShardRefusalThrough(t *testing.T) {
+	gw, gwURL, _ := newTestCluster(t, 3)
+	client := server.NewClient(gwURL)
+	over := experiments.PointRequest{Workload: "bm_cc", Measure: 3_000_000}
+	var lines []server.SweepLine
+	err := client.Sweep(server.SweepRequest{Points: []experiments.PointRequest{over}}, func(line server.SweepLine) error {
+		lines = append(lines, line)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Fingerprint != string(fp) || resp.Result.Metrics.Cycles <= 0 {
-		t.Fatalf("answer %s with %d cycles, want a whole answer for %s", resp.Fingerprint, resp.Result.Metrics.Cycles, fp)
+	if len(lines) != 1 || lines[0].Index != 0 || !strings.Contains(lines[0].Error, "exceeds this server's per-point cap") {
+		t.Fatalf("sweep answered %+v, want one error line carrying the shard's message", lines)
 	}
-	owner.fl.mu.Lock()
-	truncated := owner.fl.truncated
-	owner.fl.mu.Unlock()
-	if truncated != 1 {
-		t.Fatalf("owner cut %d answers short, want 1", truncated)
+	if md, rt, alive := gw.mem.markdowns.Value(), gw.met.retries.Value(), gw.mem.aliveCount(); md != 0 || rt != 0 || alive != 3 {
+		t.Fatalf("after a refused sweep: markdowns=%d retries=%d alive=%d, want 0, 0 and 3", md, rt, alive)
 	}
-	if errs, retries := gw.met.errors.Value(), gw.met.retries.Value(); retries < 1 || errs != 0 {
-		t.Fatalf("gateway counted %d retries and %d errors, want a retry and no error", retries, errs)
+	if _, err := client.Simulate(server.SimulateRequest{PointRequest: testPoints(1)[0]}); err != nil {
+		t.Fatalf("simulate after a refused sweep: %v", err)
 	}
-	// The owner stored its result before the connection dropped, so the
-	// next owner pulls it instead of simulating again.
-	var sim, pulled uint64
-	for _, sh := range shards {
-		st := sh.srv.Engine().Stats()
-		sim += st.Simulated
-		pulled += st.PeerHits
-	}
-	if sim != 1 || pulled != 1 {
-		t.Fatalf("cluster simulated %d times and pulled %d blobs, want 1 and 1", sim, pulled)
+}
+
+// TestMethodNotAllowed asks every method-guarded endpoint of a daemon and
+// of a gateway with a method it does not serve: each answers 405 with an
+// errorBody that carries its own hint.
+func TestMethodNotAllowed(t *testing.T) {
+	c := bootCluster(t, 1)
+	const (
+		simulate = "POST a SimulateRequest to this endpoint"
+		sweep    = "POST a SweepRequest to this endpoint"
+		estimate = "POST an EstimateRequest to this endpoint"
+		query    = "POST a QueryRequest to this endpoint"
+		stats    = "GET this endpoint"
+	)
+	for _, tc := range []struct {
+		front, url, path, method, hint string
+	}{
+		{"uopsimd", c.shards[0].url, "/v1/simulate", http.MethodPost, simulate},
+		{"uopsimd", c.shards[0].url, "/v1/sweep", http.MethodPost, sweep},
+		{"uopsimd", c.shards[0].url, "/v1/estimate", http.MethodPost, estimate},
+		{"uopsimd", c.shards[0].url, "/v1/query", http.MethodPost, query},
+		{"uopsimd", c.shards[0].url, "/v1/blob", http.MethodGet, "GET a fingerprint from this endpoint"},
+		{"uopsimd", c.shards[0].url, "/v1/stats", http.MethodGet, stats},
+		{"uopgate", c.url, "/v1/simulate", http.MethodPost, simulate},
+		{"uopgate", c.url, "/v1/estimate", http.MethodPost, estimate},
+		{"uopgate", c.url, "/v1/sweep", http.MethodPost, sweep},
+		{"uopgate", c.url, "/v1/query", http.MethodPost, query},
+		{"uopgate", c.url, "/v1/stats", http.MethodGet, stats},
+	} {
+		wrong := []string{http.MethodGet, http.MethodPut}
+		if tc.method == http.MethodGet {
+			wrong = []string{http.MethodPost, http.MethodDelete}
+		}
+		for _, method := range wrong {
+			t.Run(tc.front+" "+method+" "+tc.path, func(t *testing.T) {
+				req, err := http.NewRequest(method, tc.url+tc.path, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				var eb struct {
+					Error string `json:"error"`
+				}
+				dec := json.NewDecoder(resp.Body)
+				dec.DisallowUnknownFields()
+				if err := dec.Decode(&eb); err != nil {
+					t.Fatalf("HTTP %d with no error body: %v", resp.StatusCode, err)
+				}
+				if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Content-Type") != "application/json" || eb.Error != tc.hint {
+					t.Fatalf("HTTP %d (%s) %q, want 405 application/json %q", resp.StatusCode, resp.Header.Get("Content-Type"), eb.Error, tc.hint)
+				}
+			})
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -31,8 +30,7 @@ func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotImplemented, "this daemon has no persistent store (start uopsimd with -warehouse)")
 		return
 	}
-	if r.Method != http.MethodGet {
-		WriteError(w, http.StatusMethodNotAllowed, "GET a fingerprint from this endpoint")
+	if !allowMethod(w, r, http.MethodGet, "GET a fingerprint from this endpoint") {
 		return
 	}
 	fp := r.URL.Query().Get("fp")
@@ -54,14 +52,11 @@ func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
 // *StatusError with Code 404; a daemon without a persistent store answers
 // 501.
 func (c *Client) FetchBlob(fp string) ([]byte, error) {
-	resp, err := c.httpClient().Get(c.BaseURL + "/v1/blob?fp=" + url.QueryEscape(fp))
+	resp, err := c.get("/v1/blob?fp=" + url.QueryEscape(fp))
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, statusError(resp)
-	}
 	blob, err := io.ReadAll(io.LimitReader(resp.Body, blobBodyLimit))
 	if err != nil {
 		return nil, fmt.Errorf("server: reading blob: %w", err)
@@ -102,18 +97,4 @@ func peerLoader(peers []string, fetchErrors *stats.AtomicCounter) func(runcache.
 // Health fetches and decodes /healthz. A draining or unreachable daemon
 // returns an error (non-200s surface as *StatusError), so callers can use
 // it both as a liveness probe and as the identity/balance payload source.
-func (c *Client) Health() (*HealthzInfo, error) {
-	resp, err := c.httpClient().Get(c.BaseURL + "/healthz")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, statusError(resp)
-	}
-	var info HealthzInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		return nil, fmt.Errorf("server: decoding healthz: %w", err)
-	}
-	return &info, nil
-}
+func (c *Client) Health() (*HealthzInfo, error) { return GetJSON[HealthzInfo](c, "/healthz") }

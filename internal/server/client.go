@@ -45,13 +45,6 @@ func ParseURLs(list string) []string {
 	return urls
 }
 
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
-}
-
 // StatusError is any non-2xx daemon answer, carrying the backpressure
 // metadata a load generator needs (the Retry-After hint on 429s).
 type StatusError struct {
@@ -90,6 +83,32 @@ func statusError(resp *http.Response) *StatusError {
 	return se
 }
 
+// do sends req and hands back its 200 response. Any other status comes
+// back as *StatusError, with the body read and closed.
+func (c *Client) do(req *http.Request) (*http.Response, error) {
+	hc := c.HTTP
+	if hc == nil {
+		hc = http.DefaultClient
+	}
+	resp, err := hc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		return nil, statusError(resp)
+	}
+	return resp, nil
+}
+
+func (c *Client) get(path string) (*http.Response, error) {
+	req, err := http.NewRequest(http.MethodGet, c.BaseURL+path, nil)
+	if err != nil {
+		return nil, err
+	}
+	return c.do(req)
+}
+
 func (c *Client) postJSON(path string, body any) (*http.Response, error) {
 	buf, err := json.Marshal(body)
 	if err != nil {
@@ -100,7 +119,24 @@ func (c *Client) postJSON(path string, body any) (*http.Response, error) {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	return c.httpClient().Do(req)
+	return c.do(req)
+}
+
+// GetJSON fetches path from c and decodes its 200 body as a T.
+// Non-2xx answers come back as *StatusError. It reads any GET endpoint of
+// a daemon or a gateway (the gateway's /v1/stats as a
+// cluster.StatsResponse).
+func GetJSON[T any](c *Client, path string) (*T, error) {
+	resp, err := c.get(path)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	out := new(T)
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return nil, fmt.Errorf("server: decoding %s response: %w", path, err)
+	}
+	return out, nil
 }
 
 // Post sends req as JSON to path and appends a 200 answer's whole body to
@@ -113,9 +149,6 @@ func (c *Client) Post(path string, req any, dst *bytes.Buffer) error {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return statusError(resp)
-	}
 	if n := resp.ContentLength; n > 0 && n <= maxPooledJSON {
 		// The spare MinRead keeps ReadFrom from growing dst again just
 		// to observe EOF. Larger answers grow as they arrive, so a
@@ -128,20 +161,21 @@ func (c *Client) Post(path string, req any, dst *bytes.Buffer) error {
 	return nil
 }
 
-// call posts req to path and decodes the 200 body into out. The body is
+// call posts req to path and decodes the 200 body as a T. The body is
 // read into a pooled buffer: json.Unmarshal copies every string it decodes
-// (a snapshot's paths come from its intern table), so nothing in out
-// aliases the buffer once it is reused.
-func (c *Client) call(path string, req, out any) error {
+// (a snapshot's paths come from its intern table), so nothing in the
+// answer aliases the buffer once it is reused.
+func call[T any](c *Client, path string, req any) (*T, error) {
 	buf := GetBody()
 	defer PutBody(buf)
 	if err := c.Post(path, req, buf); err != nil {
-		return err
+		return nil, err
 	}
+	out := new(T)
 	if err := json.Unmarshal(buf.Bytes(), out); err != nil {
-		return fmt.Errorf("server: decoding %s response: %w", path, err)
+		return nil, fmt.Errorf("server: decoding %s response: %w", path, err)
 	}
-	return nil
+	return out, nil
 }
 
 // bodies pools the buffers whole answers are read into, by clients and by
@@ -163,67 +197,44 @@ func PutBody(b *bytes.Buffer) {
 // Simulate resolves one point. Non-2xx answers come back as *StatusError
 // so callers can switch on Code (429 → honor RetryAfter and retry).
 func (c *Client) Simulate(req SimulateRequest) (*SimulateResponse, error) {
-	var out SimulateResponse
-	if err := c.call("/v1/simulate", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[SimulateResponse](c, "/v1/simulate", req)
 }
 
 // Sweep streams a batch through /v1/sweep, invoking fn for every NDJSON
 // line as it arrives (completion order, not request order — use Index).
 // A non-nil fn error stops the stream and is returned.
 func (c *Client) Sweep(req SweepRequest, fn func(SweepLine) error) error {
-	resp, err := c.postJSON("/v1/sweep", req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return statusError(resp)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 8<<20) // result lines carry full snapshots
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var sl SweepLine
-		if err := json.Unmarshal(line, &sl); err != nil {
-			return fmt.Errorf("server: decoding sweep line: %w", err)
-		}
-		if err := fn(sl); err != nil {
-			return err
-		}
-	}
-	return sc.Err()
+	return readNDJSON(c, "/v1/sweep", req, fn)
 }
 
 // Query streams stored design points through /v1/query, invoking fn for
 // every NDJSON row (ascending fingerprint order). A daemon without a
 // warehouse answers 501, surfaced as a *StatusError.
 func (c *Client) Query(req QueryRequest, fn func(QueryRow) error) error {
-	resp, err := c.postJSON("/v1/query", req)
+	return readNDJSON(c, "/v1/query", req, fn)
+}
+
+// readNDJSON posts req to path and calls fn with each line of the 200
+// answer, decoded as a T, as it arrives. A non-nil fn error stops the
+// stream and is returned.
+func readNDJSON[T any](c *Client, path string, req any, fn func(T) error) error {
+	resp, err := c.postJSON(path, req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return statusError(resp)
-	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 8<<20) // rows with features can be wide
+	sc.Buffer(make([]byte, 0, 64<<10), 8<<20) // sweep lines carry full snapshots, query rows their features
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		var row QueryRow
-		if err := json.Unmarshal(line, &row); err != nil {
-			return fmt.Errorf("server: decoding query row: %w", err)
+		var v T
+		if err := json.Unmarshal(line, &v); err != nil {
+			return fmt.Errorf("server: decoding %s line: %w", path, err)
 		}
-		if err := fn(row); err != nil {
+		if err := fn(v); err != nil {
 			return err
 		}
 	}
@@ -231,32 +242,15 @@ func (c *Client) Query(req QueryRequest, fn func(QueryRow) error) error {
 }
 
 // Stats fetches /v1/stats.
-func (c *Client) Stats() (*StatsResponse, error) {
-	resp, err := c.httpClient().Get(c.BaseURL + "/v1/stats")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, statusError(resp)
-	}
-	var out StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("server: decoding stats response: %w", err)
-	}
-	return &out, nil
-}
+func (c *Client) Stats() (*StatsResponse, error) { return GetJSON[StatsResponse](c, "/v1/stats") }
 
 // Healthz reports whether the daemon answers 200 on /healthz.
 func (c *Client) Healthz() error {
-	resp, err := c.httpClient().Get(c.BaseURL + "/healthz")
+	resp, err := c.get("/healthz")
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return statusError(resp)
-	}
 	io.Copy(io.Discard, resp.Body)
 	return nil
 }

@@ -66,17 +66,12 @@ type EstimateStats struct {
 // warehouse, whose hook feeds the model — so the identical estimate
 // asked again is an exact fast-path hit.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		WriteError(w, http.StatusMethodNotAllowed, "POST an EstimateRequest to this endpoint")
-		return
-	}
 	if s.sur == nil {
 		WriteError(w, http.StatusNotImplemented, "this daemon has no surrogate model (start uopsimd with -warehouse)")
 		return
 	}
 	var req EstimateRequest
-	if err := DecodeJSON(w, r, simulateBodyLimit, &req); err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
+	if !DecodeRequest(w, r, &req) {
 		return
 	}
 	pt := req.PointRequest.WithDefaults()
@@ -96,20 +91,19 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	pred, ok := s.sur.Predict(feat)
+	ans := &EstimateResponse{
+		Workload:   pt.Workload,
+		Scheme:     pt.Scheme,
+		Capacity:   pt.Capacity,
+		Confidence: pred.Confidence, // zero when the model had nothing
+		Neighbors:  pred.Neighbors,
+	}
 	if ok && pred.Confidence >= threshold {
 		elapsed := time.Since(start)
 		s.met.observeEstimate(elapsed, true)
-		WriteJSON(w, http.StatusOK, &EstimateResponse{
-			Workload:   pt.Workload,
-			Scheme:     pt.Scheme,
-			Capacity:   pt.Capacity,
-			Source:     "surrogate",
-			Confidence: pred.Confidence,
-			Neighbors:  pred.Neighbors,
-			Exact:      pred.Exact,
-			ElapsedMS:  float64(elapsed) / float64(time.Millisecond),
-			Metrics:    pred.Metrics,
-		})
+		ans.Source, ans.Exact, ans.Metrics = "surrogate", pred.Exact, pred.Metrics
+		ans.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
+		WriteJSON(w, http.StatusOK, ans)
 		return
 	}
 
@@ -120,36 +114,20 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	resp, code, err := s.resolveRequest(r, req.TimeoutMS, pp)
-	if err != nil {
-		if code == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", s.retryAfter())
-		}
-		WriteError(w, code, "%v", err)
+	resp := s.resolveRequest(w, r, req.TimeoutMS, pp)
+	if resp == nil {
 		return
 	}
 	elapsed := time.Since(start)
 	s.met.observeEstimate(elapsed, false)
-	WriteJSON(w, http.StatusOK, &EstimateResponse{
-		Workload:   pt.Workload,
-		Scheme:     pt.Scheme,
-		Capacity:   pt.Capacity,
-		Source:     "simulated",
-		Confidence: pred.Confidence, // zero when the model had nothing
-		Neighbors:  pred.Neighbors,
-		Resolution: resp.Resolution,
-		Mode:       resp.Mode,
-		ElapsedMS:  float64(elapsed) / float64(time.Millisecond),
-		Metrics:    experiments.DerivedMetricValues(resp.Result),
-	})
+	ans.Source, ans.Resolution, ans.Mode = "simulated", resp.Resolution, resp.Mode
+	ans.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
+	ans.Metrics = experiments.DerivedMetricValues(resp.Result)
+	WriteJSON(w, http.StatusOK, ans)
 }
 
 // Estimate asks the fast tier for one point. Non-2xx answers come back as
 // *StatusError; a daemon without a warehouse answers 501.
 func (c *Client) Estimate(req EstimateRequest) (*EstimateResponse, error) {
-	var out EstimateResponse
-	if err := c.call("/v1/estimate", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[EstimateResponse](c, "/v1/estimate", req)
 }

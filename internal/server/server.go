@@ -11,9 +11,7 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -139,14 +137,14 @@ func New(cfg Config) *Server {
 		return pp.Resolve(eng)
 	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/simulate", s.handleSimulate)
-	s.mux.HandleFunc("/v1/sweep", s.handleSweep)
-	s.mux.HandleFunc("/v1/estimate", s.handleEstimate)
-	s.mux.HandleFunc("/v1/query", s.handleQuery)
+	s.mux.HandleFunc("/v1/simulate", Method(http.MethodPost, "POST a SimulateRequest to this endpoint", s.handleSimulate))
+	s.mux.HandleFunc("/v1/sweep", Method(http.MethodPost, "POST a SweepRequest to this endpoint", s.handleSweep))
+	s.mux.HandleFunc("/v1/estimate", Method(http.MethodPost, "POST an EstimateRequest to this endpoint", s.handleEstimate))
+	s.mux.HandleFunc("/v1/query", Method(http.MethodPost, "POST a QueryRequest to this endpoint", s.handleQuery))
 	s.mux.HandleFunc("/v1/blob", s.handleBlob)
-	s.mux.HandleFunc("/v1/stats", s.handleStats)
+	s.mux.HandleFunc("/v1/stats", Method(http.MethodGet, "GET this endpoint", s.handleStats))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
+	s.mux.HandleFunc("/metrics", Metrics(s.met.reg, "uopsimd"))
 	return s
 }
 
@@ -263,87 +261,6 @@ type StatsResponse struct {
 	UptimeSeconds float64          `json:"uptime_seconds"`
 }
 
-// errorBody is every non-2xx JSON payload, from a daemon or a gateway, so
-// clients see one error grammar whichever they talk to.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-// WriteError answers code with an errorBody carrying the formatted message.
-func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
-	WriteJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
-}
-
-// WriteJSON answers code with v as indented JSON: the bytes
-// json.MarshalIndent(v, "", "  ") gives, plus a newline. The whole body is
-// encoded first, so it goes out with its Content-Length, never chunked.
-func WriteJSON(w http.ResponseWriter, code int, v any) {
-	je := jsonEncoders.Get().(*jsonEncoder)
-	defer je.release()
-	je.enc.Encode(v) //nolint — only an unencodable v fails, and then the body is empty
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(je.buf.Len()))
-	w.WriteHeader(code)
-	w.Write(je.buf.Bytes()) //nolint — the connection is gone if this fails
-}
-
-// jsonEncoder is an indenting encoder over its own buffer. Pooling both
-// keeps the encoder's indent scratch and the buffer across answers, so a
-// warm hit does not regrow a snapshot-sized body twice per request.
-type jsonEncoder struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var jsonEncoders = sync.Pool{New: func() any {
-	je := &jsonEncoder{}
-	je.enc = json.NewEncoder(&je.buf)
-	je.enc.SetIndent("", "  ")
-	return je
-}}
-
-// maxPooledJSON bounds the buffer an encoder or a pooled body keeps: a
-// rare huge answer (a wide /v1/stats) is not pinned in the pool for the
-// process lifetime.
-const maxPooledJSON = 1 << 20
-
-func (je *jsonEncoder) release() {
-	if je.buf.Cap() > maxPooledJSON {
-		return
-	}
-	je.buf.Reset()
-	jsonEncoders.Put(je)
-}
-
-// simulateBodyLimit bounds a /v1/simulate body: one point plus one config
-// override fits in a fraction of this.
-const simulateBodyLimit = 4 << 20
-
-// sweepBodyLimit bounds a /v1/sweep body. Every admissible point may carry
-// a full explicit config override (a few KB), so the cap scales with the
-// point cap rather than truncating documented-legal batches mid-stream.
-func (s *Server) sweepBodyLimit() int64 {
-	return simulateBodyLimit + int64(s.cfg.MaxSweepPoints)*(16<<10)
-}
-
-// DecodeJSON parses a request body bounded by limit, strictly: unknown
-// fields are a client error, not something to guess about. An over-limit
-// body is reported as such instead of surfacing as a truncation error. The
-// cluster gateway decodes with it too, so it rejects exactly what a shard
-// would.
-func DecodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return fmt.Errorf("request body too large (limit %d bytes)", tooBig.Limit)
-		}
-		return fmt.Errorf("bad request body: %w", err)
-	}
-	return nil
-}
-
 // validatePoint layers the server's resource policy over point validity.
 func (s *Server) validatePoint(pt experiments.PointRequest) error {
 	if err := pt.Validate(); err != nil {
@@ -413,14 +330,22 @@ func (s *Server) resolveOne(ctx context.Context, pp experiments.PreparedPoint, w
 
 // resolveRequest is resolveOne for a single-point request: the request's
 // deadline is derived only when the memo misses, so a memo hit builds no
-// timer it would never use.
-func (s *Server) resolveRequest(r *http.Request, timeoutMS int64, pp experiments.PreparedPoint) (*SimulateResponse, int, error) {
+// timer it would never use. On failure it answers the error itself (a 429
+// with its Retry-After hint) and returns nil.
+func (s *Server) resolveRequest(w http.ResponseWriter, r *http.Request, timeoutMS int64, pp experiments.PreparedPoint) *SimulateResponse {
 	if resp, ok := s.memoHit(pp); ok {
-		return resp, http.StatusOK, nil
+		return resp
 	}
 	ctx, cancel := s.requestContext(r.Context(), timeoutMS)
 	defer cancel()
-	return s.admit(ctx, pp, false)
+	resp, code, err := s.admit(ctx, pp, false)
+	if err != nil {
+		if code == http.StatusTooManyRequests {
+			w.Header().Set("Retry-After", s.retryAfter())
+		}
+		WriteError(w, code, "%v", err)
+	}
+	return resp
 }
 
 // memoHit answers a point whose memo entry has completed. It runs before
@@ -500,13 +425,8 @@ func simulateResponse(pp experiments.PreparedPoint, how runcache.Resolution, res
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		WriteError(w, http.StatusMethodNotAllowed, "POST a SimulateRequest to this endpoint")
-		return
-	}
 	var req SimulateRequest
-	if err := DecodeJSON(w, r, simulateBodyLimit, &req); err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
+	if !DecodeRequest(w, r, &req) {
 		return
 	}
 	pp, code, err := s.preparePoint(req.PointRequest)
@@ -514,33 +434,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, code, "%v", err)
 		return
 	}
-	resp, code, err := s.resolveRequest(r, req.TimeoutMS, pp)
-	if err != nil {
-		if code == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", s.retryAfter())
-		}
-		WriteError(w, code, "%v", err)
-		return
+	if resp := s.resolveRequest(w, r, req.TimeoutMS, pp); resp != nil {
+		WriteJSON(w, http.StatusOK, resp)
 	}
-	WriteJSON(w, code, resp)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		WriteError(w, http.StatusMethodNotAllowed, "POST a SweepRequest to this endpoint")
-		return
-	}
-	var req SweepRequest
-	if err := DecodeJSON(w, r, s.sweepBodyLimit(), &req); err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if len(req.Points) == 0 {
-		WriteError(w, http.StatusBadRequest, "sweep needs at least one point")
-		return
-	}
-	if len(req.Points) > s.cfg.MaxSweepPoints {
-		WriteError(w, http.StatusBadRequest, "sweep of %d points exceeds this server's cap of %d", len(req.Points), s.cfg.MaxSweepPoints)
+	req, ok := DecodeSweep(w, r, s.cfg.MaxSweepPoints, "server")
+	if !ok {
 		return
 	}
 	pts := make([]experiments.PreparedPoint, len(req.Points))
@@ -554,10 +455,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
 	defer cancel()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
 
 	// One light waiter goroutine per point; simulation concurrency is
 	// still bounded by the pool (blocking admission), and the point count
@@ -583,34 +480,19 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}(i, pts[i])
 	}
 	go func() { wg.Wait(); close(lines) }()
-
-	enc := json.NewEncoder(w)
-	for line := range lines {
-		if err := enc.Encode(line); err != nil {
-			// Client went away; keep draining so the waiters can exit.
-			continue
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	StreamSweep(w, lines)
 }
 
 // handleQuery serves stored results: no simulation, no pool admission —
 // reads bypass the worker queue entirely, so a saturated simulation
 // backlog never blocks rendering a figure from data already on disk.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		WriteError(w, http.StatusMethodNotAllowed, "POST a QueryRequest to this endpoint")
-		return
-	}
 	if s.ws == nil {
 		WriteError(w, http.StatusNotImplemented, "this daemon has no warehouse attached (start uopsimd with -warehouse)")
 		return
 	}
 	var q QueryRequest
-	if err := DecodeJSON(w, r, simulateBodyLimit, &q); err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
+	if !DecodeRequest(w, r, &q) {
 		return
 	}
 	rows, err := experiments.QueryStore(s.ws, q)
@@ -618,21 +500,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	for _, row := range rows {
-		if err := enc.Encode(row); err != nil {
-			return // client went away
-		}
-	}
+	WriteRows(w, rows)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		WriteError(w, http.StatusMethodNotAllowed, "GET this endpoint")
-		return
-	}
 	WriteJSON(w, http.StatusOK, s.statsResponse())
 }
 
@@ -708,9 +579,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		info.Points = int(s.eng.Stats().Unique)
 	}
 	WriteJSON(w, http.StatusOK, info)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.met.reg.Snapshot().WritePrometheus(w, "uopsimd")
 }

@@ -15,9 +15,10 @@
 // Every design point is routed through a shared engine that simulates each
 // unique (workload, config, run-length) fingerprint exactly once per
 // invocation, no matter how many tables and figures ask for it; -warehouse
-// extends the reuse across invocations. Results are bit-identical with the
-// engine on, warm, or off (-dedupe=false). The engine's resolution
-// counters are printed to stderr so stdout stays diffable.
+// extends the reuse across invocations. Results are bit-identical whether
+// a point was simulated, memoized, or loaded warm from the warehouse. The
+// engine's resolution counters are printed to stderr so stdout stays
+// diffable.
 package main
 
 import (
@@ -51,7 +52,6 @@ func run() int {
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		metricsOut = flag.String("metrics", "", "collect every run's full metrics registry snapshot into this JSON file")
-		dedupe     = flag.Bool("dedupe", true, "share design points across experiments through the in-process engine")
 		cacheVer   = flag.Int("cache-verify", 0, "re-simulate every Nth disk-cached point and fail on any bit-level blob mismatch (0 = off; requires -warehouse)")
 		whDir      = flag.String("warehouse", "", "persist design points in an indexed warehouse (segment files) at this directory and reuse them across invocations; enables feature queries over stored results")
 		whMaxBytes = flag.Int64("warehouse-max-bytes", 0, "evict least-recently-used warehouse records past this byte budget (0 = unbounded; requires -warehouse)")
@@ -71,10 +71,6 @@ func run() int {
 
 	if (*cacheVer > 0 || *whMaxBytes != 0) && *whDir == "" {
 		fmt.Fprintln(os.Stderr, "uopexp: -cache-verify and -warehouse-max-bytes require -warehouse")
-		return 2
-	}
-	if *whDir != "" && !*dedupe {
-		fmt.Fprintln(os.Stderr, "uopexp: -warehouse requires the engine (-dedupe=true)")
 		return 2
 	}
 
@@ -148,7 +144,7 @@ func run() int {
 		defer ws.Close()
 		wh = ws
 		params.Engine = eng
-	} else if *dedupe {
+	} else {
 		params.Engine = uopsim.NewRunEngine()
 	}
 	// Unlike -sample-validate, this branch sits after engine setup on
@@ -197,11 +193,9 @@ func run() int {
 		}
 		fmt.Printf("[%d run snapshots written to %s]\n", len(collected), *metricsOut)
 	}
-	if params.Engine != nil {
-		// stderr, deliberately: stdout must stay byte-identical whether
-		// points were simulated, memoized, or loaded from disk.
-		fmt.Fprintf(os.Stderr, "[engine: %s]\n", params.Engine.Stats())
-	}
+	// stderr, deliberately: stdout must stay byte-identical whether
+	// points were simulated, memoized, or loaded from disk.
+	fmt.Fprintf(os.Stderr, "[engine: %s]\n", params.Engine.Stats())
 	if wh != nil {
 		fmt.Fprintf(os.Stderr, "[warehouse: %s]\n", wh)
 	}
@@ -217,17 +211,19 @@ type runSnapshot struct {
 }
 
 // metricsFile is the -metrics output shape: every run's registry snapshot
-// plus, when the engine is on, its dedupe counters in the same registry
-// snapshot form the daemon's /metrics endpoint exposes.
+// plus the engine's dedupe counters in the same registry snapshot form the
+// daemon's /metrics endpoint exposes.
 type metricsFile struct {
-	Runs   []runSnapshot         `json:"runs"`
-	Engine *uopsim.StatsSnapshot `json:"engine,omitempty"`
+	Runs   []runSnapshot        `json:"runs"`
+	Engine uopsim.StatsSnapshot `json:"engine"`
 }
 
-// writeSnapshots dumps the collected snapshots sorted by run identity so the
-// output is stable across scheduling orders.
+// writeSnapshots dumps the collected snapshots sorted by run identity. The
+// sort is stable because identities repeat with different snapshots (RAC
+// at 2048 uops under 2 and 3 entries per line); ties keep the sink's
+// order, which is point order and so independent of scheduling.
 func writeSnapshots(path string, runs []runSnapshot, eng *uopsim.RunEngine) error {
-	sort.Slice(runs, func(i, j int) bool {
+	sort.SliceStable(runs, func(i, j int) bool {
 		a, b := runs[i], runs[j]
 		if a.Workload != b.Workload {
 			return a.Workload < b.Workload
@@ -237,11 +233,7 @@ func writeSnapshots(path string, runs []runSnapshot, eng *uopsim.RunEngine) erro
 		}
 		return a.Capacity < b.Capacity
 	})
-	out := metricsFile{Runs: runs}
-	if eng != nil {
-		snap := eng.StatsSnapshot()
-		out.Engine = &snap
-	}
+	out := metricsFile{Runs: runs, Engine: eng.StatsSnapshot()}
 	f, err := os.Create(path)
 	if err != nil {
 		return err

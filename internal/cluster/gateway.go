@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -302,6 +303,57 @@ func (g *Gateway) scatterSweep(pts []experiments.PointRequest, fps []runcache.Fi
 			answered = make(map[int]bool, len(pending))
 			wg       sync.WaitGroup
 		)
+		// forward sends points idxs to shard name as one sub-sweep and
+		// remaps each line's index back to the caller's array. A shard that
+		// refuses the sub-batch (a point over its per-point cap) has
+		// answered, not failed, and is struck for nothing: a refused batch
+		// of several points is re-sent one point at a time, so only the bad
+		// point fails, and a refused single point answers with the shard's
+		// message under the caller's index. Any other error is returned
+		// with whatever the shard left unanswered.
+		var forward func(name string, idxs []int) error
+		forward = func(name string, idxs []int) error {
+			sub := server.SweepRequest{Points: make([]experiments.PointRequest, len(idxs)), TimeoutMS: timeoutMS}
+			for j, idx := range idxs {
+				sub.Points[j] = pts[idx]
+			}
+			err := g.shards[name].client.Sweep(sub, func(sl server.SweepLine) error {
+				if sl.Index < 0 || sl.Index >= len(idxs) {
+					return fmt.Errorf("shard %s returned out-of-range sweep index %d", name, sl.Index)
+				}
+				idx := idxs[sl.Index]
+				sl.Index = idx
+				ansMu.Lock()
+				answered[idx] = true
+				ansMu.Unlock()
+				if sl.Error == "" {
+					g.served(fps[idx], name)
+				}
+				g.met.sweepLines.Inc()
+				// Lines stream, so they count with no latency.
+				g.met.perNode[name].requests.Inc()
+				lines <- sl
+				return nil
+			})
+			se, ok := passThrough(err)
+			switch {
+			case !ok:
+				return err
+			case len(idxs) > 1:
+				for _, idx := range idxs {
+					if err := forward(name, []int{idx}); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			idx := idxs[0]
+			ansMu.Lock()
+			answered[idx] = true
+			ansMu.Unlock()
+			g.failLine(lines, pts, idx, fmt.Sprintf("points[%d]: %s", idx, strings.TrimPrefix(se.Message, "points[0]: ")))
+			return nil
+		}
 		for _, name := range g.names { // deterministic shard order
 			idxs := groups[name]
 			if len(idxs) == 0 {
@@ -310,41 +362,7 @@ func (g *Gateway) scatterSweep(pts []experiments.PointRequest, fps []runcache.Fi
 			wg.Add(1)
 			go func(name string, idxs []int) {
 				defer wg.Done()
-				sub := server.SweepRequest{Points: make([]experiments.PointRequest, len(idxs)), TimeoutMS: timeoutMS}
-				for j, idx := range idxs {
-					sub.Points[j] = pts[idx]
-				}
-				err := g.shards[name].client.Sweep(sub, func(sl server.SweepLine) error {
-					if sl.Index < 0 || sl.Index >= len(idxs) {
-						return fmt.Errorf("shard %s returned out-of-range sweep index %d", name, sl.Index)
-					}
-					idx := idxs[sl.Index]
-					sl.Index = idx
-					ansMu.Lock()
-					answered[idx] = true
-					ansMu.Unlock()
-					if sl.Error == "" {
-						g.served(fps[idx], name)
-					}
-					g.met.sweepLines.Inc()
-					// Lines stream, so they count with no latency.
-					g.met.perNode[name].requests.Inc()
-					lines <- sl
-					return nil
-				})
-				if se, ok := passThrough(err); ok {
-					// The shard refused the sub-batch before streaming a
-					// line (a point over its per-point cap): its answer
-					// stands for every point in it, and strikes nothing.
-					ansMu.Lock()
-					for _, idx := range idxs {
-						answered[idx] = true
-					}
-					ansMu.Unlock()
-					for _, idx := range idxs {
-						g.failLine(lines, pts, idx, se.Message)
-					}
-				} else if err != nil {
+				if err := forward(name, idxs); err != nil {
 					// Transport failure or mid-stream death: the shard is
 					// suspect; whatever it left unanswered goes back into
 					// the next round.

@@ -703,7 +703,9 @@ func TestGatewayRetriesShardDyingMidBody(t *testing.T) {
 // sub-batch with a 400 (a point over its per-point cap, which the gateway
 // does not check) has answered, not failed. The point's line carries the
 // shard's message, no shard is struck or retried, and the cluster keeps
-// serving.
+// serving. When the refused sub-batch also holds valid points, those still
+// resolve and only the bad point's line carries the refusal, under the
+// caller's index.
 func TestGatewaySweepPassesShardRefusalThrough(t *testing.T) {
 	gw, gwURL, _ := newTestCluster(t, 3)
 	client := server.NewClient(gwURL)
@@ -724,6 +726,34 @@ func TestGatewaySweepPassesShardRefusalThrough(t *testing.T) {
 	}
 	if _, err := client.Simulate(server.SimulateRequest{PointRequest: testPoints(1)[0]}); err != nil {
 		t.Fatalf("simulate after a refused sweep: %v", err)
+	}
+
+	// One shard, so the ring sends all three points in one sub-batch.
+	gw1, gw1URL, _ := newTestCluster(t, 1)
+	client1 := server.NewClient(gw1URL)
+	batch := append(testPoints(2), over)
+	results := map[int]bool{}
+	var errLines []server.SweepLine
+	err = client1.Sweep(server.SweepRequest{Points: batch}, func(line server.SweepLine) error {
+		if line.Error != "" {
+			errLines = append(errLines, line)
+		} else {
+			results[line.Index] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 2 || !results[0] || !results[1] {
+		t.Errorf("valid points answered %v, want results for indexes 0 and 1", results)
+	}
+	if len(errLines) != 1 || errLines[0].Index != 2 ||
+		!strings.HasPrefix(errLines[0].Error, "points[2]: ") || !strings.Contains(errLines[0].Error, "exceeds this server's per-point cap") {
+		t.Fatalf("error lines %+v, want one for index 2 naming points[2] and the shard's cap", errLines)
+	}
+	if md, rt, alive := gw1.mem.markdowns.Value(), gw1.met.retries.Value(), gw1.mem.aliveCount(); md != 0 || rt != 0 || alive != 1 {
+		t.Fatalf("after a partly refused sweep: markdowns=%d retries=%d alive=%d, want 0, 0 and 1", md, rt, alive)
 	}
 }
 

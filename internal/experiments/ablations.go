@@ -39,78 +39,50 @@ func Ablations(w io.Writer, p Params) error {
 		{"shallow BPU runahead (4 PWs)", func(c *pipeline.Config) { c.PWQueueSize = 4 }},
 	}
 
-	// Custom jobs: the scheme/capacity key space does not fit the generic
-	// sweep, so run variants directly (still parallel per workload).
-	type res struct {
-		variant  string
-		workload string
-		m        pipeline.Metrics
-		err      error
-	}
+	// Variant-major: variant vi's result for workload wi sits at
+	// vi*len(p.Workloads)+wi.
 	type work struct {
-		vi int
+		v  variant
 		wl string
 	}
 	var works []work
-	for vi := range variants {
+	for _, v := range variants {
 		for _, name := range p.Workloads {
-			works = append(works, work{vi, name})
+			works = append(works, work{v, name})
 		}
 	}
-	par := parallelism(p, len(works))
-	in := make(chan work)
-	out := make(chan res, len(works)) // buffered like sweep: no delivery rendezvous
-	for i := 0; i < par; i++ {
-		go func() {
-			for wk := range in {
-				cfg := ref.Configure(2048)
-				variants[wk.vi].mod(&cfg)
-				r, err := runOneCfg(p, wk.wl, variants[wk.vi].name, cfg)
-				out <- res{variants[wk.vi].name, wk.wl, r.Metrics, err}
-			}
-		}()
-	}
-	go func() {
-		for _, wk := range works {
-			in <- wk
+	ms, err := parallelMap(p, "ablations", works, func(wk work) (pipeline.Metrics, error) {
+		cfg := ref.Configure(2048)
+		wk.v.mod(&cfg)
+		pr, err := point(p, wk.wl, cfg)
+		if err != nil {
+			return pipeline.Metrics{}, fmt.Errorf("%s/%s: %w", wk.wl, wk.v.name, err)
 		}
-		close(in)
-	}()
-	byKey := map[string]pipeline.Metrics{}
-	var fails failureSummary
-	for range works {
-		r := <-out
-		if !fails.note(r.err) {
-			continue
-		}
-		byKey[r.variant+"|"+r.workload] = r.m
-	}
-	if err := fails.error("ablations"); err != nil {
+		return pr.Metrics, nil
+	})
+	if err != nil {
 		return err
 	}
 
 	t := stats.NewTable("Ablations: design-choice sensitivity (geomean over workloads, deltas vs CLASP+F-PWAC reference)",
 		"variant", "UPC Δ", "OC ratio Δ", "mispLat Δ", "decPow Δ")
-	for _, v := range variants[1:] {
+	n := len(p.Workloads)
+	for vi := 1; vi < len(variants); vi++ {
 		var upc, ratio, ml, dp []float64
-		for _, name := range p.Workloads {
-			refM, okR := byKey[variants[0].name+"|"+name]
-			m, okV := byKey[v.name+"|"+name]
-			if !okR || !okV {
-				continue
-			}
+		for wi := range n {
+			refM, m := ms[wi], ms[vi*n+wi]
 			upc = append(upc, m.UPC/refM.UPC)
 			ratio = append(ratio, safeRatio(m.OCFetchRatio, refM.OCFetchRatio))
 			ml = append(ml, safeRatio(m.AvgMispLatency, refM.AvgMispLatency))
 			dp = append(dp, safeRatio(m.DecoderPower, refM.DecoderPower))
 		}
-		t.AddRow(v.name,
+		t.AddRow(variants[vi].name,
 			fmt.Sprintf("%+.2f%%", (stats.GeoMean(upc)-1)*100),
 			fmt.Sprintf("%+.2f%%", (stats.GeoMean(ratio)-1)*100),
 			fmt.Sprintf("%+.2f%%", (stats.GeoMean(ml)-1)*100),
 			fmt.Sprintf("%+.2f%%", (stats.GeoMean(dp)-1)*100))
 	}
-	_, err := fmt.Fprintln(w, t)
+	_, err = fmt.Fprintln(w, t)
 	return err
 }
 
@@ -119,16 +91,4 @@ func safeRatio(a, b float64) float64 {
 		return 1
 	}
 	return a / b
-}
-
-// runOneCfg mirrors runOne but with an explicit configuration. It goes
-// through the same engine-aware point resolver, so ablation variants
-// dedupe too — the reference variant is exactly the F-PWAC@2048 point the
-// scheme figures already simulated.
-func runOneCfg(p Params, name, schemeName string, cfg pipeline.Config) (Run, error) {
-	pr, err := point(p, name, cfg)
-	if err != nil {
-		return Run{}, fmt.Errorf("%s/%s: %w", name, schemeName, err)
-	}
-	return Run{Workload: name, Suite: pr.Suite, Scheme: schemeName, Metrics: pr.Metrics, Snapshot: pr.Snapshot}, nil
 }

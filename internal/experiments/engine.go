@@ -145,26 +145,22 @@ func smtFeatures(p Params, profA, profB *workload.Profile, cfg pipeline.Config) 
 	return runcache.AppendFeatures(f, "config", cfg)
 }
 
-// point resolves one design point: through the shared engine when Params
-// carries one (memo/disk dedupe), by direct simulation otherwise. The two
-// paths are bit-identical by construction — the engine only ever returns
-// what simulatePoint produced for the same fingerprint inputs.
+// point resolves one single-thread design point of a driver at p's run
+// lengths. It prepares the point exactly as PointRequest.Prepare prepares a
+// wire request, so a sweep point and the same point asked of the daemon
+// share one fingerprint and one resolve step.
 func point(p Params, name string, cfg pipeline.Config) (PointResult, error) {
-	if p.Engine == nil {
-		return simulatePoint(p, name, cfg)
-	}
 	prof, err := workload.Lookup(name)
 	if err != nil {
 		return PointResult{}, err
 	}
-	fp, err := pointFingerprint(p, prof, cfg)
+	req := p.request(name)
+	req.Config = &cfg
+	pp, err := prepare(req, prof, cfg)
 	if err != nil {
 		return PointResult{}, err
 	}
-	features := func() (runcache.Features, error) { return pointFeatures(p, prof, cfg) }
-	res, _, err := p.Engine.DoLazy(fp, features, func() (PointResult, error) {
-		return simulatePoint(p, name, cfg)
-	})
+	res, _, err := pp.Resolve(p.Engine)
 	return res, err
 }
 

@@ -1,12 +1,11 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"uopsim/internal/runcache"
 	"uopsim/internal/surrogate"
@@ -111,33 +110,20 @@ func EstimateValidate(w io.Writer, p Params, o EstimateValidateOptions) (*Estima
 		}
 	}
 
-	// Resolve the whole grid in parallel (bounded like the sweeps); the
-	// results array is grid-aligned so everything downstream is
-	// deterministic regardless of completion order.
-	results := make([]PointResult, len(grid))
-	errs := make([]error, len(grid))
-	par := p.Parallel
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, par)
-	for idx := range grid {
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			cfg := grid[idx].pt.Scheme.Configure(grid[idx].pt.Capacity)
-			results[idx], errs[idx] = point(p, grid[idx].pt.Workload, cfg)
-		}(idx)
-	}
-	wg.Wait()
-	for idx, err := range errs {
+	// Resolve the whole grid on the drivers' executor; results line up with
+	// the grid, so everything downstream is deterministic regardless of
+	// completion order.
+	results, err := parallelMap(p, "estimate-validate", grid, func(g gridPoint) (PointResult, error) {
+		res, err := point(p, g.pt.Workload, g.pt.Scheme.Configure(g.pt.Capacity))
 		if err != nil {
-			return nil, fmt.Errorf("experiments: estimate-validate point %s/%s/%d: %w",
-				grid[idx].pt.Workload, grid[idx].pt.Scheme.Name, grid[idx].pt.Capacity, err)
+			return res, fmt.Errorf("%s/%s/%d: %w", g.pt.Workload, g.pt.Scheme.Name, g.pt.Capacity, err)
 		}
+		return res, nil
+	})
+	if err != nil {
+		// The harness names only the first failing grid point, which the
+		// executor's summary wraps.
+		return nil, fmt.Errorf("experiments: estimate-validate point %w", errors.Unwrap(err))
 	}
 
 	var train []surrogate.Point

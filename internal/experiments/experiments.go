@@ -9,6 +9,7 @@ import (
 	"io"
 	"runtime"
 	"sort"
+	"sync"
 
 	"uopsim/internal/pipeline"
 	"uopsim/internal/stats"
@@ -33,18 +34,19 @@ type Params struct {
 	Workloads []string
 	// Parallel runs up to this many simulations concurrently (0 = all CPUs).
 	Parallel int
-	// SnapshotSink, when set, receives every completed Run from sweep-based
-	// drivers (the tables and figures). It is called from the sweep's single
-	// collector goroutine, so implementations need no locking. The Ablations
-	// and SMT drivers use custom runners and do not feed the sink.
+	// SnapshotSink, when set, receives every completed Run of the
+	// sweep-based drivers (the tables and figures, through RunPoints): once
+	// per successful run, in point order, from the goroutine that called the
+	// driver after its batch is done, so implementations need no locking.
+	// The Ablations and SMT drivers and EstimateValidate do not feed it.
 	SnapshotSink func(Run)
 	// Engine, when set, routes every design point — the sweep-based tables
 	// and figures, the ablation variants, and the SMT pairs — through the
 	// shared design-point engine: duplicate submissions are fingerprinted,
 	// simulated once, and fanned out to every asking driver, and with a
-	// warehouse attached results persist across invocations. Nil
-	// preserves direct simulation. Rendered output is bit-identical either
-	// way.
+	// warehouse attached results persist across invocations. Nil simulates
+	// every point directly, the reference the engine is tested against.
+	// Rendered output is bit-identical either way.
 	Engine *Engine
 }
 
@@ -135,13 +137,6 @@ func runOne(p Params, name string, sc Scheme, capacity int) (Run, error) {
 	}, nil
 }
 
-// job is one simulation request for the parallel sweep runner.
-type job struct {
-	workload string
-	scheme   Scheme
-	capacity int
-}
-
 // parallelism resolves Params.Parallel: 0 (or negative) means all CPUs,
 // clamped to the job count so the sweep never spins up idle workers.
 func parallelism(p Params, jobs int) int {
@@ -155,50 +150,62 @@ func parallelism(p Params, jobs int) int {
 	return par
 }
 
-// sweep executes all jobs, in parallel, returning runs keyed by
-// workload/scheme/capacity. When some jobs fail, the runs that did complete
-// are returned alongside an error describing the first failure, so callers
-// can salvage partial sweeps.
-func sweep(p Params, jobs []job) (map[string]Run, error) {
-	type result struct {
-		run Run
-		err error
-	}
-	par := parallelism(p, len(jobs))
-	in := make(chan job)
-	// out is buffered to the job count so a worker never blocks handing a
-	// finished run to the collector: unbuffered, every delivery was a
-	// rendezvous serialized behind the collector loop (and its
-	// SnapshotSink), which stalled workers exactly when results bunched
-	// up. See BenchmarkSweepDelivery for the measured difference.
-	out := make(chan result, len(jobs))
-	for w := 0; w < par; w++ {
+// parallelMap is the one executor behind every driver: it applies fn to
+// every item, at most parallelism(p, len(items)) at a time, and returns the
+// results aligned index for index with items. A failed item leaves R's zero
+// value at its index while the others are kept, so callers can salvage
+// partial batches. The error counts the failures and wraps the first one in
+// item order, so its text does not depend on scheduling.
+func parallelMap[T, R any](p Params, what string, items []T, fn func(T) (R, error)) ([]R, error) {
+	out := make([]R, len(items))
+	errs := make([]error, len(items))
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for range parallelism(p, len(items)) {
+		wg.Add(1)
 		go func() {
-			for j := range in {
-				r, err := runOne(p, j.workload, j.scheme, j.capacity)
-				out <- result{r, err}
+			defer wg.Done()
+			for i := range next {
+				if r, err := fn(items[i]); err != nil {
+					errs[i] = err
+				} else {
+					out[i] = r
+				}
 			}
 		}()
 	}
-	go func() {
-		for _, j := range jobs {
-			in <- j
-		}
-		close(in)
-	}()
-	runs := make(map[string]Run, len(jobs))
-	var fails failureSummary
-	for range jobs {
-		res := <-out
-		if !fails.note(res.err) {
-			continue
-		}
-		runs[key(res.run.Workload, res.run.Scheme, res.run.Capacity)] = res.run
-		if p.SnapshotSink != nil {
-			p.SnapshotSink(res.run)
+	for i := range items {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	failed, first := 0, error(nil)
+	for _, err := range errs {
+		if err != nil {
+			if failed == 0 {
+				first = err
+			}
+			failed++
 		}
 	}
-	return runs, fails.error("sweep")
+	if failed == 0 {
+		return out, nil
+	}
+	return out, fmt.Errorf("%s: %d of %d jobs failed (first: %w)", what, failed, len(items), first)
+}
+
+// sweep runs pts through RunPoints and keys the completed runs by
+// workload/scheme/capacity for the figure drivers; failed points are
+// absent from the map and reported through the error.
+func sweep(p Params, pts []Point) (map[string]Run, error) {
+	runs, err := RunPoints(p, pts)
+	byKey := make(map[string]Run, len(runs))
+	for _, r := range runs {
+		if r.Workload != "" { // a failed point's zero Run
+			byKey[key(r.Workload, r.Scheme, r.Capacity)] = r
+		}
+	}
+	return byKey, err
 }
 
 // Point names one (workload, scheme, capacity) design point for RunPoints.
@@ -212,50 +219,23 @@ type Point struct {
 // p.Engine when one is attached — and returns the completed runs aligned
 // index-for-index with pts. A failed point leaves a zero Run at its index
 // and is reported through the aggregated error, so callers can salvage
-// partial batches. This is the external face of the sweep executor
-// (the golden-file regeneration and BenchmarkSurrogate's corpus go
-// through it).
+// partial batches. Every completed run then goes to p.SnapshotSink, in
+// point order. This is the sweep executor the tables and figures share,
+// and its external face (the golden-file regeneration and
+// BenchmarkSurrogate's corpus go through it).
 func RunPoints(p Params, pts []Point) ([]Run, error) {
 	p = p.withDefaults()
-	jobs := make([]job, len(pts))
-	for i, pt := range pts {
-		jobs[i] = job{pt.Workload, pt.Scheme, pt.Capacity}
+	runs, err := parallelMap(p, "sweep", pts, func(pt Point) (Run, error) {
+		return runOne(p, pt.Workload, pt.Scheme, pt.Capacity)
+	})
+	if p.SnapshotSink != nil {
+		for _, r := range runs {
+			if r.Workload != "" { // a failed point's zero Run
+				p.SnapshotSink(r)
+			}
+		}
 	}
-	runs, err := sweep(p, jobs)
-	out := make([]Run, len(pts))
-	for i, pt := range pts {
-		out[i] = runs[key(pt.Workload, pt.Scheme.Name, pt.Capacity)]
-	}
-	return out, err
-}
-
-// failureSummary aggregates failures across a parallel job batch so the
-// returned error carries both the failure count and the first underlying
-// error's text (a bare count buries the actual cause).
-type failureSummary struct {
-	failed, total int
-	first         error
-}
-
-// note records one job outcome and reports whether it succeeded.
-func (f *failureSummary) note(err error) bool {
-	f.total++
-	if err == nil {
-		return true
-	}
-	f.failed++
-	if f.first == nil {
-		f.first = err
-	}
-	return false
-}
-
-// error summarizes the batch, or returns nil when every job succeeded.
-func (f *failureSummary) error(what string) error {
-	if f.failed == 0 {
-		return nil
-	}
-	return fmt.Errorf("%s: %d of %d jobs failed (first: %w)", what, f.failed, f.total, f.first)
+	return runs, err
 }
 
 func key(wl, scheme string, capacity int) string {

@@ -72,8 +72,8 @@ func TestRegistryComplete(t *testing.T) {
 func TestSweepProducesAllRuns(t *testing.T) {
 	p := tinyParams()
 	base := Schemes(2)[0]
-	jobs := []job{{"bm_ds", base, 2048}, {"redis", base, 2048}}
-	runs, err := sweep(p, jobs)
+	pts := []Point{{"bm_ds", base, 2048}, {"redis", base, 2048}}
+	runs, err := sweep(p, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +94,8 @@ func TestSweepFeedsSnapshotSink(t *testing.T) {
 	var sunk []Run
 	p.SnapshotSink = func(r Run) { sunk = append(sunk, r) }
 	base := Schemes(2)[0]
-	jobs := []job{{"bm_ds", base, 2048}, {"redis", base, 2048}}
-	if _, err := sweep(p, jobs); err != nil {
+	pts := []Point{{"bm_ds", base, 2048}, {"redis", base, 2048}}
+	if _, err := sweep(p, pts); err != nil {
 		t.Fatal(err)
 	}
 	if len(sunk) != 2 {
@@ -110,7 +110,7 @@ func TestSweepFeedsSnapshotSink(t *testing.T) {
 
 func TestSweepSurfacesErrors(t *testing.T) {
 	p := tinyParams()
-	if _, err := sweep(p, []job{{"not_a_workload", Schemes(2)[0], 2048}}); err == nil {
+	if _, err := sweep(p, []Point{{"not_a_workload", Schemes(2)[0], 2048}}); err == nil {
 		t.Error("unknown workload must error")
 	}
 }
@@ -118,12 +118,12 @@ func TestSweepSurfacesErrors(t *testing.T) {
 func TestSweepReturnsPartialResults(t *testing.T) {
 	p := tinyParams()
 	base := Schemes(2)[0]
-	jobs := []job{
+	pts := []Point{
 		{"bm_ds", base, 2048},
 		{"not_a_workload", base, 2048},
 		{"redis", base, 2048},
 	}
-	runs, err := sweep(p, jobs)
+	runs, err := sweep(p, pts)
 	if err == nil {
 		t.Fatal("sweep with a bad job must error")
 	}

@@ -23,12 +23,12 @@ var tableIIPaper = map[string]float64{
 // branch MPKI against the paper's reported values.
 func TableII(w io.Writer, p Params) error {
 	p = p.withDefaults()
-	var jobs []job
+	var pts []Point
 	base := Schemes(2)[0]
 	for _, name := range sortedWorkloads(p) {
-		jobs = append(jobs, job{name, base, 2048})
+		pts = append(pts, Point{name, base, 2048})
 	}
-	runs, err := sweep(p, jobs)
+	runs, err := sweep(p, pts)
 	if err != nil {
 		return err
 	}
@@ -50,13 +50,13 @@ func TableII(w io.Writer, p Params) error {
 // capacitySweep runs the baseline scheme across Capacities.
 func capacitySweep(p Params) (map[string]Run, error) {
 	base := Schemes(2)[0]
-	var jobs []job
+	var pts []Point
 	for _, name := range p.Workloads {
 		for _, c := range Capacities {
-			jobs = append(jobs, job{name, base, c})
+			pts = append(pts, Point{name, base, c})
 		}
 	}
-	return sweep(p, jobs)
+	return sweep(p, pts)
 }
 
 // Fig3 reports normalized UPC (bars) and normalized decoder power (line)
@@ -140,11 +140,11 @@ func Fig4(w io.Writer, p Params) error {
 func Fig5(w io.Writer, p Params) error {
 	p = p.withDefaults()
 	base := Schemes(2)[0]
-	var jobs []job
+	var pts []Point
 	for _, name := range p.Workloads {
-		jobs = append(jobs, job{name, base, 2048})
+		pts = append(pts, Point{name, base, 2048})
 	}
-	runs, err := sweep(p, jobs)
+	runs, err := sweep(p, pts)
 	if err != nil {
 		return err
 	}
@@ -169,11 +169,11 @@ func Fig5(w io.Writer, p Params) error {
 func Fig6(w io.Writer, p Params) error {
 	p = p.withDefaults()
 	base := Schemes(2)[0]
-	var jobs []job
+	var pts []Point
 	for _, name := range p.Workloads {
-		jobs = append(jobs, job{name, base, 2048})
+		pts = append(pts, Point{name, base, 2048})
 	}
-	runs, err := sweep(p, jobs)
+	runs, err := sweep(p, pts)
 	if err != nil {
 		return err
 	}
@@ -194,11 +194,11 @@ func Fig6(w io.Writer, p Params) error {
 func Fig9(w io.Writer, p Params) error {
 	p = p.withDefaults()
 	clasp := Schemes(2)[1]
-	var jobs []job
+	var pts []Point
 	for _, name := range p.Workloads {
-		jobs = append(jobs, job{name, clasp, 2048})
+		pts = append(pts, Point{name, clasp, 2048})
 	}
-	runs, err := sweep(p, jobs)
+	runs, err := sweep(p, pts)
 	if err != nil {
 		return err
 	}
@@ -219,11 +219,11 @@ func Fig9(w io.Writer, p Params) error {
 func Fig12(w io.Writer, p Params) error {
 	p = p.withDefaults()
 	base := Schemes(2)[0]
-	var jobs []job
+	var pts []Point
 	for _, name := range p.Workloads {
-		jobs = append(jobs, job{name, base, 2048})
+		pts = append(pts, Point{name, base, 2048})
 	}
-	runs, err := sweep(p, jobs)
+	runs, err := sweep(p, pts)
 	if err != nil {
 		return err
 	}
@@ -252,13 +252,13 @@ func Fig12(w io.Writer, p Params) error {
 // schemeSweep runs all five schemes at the given capacity and compaction
 // bound.
 func schemeSweep(p Params, capacity, maxEntries int) (map[string]Run, error) {
-	var jobs []job
+	var pts []Point
 	for _, name := range p.Workloads {
 		for _, sc := range Schemes(maxEntries) {
-			jobs = append(jobs, job{name, sc, capacity})
+			pts = append(pts, Point{name, sc, capacity})
 		}
 	}
-	return sweep(p, jobs)
+	return sweep(p, pts)
 }
 
 // Fig15 reports normalized decoder power per scheme.
@@ -372,11 +372,11 @@ func Fig17(w io.Writer, p Params) error {
 func Fig18(w io.Writer, p Params) error {
 	p = p.withDefaults()
 	fp := Schemes(2)[4]
-	var jobs []job
+	var pts []Point
 	for _, name := range p.Workloads {
-		jobs = append(jobs, job{name, fp, 2048})
+		pts = append(pts, Point{name, fp, 2048})
 	}
-	runs, err := sweep(p, jobs)
+	runs, err := sweep(p, pts)
 	if err != nil {
 		return err
 	}
@@ -397,11 +397,11 @@ func Fig18(w io.Writer, p Params) error {
 func Fig19(w io.Writer, p Params) error {
 	p = p.withDefaults()
 	fp := Schemes(2)[4]
-	var jobs []job
+	var pts []Point
 	for _, name := range p.Workloads {
-		jobs = append(jobs, job{name, fp, 2048})
+		pts = append(pts, Point{name, fp, 2048})
 	}
-	runs, err := sweep(p, jobs)
+	runs, err := sweep(p, pts)
 	if err != nil {
 		return err
 	}

@@ -209,6 +209,13 @@ func (r PointRequest) Prepare() (PreparedPoint, error) {
 	if err != nil {
 		return PreparedPoint{}, err
 	}
+	return prepare(r, prof, cfg)
+}
+
+// prepare fingerprints a request whose profile and configuration are
+// already resolved: the one prepared form of a wire request (Prepare) and
+// of a driver's design point (point).
+func prepare(r PointRequest, prof *workload.Profile, cfg pipeline.Config) (PreparedPoint, error) {
 	fp, err := pointFingerprint(r.params(), prof, cfg)
 	if err != nil {
 		return PreparedPoint{}, err
@@ -227,14 +234,21 @@ func (p PreparedPoint) Features() (runcache.Features, error) {
 // when eng is nil, reporting how the result was obtained. The feature
 // vector is built only when a simulated result is stored.
 func (p PreparedPoint) Resolve(eng *Engine) (PointResult, runcache.Resolution, error) {
-	compute := func() (PointResult, error) {
+	return resolve(eng, p.Fingerprint, p.Features, func() (PointResult, error) {
 		return simulatePoint(p.Request.params(), p.Request.Workload, p.cfg)
-	}
+	})
+}
+
+// resolve is the one resolve step behind every design point — sweep,
+// ablation, SMT and wire: through eng, deduped by fp, when one is
+// attached, and by calling compute directly when eng is nil. The direct
+// path is the reference the engine's output is tested against.
+func resolve(eng *Engine, fp runcache.Fingerprint, features func() (runcache.Features, error), compute func() (PointResult, error)) (PointResult, runcache.Resolution, error) {
 	if eng == nil {
 		res, err := compute()
 		return res, ResolvedCompute, err
 	}
-	return eng.DoLazy(p.Fingerprint, p.Features, compute)
+	return eng.DoLazy(fp, features, compute)
 }
 
 // ResolvedCompute re-exports the direct-simulation resolution for callers
@@ -247,27 +261,27 @@ const ResolvedCompute = runcache.ResolvedCompute
 // custom Scheme struct is carried as an explicit Config override so the
 // fingerprint — and thus the dedupe — is preserved exactly.
 func RequestForPoint(pt Point, p Params) PointRequest {
-	p = p.withDefaults()
-	req := PointRequest{
-		Workload:   pt.Workload,
-		Scheme:     pt.Scheme.Name,
-		Capacity:   pt.Capacity,
-		MaxEntries: pt.Scheme.MaxEntriesPerLine,
-		Warmup:     p.WarmupInsts,
-		Measure:    p.MeasureInsts,
+	req := p.withDefaults().request(pt.Workload)
+	req.Scheme, req.Capacity, req.MaxEntries = pt.Scheme.Name, pt.Capacity, pt.Scheme.MaxEntriesPerLine
+	if sc, ok := req.WithDefaults().scheme(); !ok || sc != pt.Scheme {
+		cfg := pt.Scheme.Configure(pt.Capacity)
+		req.Config = &cfg
 	}
+	return req
+}
+
+// request carries p's run lengths in wire form, the inverse of
+// PointRequest.params. Sampling travels with its knobs resolved so the wire
+// form is explicit; resolution is idempotent, so the fingerprint matches
+// the elided form.
+func (p Params) request(name string) PointRequest {
+	req := PointRequest{Workload: name, Warmup: p.WarmupInsts, Measure: p.MeasureInsts}
 	if sp := p.Sampling.WithDefaults(p.MeasureInsts); sp.Enabled {
-		// Carry the resolved knobs so the wire form is explicit; resolution
-		// is idempotent, so the fingerprint matches the elided form.
 		req.Sampling = &SamplingRequest{
 			Intervals:     sp.Intervals,
 			IntervalInsts: sp.IntervalInsts,
 			WarmupInsts:   sp.WarmupInsts,
 		}
-	}
-	if sc, ok := req.WithDefaults().scheme(); !ok || sc != pt.Scheme {
-		cfg := pt.Scheme.Configure(pt.Capacity)
-		req.Config = &cfg
 	}
 	return req
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"uopsim/internal/pipeline"
 	"uopsim/internal/runcache"
 	"uopsim/internal/smt"
 	"uopsim/internal/stats"
@@ -21,82 +22,41 @@ func SMT(w io.Writer, p Params) error {
 	p = p.withDefaults()
 	const coRunner = "jvm"
 
-	schemes := Schemes(2)[2:] // RAC, PWAC, F-PWAC
-	type res struct {
-		workload, scheme string
-		ratio, upc       float64
-		err              error
-	}
-	type work struct {
-		name   string
-		scheme Scheme
-	}
-	var works []work
-	for _, name := range p.Workloads {
+	// Workload-major in table order: each workload's RAC, PWAC and F-PWAC
+	// results sit next to each other.
+	var pts []Point
+	for _, name := range sortedWorkloads(p) {
 		if name == coRunner {
 			continue
 		}
-		for _, sc := range schemes {
-			works = append(works, work{name, sc})
+		for _, sc := range Schemes(2)[2:] { // RAC, PWAC, F-PWAC
+			pts = append(pts, Point{Workload: name, Scheme: sc, Capacity: 2048})
 		}
 	}
-	par := parallelism(p, len(works))
-	in := make(chan work)
-	out := make(chan res, len(works)) // buffered like sweep: no delivery rendezvous
-	for i := 0; i < par; i++ {
-		go func() {
-			for wk := range in {
-				r := res{workload: wk.name, scheme: wk.scheme.Name}
-				pr, err := smtPoint(p, wk.scheme, wk.name, coRunner)
-				if err != nil {
-					r.err = fmt.Errorf("%s/%s: %w", wk.name, wk.scheme.Name, err)
-				} else {
-					r.ratio, r.upc = pr.Metrics.OCFetchRatio, pr.Metrics.UPC
-				}
-				out <- r
-			}
-		}()
-	}
-	go func() {
-		for _, wk := range works {
-			in <- wk
+	ms, err := parallelMap(p, "smt", pts, func(pt Point) (pipeline.Metrics, error) {
+		pr, err := smtPoint(p, pt, coRunner)
+		if err != nil {
+			return pipeline.Metrics{}, fmt.Errorf("%s/%s: %w", pt.Workload, pt.Scheme.Name, err)
 		}
-		close(in)
-	}()
-	byKey := map[string]res{}
-	var fails failureSummary
-	for range works {
-		r := <-out
-		if !fails.note(r.err) {
-			continue
-		}
-		byKey[r.workload+"|"+r.scheme] = r
-	}
-	if err := fails.error("smt"); err != nil {
+		return pr.Metrics, nil
+	})
+	if err != nil {
 		return err
 	}
 
 	t := stats.NewTable(fmt.Sprintf("SMT (2 threads, shared 2K-uop cache, co-runner %s): thread-A OC fetch ratio and UPC vs RAC", coRunner),
 		"workload", "ratio RAC", "ratio PWAC", "ratio F-PWAC", "UPC PWAC Δ", "UPC F-PWAC Δ")
 	var pwacGain, fpwacGain []float64
-	for _, name := range sortedWorkloads(p) {
-		if name == coRunner {
-			continue
-		}
-		rac, ok1 := byKey[name+"|RAC"]
-		pw, ok2 := byKey[name+"|PWAC"]
-		fp, ok3 := byKey[name+"|F-PWAC"]
-		if !ok1 || !ok2 || !ok3 {
-			continue
-		}
-		t.AddRow(name,
-			fmt.Sprintf("%.3f", rac.ratio),
-			fmt.Sprintf("%.3f", pw.ratio),
-			fmt.Sprintf("%.3f", fp.ratio),
-			fmt.Sprintf("%+.2f%%", 100*(pw.upc/rac.upc-1)),
-			fmt.Sprintf("%+.2f%%", 100*(fp.upc/rac.upc-1)))
-		pwacGain = append(pwacGain, pw.upc/rac.upc)
-		fpwacGain = append(fpwacGain, fp.upc/rac.upc)
+	for i := 0; i < len(ms); i += 3 {
+		rac, pw, fp := ms[i], ms[i+1], ms[i+2]
+		t.AddRow(pts[i].Workload,
+			fmt.Sprintf("%.3f", rac.OCFetchRatio),
+			fmt.Sprintf("%.3f", pw.OCFetchRatio),
+			fmt.Sprintf("%.3f", fp.OCFetchRatio),
+			fmt.Sprintf("%+.2f%%", 100*(pw.UPC/rac.UPC-1)),
+			fmt.Sprintf("%+.2f%%", 100*(fp.UPC/rac.UPC-1)))
+		pwacGain = append(pwacGain, pw.UPC/rac.UPC)
+		fpwacGain = append(fpwacGain, fp.UPC/rac.UPC)
 	}
 	fmt.Fprintln(w, t)
 	fmt.Fprintf(w, "G.Mean UPC over RAC under SMT: PWAC %+.2f%%, F-PWAC %+.2f%%\n",
@@ -106,19 +66,23 @@ func SMT(w io.Writer, p Params) error {
 }
 
 // smtPoint resolves one two-thread SMT design point — thread A's measured
-// interval plus its end-of-run snapshot — through the shared engine when
-// one is attached.
-func smtPoint(p Params, sc Scheme, nameA, nameB string) (PointResult, error) {
-	profA, err := workload.ByName(nameA)
+// interval plus its end-of-run snapshot — through the shared resolve step.
+func smtPoint(p Params, pt Point, coRunner string) (PointResult, error) {
+	profA, err := workload.ByName(pt.Workload)
 	if err != nil {
 		return PointResult{}, err
 	}
-	profB, err := workload.ByName(nameB)
+	profB, err := workload.ByName(coRunner)
 	if err != nil {
 		return PointResult{}, err
 	}
-	cfg := sc.Configure(2048)
-	compute := func() (PointResult, error) {
+	cfg := pt.Scheme.Configure(pt.Capacity)
+	fp, err := smtFingerprint(p, profA, profB, cfg)
+	if err != nil {
+		return PointResult{}, err
+	}
+	features := func() (runcache.Features, error) { return smtFeatures(p, profA, profB, cfg) }
+	res, _, err := resolve(p.Engine, fp, features, func() (PointResult, error) {
 		pair, err := smt.New(cfg, profA, profB)
 		if err != nil {
 			return PointResult{}, err
@@ -129,15 +93,6 @@ func smtPoint(p Params, sc Scheme, nameA, nameB string) (PointResult, error) {
 			return PointResult{}, err
 		}
 		return PointResult{Suite: profA.Suite, Metrics: a, Snapshot: pair.A.StatsSnapshot()}, nil
-	}
-	if p.Engine == nil {
-		return compute()
-	}
-	fp, err := smtFingerprint(p, profA, profB, cfg)
-	if err != nil {
-		return PointResult{}, err
-	}
-	features := func() (runcache.Features, error) { return smtFeatures(p, profA, profB, cfg) }
-	res, _, err := p.Engine.DoLazy(fp, features, compute)
+	})
 	return res, err
 }

@@ -6,32 +6,31 @@ import (
 	"testing"
 )
 
-// benchJobs is a small scheme x workload grid, large enough that result
-// delivery (worker -> collector handoff) is exercised many times per op.
-func benchJobs() []job {
-	var jobs []job
+// benchPoints is a small scheme x workload grid, large enough that the
+// executor hands out and collects many points per op.
+func benchPoints() []Point {
+	var pts []Point
 	for _, wl := range []string{"bm_ds", "redis"} {
 		for _, sc := range Schemes(2) {
-			jobs = append(jobs, job{wl, sc, 2048})
+			pts = append(pts, Point{wl, sc, 2048})
 		}
 	}
-	return jobs
+	return pts
 }
 
-// BenchmarkSweepDelivery measures the full sweep at increasing worker
-// counts. The sweep's out channel is buffered to len(jobs): with an
-// unbuffered channel every result delivery was a rendezvous serialized
-// behind the collector (and its SnapshotSink), so workers stalled exactly
-// when results bunched up; buffering makes delivery non-blocking and the
-// collector drains at its leisure. Compare parallel=1 vs higher counts to
-// see scaling; on a single-CPU host the counts should be near-identical
-// rather than degrading, since handoff no longer synchronizes goroutines.
+// BenchmarkSweepDelivery measures a full sweep — ten points simulated
+// directly, no engine — at increasing worker counts. Workers write each
+// result into its own slot of the aligned result slice, so no worker waits
+// on another's delivery, and the SnapshotSink runs once per point after the
+// batch. Compare parallel=1 against higher counts to see how simulation
+// scales with workers; on a single-CPU host the counts should be
+// near-identical rather than degrading.
 func BenchmarkSweepDelivery(b *testing.B) {
 	pars := []int{1, 2, 4}
 	if n := runtime.NumCPU(); n > 4 {
 		pars = append(pars, n)
 	}
-	jobs := benchJobs()
+	pts := benchPoints()
 	for _, par := range pars {
 		b.Run(fmt.Sprintf("parallel-%d", par), func(b *testing.B) {
 			p := Params{
@@ -39,13 +38,12 @@ func BenchmarkSweepDelivery(b *testing.B) {
 				MeasureInsts: 5_000,
 				Workloads:    []string{"bm_ds", "redis"},
 				Parallel:     par,
-				// A sink on the collector loop is the contended case the
-				// buffer exists for.
+				// The -metrics path: every run also goes to the sink.
 				SnapshotSink: func(Run) {},
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sweep(p, jobs); err != nil {
+				if _, err := sweep(p, pts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -54,10 +52,11 @@ func BenchmarkSweepDelivery(b *testing.B) {
 }
 
 // BenchmarkSweepDeliveryDeduped is the same grid with a shared engine: after
-// the first op every point is a memo hit, so this isolates the sweep's
-// scheduling and delivery overhead from simulation cost.
+// the first op every point is a memo hit, so this measures what a sweep
+// costs besides simulation — the executor's scheduling, preparing and
+// fingerprinting each point, the memo lookup, and keying the runs.
 func BenchmarkSweepDeliveryDeduped(b *testing.B) {
-	jobs := benchJobs()
+	pts := benchPoints()
 	eng, err := NewEngine("", 0)
 	if err != nil {
 		b.Fatal(err)
@@ -69,13 +68,13 @@ func BenchmarkSweepDeliveryDeduped(b *testing.B) {
 		Parallel:     2,
 		Engine:       eng,
 	}
-	if _, err := sweep(p, jobs); err != nil { // prime the memo table
+	if _, err := sweep(p, pts); err != nil { // prime the memo table
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sweep(p, jobs); err != nil {
+		if _, err := sweep(p, pts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -159,12 +159,7 @@ func run() int {
 	var collected []runSnapshot
 	if *metricsOut != "" {
 		params.SnapshotSink = func(r uopsim.ExperimentRun) {
-			collected = append(collected, runSnapshot{
-				Workload: r.Workload,
-				Scheme:   r.Scheme,
-				Capacity: r.Capacity,
-				Snapshot: r.Snapshot,
-			})
+			collected = append(collected, newRunSnapshot(r))
 		}
 	}
 
@@ -203,11 +198,25 @@ func run() int {
 }
 
 // runSnapshot pairs one sweep run's identity with its registry snapshot.
+// The entries-per-line bound is part of the identity: Figs 16-19 and
+// 20-21 run RAC, PWAC and F-PWAC at 2048 uops under 2 and 3.
 type runSnapshot struct {
-	Workload string               `json:"workload"`
-	Scheme   string               `json:"scheme"`
-	Capacity int                  `json:"capacity"`
-	Snapshot uopsim.StatsSnapshot `json:"snapshot"`
+	Workload   string               `json:"workload"`
+	Scheme     string               `json:"scheme"`
+	Capacity   int                  `json:"capacity"`
+	MaxEntries int                  `json:"max_entries"`
+	Snapshot   uopsim.StatsSnapshot `json:"snapshot"`
+}
+
+// newRunSnapshot names r by its identity.
+func newRunSnapshot(r uopsim.ExperimentRun) runSnapshot {
+	return runSnapshot{
+		Workload:   r.Workload,
+		Scheme:     r.Scheme,
+		Capacity:   r.Capacity,
+		MaxEntries: r.MaxEntries,
+		Snapshot:   r.Snapshot,
+	}
 }
 
 // metricsFile is the -metrics output shape: every run's registry snapshot
@@ -219,9 +228,10 @@ type metricsFile struct {
 }
 
 // writeSnapshots dumps the collected snapshots sorted by run identity. The
-// sort is stable because identities repeat with different snapshots (RAC
-// at 2048 uops under 2 and 3 entries per line); ties keep the sink's
-// order, which is point order and so independent of scheduling.
+// sort is stable because experiments repeat design points (Figs 16 and
+// 17 both run every scheme at 2048 uops); ties are the same point,
+// and keep the sink's order, which is point order and so independent of
+// scheduling.
 func writeSnapshots(path string, runs []runSnapshot, eng *uopsim.RunEngine) error {
 	sort.SliceStable(runs, func(i, j int) bool {
 		a, b := runs[i], runs[j]
@@ -231,7 +241,10 @@ func writeSnapshots(path string, runs []runSnapshot, eng *uopsim.RunEngine) erro
 		if a.Scheme != b.Scheme {
 			return a.Scheme < b.Scheme
 		}
-		return a.Capacity < b.Capacity
+		if a.Capacity != b.Capacity {
+			return a.Capacity < b.Capacity
+		}
+		return a.MaxEntries < b.MaxEntries
 	})
 	out := metricsFile{Runs: runs, Engine: eng.StatsSnapshot()}
 	f, err := os.Create(path)

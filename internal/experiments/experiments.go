@@ -114,8 +114,11 @@ type Run struct {
 	Suite    string
 	Scheme   string
 	Capacity int
-	Metrics  pipeline.Metrics
-	Snapshot stats.Snapshot
+	// MaxEntries is the uop cache's entries-per-line bound (1 without
+	// compaction): figures run one scheme and capacity under 2 and 3.
+	MaxEntries int
+	Metrics    pipeline.Metrics
+	Snapshot   stats.Snapshot
 }
 
 // runOne resolves one scheme x capacity point (through the shared engine
@@ -123,17 +126,19 @@ type Run struct {
 // failure names the design point, so a partial sweep's aggregated error
 // pinpoints what broke.
 func runOne(p Params, name string, sc Scheme, capacity int) (Run, error) {
-	pr, err := point(p, name, sc.Configure(capacity))
+	cfg := sc.Configure(capacity)
+	pr, err := point(p, name, cfg)
 	if err != nil {
 		return Run{}, fmt.Errorf("%s/%s/%d: %w", name, sc.Name, capacity, err)
 	}
 	return Run{
-		Workload: name,
-		Suite:    pr.Suite,
-		Scheme:   sc.Name,
-		Capacity: capacity,
-		Metrics:  pr.Metrics,
-		Snapshot: pr.Snapshot,
+		Workload:   name,
+		Suite:      pr.Suite,
+		Scheme:     sc.Name,
+		Capacity:   capacity,
+		MaxEntries: cfg.UopCache.MaxEntriesPerLine,
+		Metrics:    pr.Metrics,
+		Snapshot:   pr.Snapshot,
 	}, nil
 }
 

@@ -12,12 +12,14 @@ import (
 // cycle loop is allocation-free once warm (it measures 0 here): windows are
 // built into PW ring slots that keep their Conds backing, fetch groups
 // return to the item pool when they drain or are flushed, the uop cache
-// recycles the entries it drops into the builder, and loop captures reuse a
-// scratch body. The budget (100 objects per 20k-cycle run) leaves room for
-// the rare growth of a pooled backing but not for any of those paths to
-// regress: dropping flushed loop-cache groups alone measures 0.011, dropping
-// flushed uop-cache groups 0.031, fresh entries per fill 0.126 and fresh
-// Conds per window 0.434 objects/cycle.
+// builds each entry in the builder and copies it into a fixed slot, and
+// loop captures reuse a scratch body. The budget (100 objects per 20k-cycle
+// run) leaves room for the rare growth of a pooled backing but not for any
+// of those paths to regress: dropping flushed loop-cache groups alone
+// measures 0.011, dropping flushed uop-cache groups 0.031, a new entry
+// object per fill 0.126 and fresh Conds per window 0.434 objects/cycle.
+// This loop runs warm at 2048 uops, where every fill replaces an entry;
+// TestColdPointAllocBound covers a cache that fills for its whole run.
 const allocBound = 0.005
 
 // TestCycleLoopAllocLean bounds the steady-state cycle loop's allocation
@@ -163,4 +165,47 @@ func TestNewAllocBound(t *testing.T) {
 		t.Errorf("pipeline.New(bm_cc) allocated only %d bytes, within the recycled-core bound: it reused a core", best)
 	}
 	t.Logf("pipeline.New(bm_cc): %d bytes", best)
+}
+
+// coldPointObjectsBound caps the heap objects of one cold design point on
+// a recycled core: bm_cc under F-PWAC with three entries per line in a
+// 16384-uop cache, 20k warm-up and 100k measured instructions, from New to
+// Release. It is the measured count plus 15%. Before the uop cache kept
+// its entries in fixed slots it allocated one object per entry it filled
+// into a free slot, and this point measured 5,024 objects; it measures 287.
+const coldPointObjectsBound = 330
+
+// TestColdPointAllocBound bounds the objects one cold point allocates on a
+// core a released simulator left in the pool (the best of three, so a pool
+// a GC emptied cannot fail it).
+func TestColdPointAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops released cores at random under -race")
+	}
+	wl := sharedWL(t, "bm_cc")
+	cfg := schemeConfig(4, 16384, 3)
+	point := func() {
+		s, err := New(cfg, wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.RunMeasured(20_000, 100_000); err != nil {
+			t.Fatal(err)
+		}
+		s.StatsSnapshot()
+		s.Release()
+	}
+	point()
+	best := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		point()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.Mallocs-before.Mallocs)
+	}
+	if best > coldPointObjectsBound {
+		t.Errorf("a cold bm_cc F-PWAC point at 16384 uops allocated %d objects, want <= %d", best, coldPointObjectsBound)
+	}
+	t.Logf("cold bm_cc F-PWAC point at 16384 uops on a recycled core: %d objects", best)
 }

@@ -388,7 +388,7 @@ func (s *Sim) ocStep(c int64) {
 	if !s.ocPipe.CanPush(c) {
 		return
 	}
-	// entry stays valid for this cycle only: the next fill may recycle it.
+	// entry stays valid for this cycle only: the next fill may overwrite its slot.
 	entry, hit := s.oc.Lookup(s.curAddr)
 	if !hit {
 		s.setMode(c, modeIC)

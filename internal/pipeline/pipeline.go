@@ -266,22 +266,22 @@ func NewWithCache(cfg Config, wl *workload.Workload, ocCache *uopcache.Cache) (*
 }
 
 // newSim is the one construction path behind New and NewWithCache. It
-// validates cfg before allocating anything, builds a private uop cache
-// unless ocCache is given, and assembles the simulator on core c — or,
-// when c is nil, on a core a released simulator left in the pool (a new
-// one if the pool is empty).
+// validates cfg before allocating anything and assembles the simulator on
+// core c — or, when c is nil, on a core a released simulator left in the
+// pool (a new one if the pool is empty). Unless ocCache is given, the
+// simulator's uop cache is the core's own, reset to cfg.UopCache.
 func newSim(cfg Config, wl *workload.Workload, ocCache *uopcache.Cache, c *core) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if ocCache == nil {
-		var err error
-		if ocCache, err = uopcache.New(cfg.UopCache); err != nil {
-			return nil, err
-		}
-	}
 	if c == nil {
 		c = takeCore()
+	}
+	if ocCache == nil {
+		if err := c.oc.Reset(cfg.UopCache); err != nil {
+			return nil, err // unreachable: cfg.Validate checked it
+		}
+		ocCache = &c.oc
 	}
 	s := &Sim{}
 	s.init(c, cfg, wl, ocCache)

@@ -1,4 +1,4 @@
-// Package reuse holds the storage helper the simulator's components reset
+// Package reuse holds the storage helpers the simulator's components reset
 // through: a component's constructor is its Reset run on empty storage, and
 // a recycled component's Reset clears the arrays it already owns instead of
 // allocating new ones.
@@ -12,6 +12,20 @@ func Slice[T any](s []T, n int) []T {
 	if len(s) != n {
 		return make([]T, n)
 	}
+	clear(s)
+	return s
+}
+
+// Cap returns a zeroed slice of length n: s's array, cleared, when its
+// capacity is at least n, and a new array otherwise. Unlike Slice it keeps
+// an array larger than the request, for a component whose size changes
+// with almost every configuration: it holds the largest array it has
+// needed instead of allocating one per change.
+func Cap[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
 	clear(s)
 	return s
 }

@@ -25,3 +25,27 @@ func TestSliceReusesOnlyAMatchingLength(t *testing.T) {
 		}
 	}
 }
+
+func TestCapReusesAnyLargeEnoughArray(t *testing.T) {
+	s := Cap[int](nil, 4)
+	if len(s) != 4 {
+		t.Fatalf("fresh slice has length %d, want 4", len(s))
+	}
+	for i := range s {
+		s[i] = i + 1
+	}
+	for _, n := range []int{4, 3, 0} {
+		r := Cap(s, n)
+		if len(r) != n || cap(r) != cap(s) {
+			t.Errorf("Cap(len 4, %d): length %d capacity %d, want the array reused", n, len(r), cap(r))
+		}
+		for i, v := range r {
+			if v != 0 {
+				t.Errorf("Cap(len 4, %d): element %d = %d, want 0", n, i, v)
+			}
+		}
+	}
+	if g := Cap(s, 5); len(g) != 5 || &g[0] == &s[0] {
+		t.Errorf("Cap(cap 4, 5) reused the array or has length %d", len(g))
+	}
+}

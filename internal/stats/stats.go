@@ -275,6 +275,12 @@ func (d *Distribution) Observe(k int) {
 	d.total++
 }
 
+// Reset drops every sample, keeping the map's storage.
+func (d *Distribution) Reset() {
+	clear(d.counts)
+	d.total = 0
+}
+
 // Fraction returns the fraction of samples equal to k.
 func (d *Distribution) Fraction(k int) float64 {
 	return Ratio(d.counts[k], d.total)

@@ -120,6 +120,14 @@ func TestDistribution(t *testing.T) {
 	if len(keys) != 2 || keys[0] != 1 || keys[1] != 2 {
 		t.Errorf("keys = %v", keys)
 	}
+	d.Reset()
+	if d.Total() != 0 || len(d.Keys()) != 0 || d.Fraction(1) != 0 {
+		t.Errorf("after Reset: total %d, keys %v", d.Total(), d.Keys())
+	}
+	d.Observe(3)
+	if keys := d.Keys(); len(keys) != 1 || keys[0] != 3 || d.Fraction(3) != 1 {
+		t.Errorf("after Reset and one sample: keys %v, fraction(3) %v", keys, d.Fraction(3))
+	}
 }
 
 func TestGeoMean(t *testing.T) {

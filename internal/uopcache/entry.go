@@ -65,8 +65,9 @@ func (t TermReason) String() string {
 
 // Entry is one uop cache entry: the uops of a run of consecutively fetched
 // instructions plus the metadata needed to address them (§II-B2, Fig 11).
-// Its instruction IDs are stored inline, so an entry is a single fixed-size
-// object that a Cache can recycle (see Cache.Fill and NewBuilder).
+// Its instruction IDs are stored inline, so an entry is a fixed-size value
+// (64 bytes) that a Cache stores in its own slots (see Cache.Fill) and a
+// Builder builds in place.
 type Entry struct {
 	// Start is the address of the first instruction (the lookup key: tag +
 	// set index derive from it).
@@ -74,6 +75,9 @@ type Entry struct {
 	// End is the address one past the last instruction's final byte; it is
 	// the next fetch address on a hit (unless the entry ends taken).
 	End uint64
+	// PWID identifies the prediction window that created the entry (PW
+	// start address; used by PWAC/F-PWAC).
+	PWID uint64
 	// ids[:nInsts] are the static instruction IDs in fetch order.
 	ids    [MaxEntryInsts]uint32
 	nInsts uint8
@@ -81,9 +85,6 @@ type Entry struct {
 	NumUops, NumImm uint8
 	// NumUcoded counts microcoded instructions in the entry.
 	NumUcoded uint8
-	// PWID identifies the prediction window that created the entry (PW
-	// start address; used by PWAC/F-PWAC).
-	PWID uint64
 	// Term is why the entry was terminated.
 	Term TermReason
 	// EndsTaken marks entries terminated by a predicted taken branch: on a
@@ -141,11 +142,10 @@ func DefaultLimits() BuildLimits {
 type Builder struct {
 	limits BuildLimits
 
-	open      *Entry
-	openLines int // I-cache lines touched by the open entry
-	// cache supplies new entries from its free list and takes back the
-	// ones a flush abandons.
-	cache *Cache
+	// open is the entry being built, valid while openLines > 0 (the
+	// I-cache lines it touches).
+	open      Entry
+	openLines int
 
 	emit  func(*Entry)
 	stats *Stats
@@ -160,16 +160,16 @@ type Builder struct {
 	abandoned uint64
 }
 
-// NewBuilder creates a builder that fills c: it takes new entries from c's
-// free list, emit is invoked for every terminated entry and must install it
-// into c (which recycles an entry once it drops it), and per-PW
-// distribution statistics are recorded in c.Stats. Several builders may fill
-// one cache (SMT threads sharing it).
+// NewBuilder creates a builder that fills c: emit is invoked for every
+// terminated entry, normally to install it into c with Fill, and per-PW
+// distribution statistics are recorded in c.Stats. The entry emit receives
+// is the builder's own open entry, valid until emit returns. Several
+// builders may fill one cache (SMT threads sharing it).
 func NewBuilder(limits BuildLimits, c *Cache, emit func(*Entry)) *Builder {
 	if limits.MaxICLines < 1 {
 		limits.MaxICLines = 1
 	}
-	return &Builder{limits: limits, cache: c, stats: c.Stats, emit: emit}
+	return &Builder{limits: limits, stats: c.Stats, emit: emit}
 }
 
 func icLine(addr uint64) uint64 { return addr &^ uint64(ICLineBytes-1) }
@@ -198,7 +198,7 @@ func (b *Builder) Add(in *isa.Inst, pwID, pwInstance uint64, predictedTaken bool
 		ucoded = 1
 	}
 
-	if b.open != nil {
+	if b.openLines > 0 {
 		// Sequentiality: a non-contiguous instruction means the previous
 		// entry should already have been terminated (taken branch); guard
 		// against desynchronized callers by terminating here.
@@ -206,7 +206,7 @@ func (b *Builder) Add(in *isa.Inst, pwID, pwInstance uint64, predictedTaken bool
 			b.terminate(TermTakenBranch)
 		}
 	}
-	if b.open != nil {
+	if b.openLines > 0 {
 		// I-cache line boundary (relaxed to MaxICLines under CLASP).
 		if icLine(in.Addr()) != icLine(b.open.Start) {
 			linesSpanned := int((icLine(in.Addr())-icLine(b.open.Start))/ICLineBytes) + 1
@@ -217,7 +217,7 @@ func (b *Builder) Add(in *isa.Inst, pwID, pwInstance uint64, predictedTaken bool
 			}
 		}
 	}
-	if b.open != nil {
+	if b.openLines > 0 {
 		switch {
 		case int(b.open.NumUops)+uops > b.limits.MaxUops:
 			b.terminate(TermMaxUops)
@@ -230,13 +230,12 @@ func (b *Builder) Add(in *isa.Inst, pwID, pwInstance uint64, predictedTaken bool
 		}
 	}
 
-	if b.open == nil {
-		b.open = b.cache.takeEntry()
-		b.open.Start, b.open.End, b.open.PWID = in.Addr(), in.Addr(), pwID
+	if b.openLines == 0 {
+		b.open = Entry{Start: in.Addr(), End: in.Addr(), PWID: pwID}
 		b.openLines = 1
 		b.countedThisEntry = false
 	}
-	e := b.open
+	e := &b.open
 	if !b.countedThisEntry {
 		b.entriesForPW++
 		b.countedThisEntry = true
@@ -260,14 +259,13 @@ func (b *Builder) Add(in *isa.Inst, pwID, pwInstance uint64, predictedTaken bool
 }
 
 func (b *Builder) terminate(reason TermReason) {
-	e := b.open
-	b.open = nil
+	open := b.openLines > 0
 	b.openLines = 0
-	if e == nil || e.nInsts == 0 {
+	if !open || b.open.nInsts == 0 {
 		return
 	}
-	e.Term = reason
-	b.emit(e)
+	b.open.Term = reason
+	b.emit(&b.open)
 }
 
 // TerminateTaken closes the open entry as taken-branch-terminated. It is
@@ -275,7 +273,7 @@ func (b *Builder) terminate(reason TermReason) {
 // accumulated instruction is a taken control transfer, which is a valid
 // entry ending.
 func (b *Builder) TerminateTaken() {
-	if b.open != nil {
+	if b.openLines > 0 {
 		b.open.EndsTaken = true
 		b.terminate(TermTakenBranch)
 	}
@@ -283,16 +281,11 @@ func (b *Builder) TerminateTaken() {
 
 // Flush discards any partial entry (pipeline redirect). Real hardware drops
 // the accumulation buffer contents on a flush rather than installing a
-// half-built entry. The abandoned entry goes back to the cache's free list,
-// so the next entry built reuses it.
+// half-built entry.
 func (b *Builder) Flush() {
-	if b.open != nil {
-		if b.open.nInsts > 0 {
-			b.abandoned++
-		}
-		b.cache.release(b.open)
+	if b.openLines > 0 && b.open.nInsts > 0 {
+		b.abandoned++
 	}
-	b.open = nil
 	b.openLines = 0
 }
 

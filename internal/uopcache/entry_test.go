@@ -30,9 +30,16 @@ func seqInsts(base uint64, n int, length, uops, imm uint8) []*isa.Inst {
 	return insts
 }
 
+// cloneEntry copies an emitted entry: emit's argument is the builder's own
+// open entry, which the next instruction rebuilds.
+func cloneEntry(e *Entry) *Entry {
+	c := *e
+	return &c
+}
+
 func collectEntries(t *testing.T, limits BuildLimits) (*Builder, *[]*Entry) {
 	var out []*Entry
-	b := NewBuilder(limits, newCache(t, DefaultConfig()), func(e *Entry) { out = append(out, e) })
+	b := NewBuilder(limits, newCache(t, DefaultConfig()), func(e *Entry) { out = append(out, cloneEntry(e)) })
 	return b, &out
 }
 
@@ -201,7 +208,7 @@ func TestEntriesPerPWAccounting(t *testing.T) {
 	c := newCache(t, DefaultConfig())
 	st := c.Stats
 	var out []*Entry
-	b := NewBuilder(DefaultLimits(), c, func(e *Entry) { out = append(out, e) })
+	b := NewBuilder(DefaultLimits(), c, func(e *Entry) { out = append(out, cloneEntry(e)) })
 	// PW 1: 4 insts of 3 uops -> splits into two entries (8-uop limit).
 	insts := seqInsts(0x1000, 4, 4, 3, 0)
 	for _, in := range insts {
@@ -233,7 +240,7 @@ func TestEntryNeverOverflowsLine(t *testing.T) {
 		}
 		ok := true
 		var emitted []*Entry
-		b := NewBuilder(limits, newCache(t, DefaultConfig()), func(e *Entry) { emitted = append(emitted, e) })
+		b := NewBuilder(limits, newCache(t, DefaultConfig()), func(e *Entry) { emitted = append(emitted, cloneEntry(e)) })
 		addr := uint64(0x1000)
 		pw := uint64(0x1000)
 		pwInst := uint64(1)

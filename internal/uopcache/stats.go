@@ -108,6 +108,14 @@ func (s *Stats) AllocDistribution() (rac, pwac, fpwac float64) {
 		stats.Ratio(s.AllocFPWAC.Value(), total)
 }
 
+// reset zeroes every instrument in place, keeping the histogram's and the
+// distribution's storage.
+func (s *Stats) reset() {
+	s.SizeHist.Reset()
+	s.EntriesPerPW.Reset()
+	*s = Stats{SizeHist: s.SizeHist, EntriesPerPW: s.EntriesPerPW}
+}
+
 func (s *Stats) noteFillShape(e *Entry) {
 	s.Fills.Inc()
 	s.SizeHist.Observe(e.Bytes())

@@ -22,13 +22,14 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -51,7 +52,7 @@ func run() int {
 		list       = flag.Bool("list", false, "list experiments and exit")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
-		metricsOut = flag.String("metrics", "", "collect every run's full metrics registry snapshot into this JSON file")
+		metricsOut = flag.String("metrics", "", "collect each design point's full metrics registry snapshot into this JSON file")
 		cacheVer   = flag.Int("cache-verify", 0, "re-simulate every Nth disk-cached point and fail on any bit-level blob mismatch (0 = off; requires -warehouse)")
 		whDir      = flag.String("warehouse", "", "persist design points in an indexed warehouse (segment files) at this directory and reuse them across invocations; enables feature queries over stored results")
 		whMaxBytes = flag.Int64("warehouse-max-bytes", 0, "evict least-recently-used warehouse records past this byte budget (0 = unbounded; requires -warehouse)")
@@ -182,11 +183,12 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "[%s completed in %.1fs]\n", id, time.Since(start).Seconds())
 	}
 	if *metricsOut != "" {
-		if err := writeSnapshots(*metricsOut, collected, params.Engine); err != nil {
+		n, err := writeSnapshots(*metricsOut, collected, params.Engine)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "uopexp:", err)
 			return 1
 		}
-		fmt.Printf("[%d run snapshots written to %s]\n", len(collected), *metricsOut)
+		fmt.Printf("[%d run snapshots written to %s]\n", n, *metricsOut)
 	}
 	// stderr, deliberately: stdout must stay byte-identical whether
 	// points were simulated, memoized, or loaded from disk.
@@ -219,43 +221,44 @@ func newRunSnapshot(r uopsim.ExperimentRun) runSnapshot {
 	}
 }
 
-// metricsFile is the -metrics output shape: every run's registry snapshot
-// plus the engine's dedupe counters in the same registry snapshot form the
+// metricsFile is the -metrics output shape: each design point's registry
+// snapshot plus the engine's dedupe counters in the same registry snapshot form the
 // daemon's /metrics endpoint exposes.
 type metricsFile struct {
 	Runs   []runSnapshot        `json:"runs"`
 	Engine uopsim.StatsSnapshot `json:"engine"`
 }
 
-// writeSnapshots dumps the collected snapshots sorted by run identity. The
-// sort is stable because experiments repeat design points (Figs 16 and
-// 17 both run every scheme at 2048 uops); ties are the same point,
-// and keep the sink's order, which is point order and so independent of
+// compare orders runs by identity.
+func (a runSnapshot) compare(b runSnapshot) int {
+	return cmp.Or(
+		strings.Compare(a.Workload, b.Workload),
+		strings.Compare(a.Scheme, b.Scheme),
+		cmp.Compare(a.Capacity, b.Capacity),
+		cmp.Compare(a.MaxEntries, b.MaxEntries),
+	)
+}
+
+// writeSnapshots dumps the collected snapshots sorted by run identity,
+// each identity once, and returns how many it wrote. Experiments repeat
+// design points (Figs 16 and 17 both run every scheme at 2048 uops), and
+// runs that share an identity carry the same snapshot
+// (TestRunSnapshotIdentityUnique). The sort is stable, so the run kept is
+// the sink's first, which is point order and so independent of
 // scheduling.
-func writeSnapshots(path string, runs []runSnapshot, eng *uopsim.RunEngine) error {
-	sort.SliceStable(runs, func(i, j int) bool {
-		a, b := runs[i], runs[j]
-		if a.Workload != b.Workload {
-			return a.Workload < b.Workload
-		}
-		if a.Scheme != b.Scheme {
-			return a.Scheme < b.Scheme
-		}
-		if a.Capacity != b.Capacity {
-			return a.Capacity < b.Capacity
-		}
-		return a.MaxEntries < b.MaxEntries
-	})
+func writeSnapshots(path string, runs []runSnapshot, eng *uopsim.RunEngine) (int, error) {
+	slices.SortStableFunc(runs, runSnapshot.compare)
+	runs = slices.CompactFunc(runs, func(a, b runSnapshot) bool { return a.compare(b) == 0 })
 	out := metricsFile{Runs: runs, Engine: eng.StatsSnapshot()}
 	f, err := os.Create(path)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(out); err != nil {
 		f.Close()
-		return err
+		return 0, err
 	}
-	return f.Close()
+	return len(runs), f.Close()
 }

@@ -172,8 +172,9 @@ func TestNewAllocBound(t *testing.T) {
 // 16384-uop cache, 20k warm-up and 100k measured instructions, from New to
 // Release. It is the measured count plus 15%. Before the uop cache kept
 // its entries in fixed slots it allocated one object per entry it filled
-// into a free slot, and this point measured 5,024 objects; it measures 287.
-const coldPointObjectsBound = 330
+// into a free slot, and this point measured 5,024 objects; while each Sim
+// built a new metrics registry it measured 287; it measures 45.
+const coldPointObjectsBound = 52
 
 // TestColdPointAllocBound bounds the objects one cold point allocates on a
 // core a released simulator left in the pool (the best of three, so a pool

@@ -10,6 +10,7 @@ import (
 	"uopsim/internal/loopcache"
 	"uopsim/internal/mem"
 	"uopsim/internal/power"
+	"uopsim/internal/stats"
 	"uopsim/internal/uopcache"
 	"uopsim/internal/uopq"
 	"uopsim/internal/workload"
@@ -27,9 +28,15 @@ import (
 // only for an equal geometry; an idle core holds the largest line and slot
 // arrays it has served (C/8 lines of at most 7 slots for a C-uop cache;
 // DESIGN.md gives the sizes). SMT threads share a cache the caller owns
-// (NewWithCache), which leaves oc untouched. Nothing a caller attached to a Sim (observer,
-// OnConsume, instruments registered on its registry) is part of the core:
-// every Sim gets a fresh registry holding exactly the core's instruments.
+// (NewWithCache), which leaves oc untouched.
+//
+// The core owns its simulator's metrics registry. retire resets it, which
+// unbinds every instrument but keeps the paths, so the next Sim's
+// registerMetrics re-binds the same ~100 paths in place instead of
+// building them again. Nothing a caller attached to a Sim (observer,
+// OnConsume, instruments registered on its registry) reaches the next
+// one: what it registered stays unbound, and an unbound path is invisible
+// to snapshots and lookups.
 type core struct {
 	pred   bpred.Predictor
 	pwb    fetch.Builder
@@ -43,6 +50,7 @@ type core struct {
 	dcPipe decode.Pipe[fItem]
 	lcPipe decode.Pipe[fGroup]
 	walker workload.Walker
+	reg    *stats.Registry
 
 	// Backings the Sim's scratch slices grew; retire hands them back.
 	pwQ         []fetch.PW
@@ -87,6 +95,9 @@ func (s *Sim) init(c *core, cfg Config, wl *workload.Workload, ocCache *uopcache
 	if n := max(cfg.PWQueueSize, 1); len(pwQ) != n {
 		pwQ = make([]fetch.PW, n)
 	}
+	if c.reg == nil {
+		c.reg = stats.NewRegistry()
+	}
 	*s = Sim{
 		cfg:    cfg,
 		prog:   wl.Program,
@@ -104,6 +115,7 @@ func (s *Sim) init(c *core, cfg Config, wl *workload.Workload, ocCache *uopcache
 		ocPipe: &c.ocPipe,
 		dcPipe: &c.dcPipe,
 		lcPipe: &c.lcPipe,
+		reg:    c.reg,
 
 		pwQ:         pwQ,
 		pwCur:       fetch.PW{Conds: c.pwConds[:0]},
@@ -148,6 +160,7 @@ func (s *Sim) retire() *core {
 	c.lcRemaining = s.lcRemaining
 	c.itemFree = s.itemFree
 	c.loopIDs = s.loopIDs
+	c.reg.Reset()
 	*s = Sim{}
 	return c
 }

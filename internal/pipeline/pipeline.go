@@ -289,10 +289,10 @@ func newSim(cfg Config, wl *workload.Workload, ocCache *uopcache.Cache, c *core)
 }
 
 // registerMetrics mounts every component's instruments into the Sim's
-// registry. All registration happens here, once, at construction; the hot
+// registry, the core's, which is new or was reset when its last Sim
+// retired. All registration happens here, once, at construction; the hot
 // path keeps touching the same plain-value instruments directly.
 func (s *Sim) registerMetrics() {
-	s.reg = stats.NewRegistry()
 	s.reg.RegisterGauge("pipeline.cycle", func() float64 { return float64(s.cycle) })
 	s.m.register(s.reg)
 	s.oc.Stats.Register(s.reg.Scope("oc"))

@@ -255,12 +255,18 @@ func TestInvalidConfigAllocatesNothing(t *testing.T) {
 	}
 }
 
-// recycledNewBytesBound caps pipeline.New(bm_cc) on a pooled core. What
-// remains is the uop cache builder, the Sim and the metrics registry a new
-// Sim always gets: 17,784 bytes measured, and this bound is that plus 15%.
-// Before the uop cache moved into the core it measured 27,632 bytes, so a
-// component that allocates outside its Reset fails it.
-const recycledNewBytesBound = 20_450
+// recycledNewBytesBound and recycledNewObjectsBound cap pipeline.New(bm_cc)
+// on a pooled core. What remains is the Sim, the uop cache builder and the
+// gauge closures that registerMetrics binds into the core's registry:
+// 1,784 bytes in 30 objects measured, and each bound is that plus 15%.
+// It measured 27,632 bytes before the uop cache moved into the core and
+// 17,784 bytes in 270 objects while every Sim built a new registry, so a
+// component that allocates outside its Reset, or a registration that
+// builds its path again, fails it.
+const (
+	recycledNewBytesBound   = 2_050
+	recycledNewObjectsBound = 34
+)
 
 // TestRecycledNewAllocBound bounds New on a core a released simulator left
 // in the pool (the best of five, so a stray allocation or a pool that a
@@ -270,7 +276,7 @@ func TestRecycledNewAllocBound(t *testing.T) {
 		t.Skip("sync.Pool drops released cores at random under -race")
 	}
 	wl := sharedWL(t, "bm_cc")
-	best := uint64(math.MaxUint64)
+	size, objects := uint64(math.MaxUint64), uint64(math.MaxUint64)
 	for i := 0; i < 5; i++ {
 		s, err := New(DefaultConfig(), wl)
 		if err != nil {
@@ -285,12 +291,16 @@ func TestRecycledNewAllocBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Release()
-		best = min(best, after.TotalAlloc-before.TotalAlloc)
+		size = min(size, after.TotalAlloc-before.TotalAlloc)
+		objects = min(objects, after.Mallocs-before.Mallocs)
 	}
-	if best > recycledNewBytesBound {
-		t.Errorf("pipeline.New(bm_cc) on a recycled core allocated %d bytes, want <= %d", best, recycledNewBytesBound)
+	if size > recycledNewBytesBound {
+		t.Errorf("pipeline.New(bm_cc) on a recycled core allocated %d bytes, want <= %d", size, recycledNewBytesBound)
 	}
-	t.Logf("pipeline.New(bm_cc) on a recycled core: %d bytes", best)
+	if objects > recycledNewObjectsBound {
+		t.Errorf("pipeline.New(bm_cc) on a recycled core allocated %d objects, want <= %d", objects, recycledNewObjectsBound)
+	}
+	t.Logf("pipeline.New(bm_cc) on a recycled core: %d bytes in %d objects", size, objects)
 }
 
 // TestMakeItemOverwritesStaleItem checks that makeItem writes every field of

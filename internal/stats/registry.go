@@ -55,13 +55,19 @@ type MeanReader interface {
 
 // instrument binds one path to one live instrument: val is the
 // CounterReader, MeanReader, HistReader, *Distribution or func() float64
-// that kind names. A family member's path is the family path plus its
-// label pair, such as simulations_total{mode="full"}.
+// that kind names, and nil while the path is unbound (after Reset). A
+// family member's path is the family path plus its label pair, such as
+// simulations_total{mode="full"}. kind and val change under the
+// registry's lock; path never does.
 type instrument struct {
 	path string
 	kind Kind
 	val  any
 }
+
+// kindFamily marks a path a counter family reserved: it is bound, so no
+// instrument or second family can take it, but it has no sample.
+const kindFamily = KindDist + 1
 
 // Registry is a hierarchical collection of named instruments. Components
 // register their instruments once at construction under dotted paths
@@ -70,47 +76,73 @@ type instrument struct {
 // cycle loop. Snapshot reads every instrument into a stable-ordered value
 // that the JSON and Prometheus exporters serialize.
 //
-// The registry structure — registration, lookup, and the snapshot's
-// ordering state — is goroutine-safe behind one mutex. Instrument values
-// are goroutine-safe only when their type is. The simulator's Counter,
-// Mean, Histogram and Distribution are plain values that the cycle loop
-// bumps with no lock, so a registry of them is snapshotted by the
-// goroutine running the simulation. The serving stack registers
-// AtomicCounter and SyncHistogram instead: handler goroutines update them
-// while any other goroutine snapshots. Registration and snapshots take one
-// uncontended lock, never the hot path.
+// Reset unbinds every instrument but keeps its path, the path index and
+// the sorted order, so a registry can serve one owner after another (a
+// recycled simulator core re-registers the same ~100 paths each time).
+// Registering a path the registry holds unbound re-binds it in place and
+// allocates nothing; only a path it has never held allocates. Unbound
+// paths are invisible: after Reset and a set of registrations the
+// registry snapshots, looks up and refuses duplicates exactly as a new
+// registry given the same registrations would, and a path may come back
+// as another kind.
+//
+// The registry structure — registration, Reset, lookup, and the
+// snapshot's ordering state — is goroutine-safe behind one mutex.
+// Instrument values are goroutine-safe only when their type is. The
+// simulator's Counter, Mean, Histogram and Distribution are plain values
+// that the cycle loop bumps with no lock, so a registry of them is
+// snapshotted by the goroutine running the simulation. The serving stack
+// registers AtomicCounter and SyncHistogram instead: handler goroutines
+// update them while any other goroutine snapshots. Registration and
+// snapshots take one uncontended lock, never the hot path. Snapshot reads
+// counters, means, histograms and distributions under that lock, so a
+// CounterReader's Value must not call into the registry; gauge closures
+// run after it is released and may.
 type Registry struct {
-	mu     sync.Mutex
-	byPath map[string]*instrument //uopvet:guardedby mu
-	insts  []*instrument          //uopvet:guardedby mu
-	sorted bool                   //uopvet:guardedby mu
+	mu       sync.Mutex
+	byPath   map[string]*instrument //uopvet:guardedby mu
+	insts    []*instrument          //uopvet:guardedby mu
+	sorted   bool                   //uopvet:guardedby mu
+	prefixes map[string]string      //uopvet:guardedby mu
 }
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byPath: make(map[string]*instrument)}
+	return &Registry{byPath: make(map[string]*instrument), prefixes: make(map[string]string)}
 }
 
-func (r *Registry) add(in *instrument) {
+// Reset unbinds every instrument, dropping the registry's references to
+// them; the paths stay for the next registrations to re-bind.
+func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.claim(in.path, in)
-	r.insts = append(r.insts, in)
-	r.sorted = false
+	for _, in := range r.insts {
+		in.val = nil
+	}
 }
 
-// claim records key as taken; a family reserves its bare path with a nil
-// instrument, so no plain instrument or second family can reuse it.
-//
-//uopvet:locked mu
-func (r *Registry) claim(key string, in *instrument) {
-	if key == "" {
-		panic("stats: empty metric path")
+// bind registers val as a kind instrument at prefix+path. The key is
+// built in a stack buffer, so re-binding a path the registry already
+// holds allocates nothing; a bound path panics.
+func (r *Registry) bind(prefix, path string, kind Kind, val any) {
+	var buf [128]byte
+	key := append(append(buf[:0], prefix...), path...)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	in := r.byPath[string(key)]
+	switch {
+	case in == nil:
+		if len(key) == 0 {
+			panic("stats: empty metric path")
+		}
+		in = &instrument{path: string(key)}
+		r.byPath[in.path] = in
+		r.insts = append(r.insts, in)
+		r.sorted = false
+	case in.val != nil:
+		panic(fmt.Sprintf("stats: duplicate metric path %q", string(key)))
 	}
-	if _, dup := r.byPath[key]; dup {
-		panic(fmt.Sprintf("stats: duplicate metric path %q", key))
-	}
-	r.byPath[key] = in
+	in.kind, in.val = kind, val
 }
 
 // Counter registers a new counter at path and returns it.
@@ -124,22 +156,22 @@ func (r *Registry) Counter(path string) *Counter {
 // embed counters register pointers to them so the hot path needs no
 // registry involvement.
 func (r *Registry) RegisterCounter(path string, c CounterReader) {
-	r.add(&instrument{path: path, kind: KindCounter, val: c})
+	r.bind("", path, KindCounter, c)
 }
 
 // RegisterGauge registers a derived value read through fn at snapshot time.
 func (r *Registry) RegisterGauge(path string, fn func() float64) {
-	r.add(&instrument{path: path, kind: KindGauge, val: fn})
+	r.bind("", path, KindGauge, fn)
 }
 
 // RegisterMean registers an existing running mean at path.
 func (r *Registry) RegisterMean(path string, m MeanReader) {
-	r.add(&instrument{path: path, kind: KindMean, val: m})
+	r.bind("", path, KindMean, m)
 }
 
 // RegisterHist registers an existing histogram at path.
 func (r *Registry) RegisterHist(path string, h HistReader) {
-	r.add(&instrument{path: path, kind: KindHist, val: h})
+	r.bind("", path, KindHist, h)
 }
 
 // Family is a counter family: the counters of one exported metric whose
@@ -154,49 +186,53 @@ type Family struct {
 // Family reserves path for a counter family labelled by label. The path
 // follows the same grammar and uniqueness rules as any registration.
 func (r *Registry) Family(path, label string) Family {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(path, nil)
+	r.bind("", path, kindFamily, struct{}{})
 	return Family{r: r, path: path, label: label}
 }
 
 // RegisterCounter registers c as the family's series label="value", at
 // path family{label="value"}.
 func (f Family) RegisterCounter(value string, c CounterReader) {
-	f.r.add(&instrument{path: f.path + "{" + f.label + "=" + strconv.Quote(value) + "}", kind: KindCounter, val: c})
+	f.r.bind(f.path, "{"+f.label+"="+strconv.Quote(value)+"}", KindCounter, c)
 }
 
 // RegisterDist registers an existing distribution at path.
 func (r *Registry) RegisterDist(path string, d *Distribution) {
-	r.add(&instrument{path: path, kind: KindDist, val: d})
+	r.bind("", path, KindDist, d)
+}
+
+// lookup returns the instrument bound at path when it is of kind k, or nil.
+func (r *Registry) lookup(path string, k Kind) any {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if in := r.byPath[path]; in != nil && in.kind == k {
+		return in.val
+	}
+	return nil
 }
 
 // CounterValue returns the live value of the counter at path. It panics when
-// the path is unregistered or not a counter: lookups are internal wiring, so
+// the path is unbound or not a counter: lookups are internal wiring, so
 // a miss is a programming error, not a runtime condition.
 func (r *Registry) CounterValue(path string) uint64 {
-	r.mu.Lock()
-	in := r.byPath[path]
-	r.mu.Unlock()
-	if in == nil || in.kind != KindCounter {
+	c, ok := r.lookup(path, KindCounter).(CounterReader)
+	if !ok {
 		panic(fmt.Sprintf("stats: %q is not a registered counter", path))
 	}
-	return in.val.(CounterReader).Value()
+	return c.Value()
 }
 
 // GaugeValue returns the live value of the gauge at path (same panic
 // contract as CounterValue).
 func (r *Registry) GaugeValue(path string) float64 {
-	r.mu.Lock()
-	in := r.byPath[path]
-	r.mu.Unlock()
-	if in == nil || in.kind != KindGauge {
+	fn, ok := r.lookup(path, KindGauge).(func() float64)
+	if !ok {
 		panic(fmt.Sprintf("stats: %q is not a registered gauge", path))
 	}
 	// The gauge closure runs after unlock: it may read arbitrary locked
 	// subsystem state (engine stats, warehouse stats) and must not be able
 	// to deadlock back into this registry.
-	return in.val.(func() float64)()
+	return fn()
 }
 
 // Scope returns a registration view that prefixes every path with
@@ -217,26 +253,47 @@ func (s Scope) Scope(prefix string) Scope {
 	if prefix == "" {
 		return s
 	}
-	return Scope{r: s.r, prefix: s.prefix + prefix + "."}
+	return Scope{r: s.r, prefix: s.r.scopePrefix(s.prefix, prefix)}
+}
+
+// scopePrefix returns outer+inner+".", built once per registry, since a
+// reset registry's next owner enters the same scopes again.
+func (r *Registry) scopePrefix(outer, inner string) string {
+	var buf [128]byte
+	key := append(append(append(buf[:0], outer...), inner...), '.')
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	p, ok := r.prefixes[string(key)]
+	if !ok {
+		p = string(key)
+		r.prefixes[p] = p
+	}
+	return p
 }
 
 // Counter registers a new counter under the scope and returns it.
-func (s Scope) Counter(path string) *Counter { return s.r.Counter(s.prefix + path) }
+func (s Scope) Counter(path string) *Counter {
+	c := &Counter{}
+	s.RegisterCounter(path, c)
+	return c
+}
 
 // RegisterCounter registers an existing counter under the scope.
-func (s Scope) RegisterCounter(path string, c CounterReader) { s.r.RegisterCounter(s.prefix+path, c) }
+func (s Scope) RegisterCounter(path string, c CounterReader) {
+	s.r.bind(s.prefix, path, KindCounter, c)
+}
 
 // RegisterGauge registers a derived value under the scope.
-func (s Scope) RegisterGauge(path string, fn func() float64) { s.r.RegisterGauge(s.prefix+path, fn) }
+func (s Scope) RegisterGauge(path string, fn func() float64) { s.r.bind(s.prefix, path, KindGauge, fn) }
 
 // RegisterMean registers an existing mean under the scope.
-func (s Scope) RegisterMean(path string, m MeanReader) { s.r.RegisterMean(s.prefix+path, m) }
+func (s Scope) RegisterMean(path string, m MeanReader) { s.r.bind(s.prefix, path, KindMean, m) }
 
 // RegisterHist registers an existing histogram under the scope.
-func (s Scope) RegisterHist(path string, h HistReader) { s.r.RegisterHist(s.prefix+path, h) }
+func (s Scope) RegisterHist(path string, h HistReader) { s.r.bind(s.prefix, path, KindHist, h) }
 
 // RegisterDist registers an existing distribution under the scope.
-func (s Scope) RegisterDist(path string, d *Distribution) { s.r.RegisterDist(s.prefix+path, d) }
+func (s Scope) RegisterDist(path string, d *Distribution) { s.r.bind(s.prefix, path, KindDist, d) }
 
 // Bucket is one histogram or distribution cell in a snapshot. For
 // histograms Le is the bucket's inclusive upper bound (math.MaxInt64 marks
@@ -263,11 +320,12 @@ type Snapshot struct {
 	Samples []Sample `json:"samples"`
 }
 
-// Snapshot reads all instruments. The result is independent of the live
-// instruments and of registration order.
+// Snapshot reads all bound instruments. The result is independent of the
+// live instruments and of registration order.
 func (r *Registry) Snapshot() Snapshot {
-	// Sort and copy the instrument list under the lock; read the
-	// instruments (and call gauge closures) after releasing it. The
+	// Sort, copy the paths and read every instrument but the gauges under
+	// the lock, since Reset and re-registration rebind instruments; call
+	// the gauge closures after releasing it (see GaugeValue). The
 	// comparator works on a local alias because closures are outside the
 	// lock region, and sorting the shared backing array in place is what
 	// makes the sorted bit durable.
@@ -277,19 +335,28 @@ func (r *Registry) Snapshot() Snapshot {
 		sort.Slice(insts, func(i, j int) bool { return insts[i].path < insts[j].path })
 		r.sorted = true
 	}
-	snap := make([]*instrument, len(insts))
-	copy(snap, insts)
-	r.mu.Unlock()
-	out := Snapshot{Samples: make([]Sample, 0, len(snap))}
-	for _, in := range snap {
+	n, ng := 0, 0
+	for _, in := range insts {
+		if in.val != nil && in.kind != kindFamily {
+			n++
+			if in.kind == KindGauge {
+				ng++
+			}
+		}
+	}
+	out := Snapshot{Samples: make([]Sample, 0, n)}
+	gauges := make([]func() float64, 0, ng)
+	for _, in := range insts {
+		if in.val == nil || in.kind == kindFamily {
+			continue
+		}
 		s := Sample{Path: in.path, Kind: in.kind.String()}
 		switch in.kind {
 		case KindCounter:
-			n := in.val.(CounterReader).Value()
-			s.Count = n
-			s.Value = float64(n)
+			s.Count = in.val.(CounterReader).Value()
+			s.Value = float64(s.Count)
 		case KindGauge:
-			s.Value = in.val.(func() float64)()
+			gauges = append(gauges, in.val.(func() float64))
 		case KindMean:
 			s.Value, s.Count = in.val.(MeanReader).readMean()
 		case KindHist:
@@ -306,6 +373,13 @@ func (r *Registry) Snapshot() Snapshot {
 			}
 		}
 		out.Samples = append(out.Samples, s)
+	}
+	r.mu.Unlock()
+	for i := range out.Samples {
+		if s := &out.Samples[i]; s.Kind == kindNames[KindGauge] {
+			s.Value = gauges[0]()
+			gauges = gauges[1:]
+		}
 	}
 	return out
 }

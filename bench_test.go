@@ -100,33 +100,54 @@ func tableIIRow(b *testing.B, name string) {
 
 var updateBench = flag.Bool("update-bench", false, "rewrite BENCH_pipeline.json from BenchmarkTableII's rows, keeping the previous report under before")
 
+// pipelineRuns is how many times -update-bench measures each row. One run
+// is noisier than the file would suggest (a redis row once read 14% below
+// the median of 20), so a row records the median and quartiles of these
+// runs; with 9 runs the quartiles are the 3rd and 7th sorted values.
+const pipelineRuns = 9
+
 // pipelineReport is BENCH_pipeline.json: one BenchmarkTableII row per
 // workload, with the report it replaced under Before.
 type pipelineReport struct {
 	Bench   string `json:"bench"`
 	Warmup  uint64 `json:"warmup_insts"`
 	Measure uint64 `json:"measure_insts"`
-	// Iters is b.N of each row.
+	// Iters is b.N of each run; Runs the runs per row.
 	Iters   int             `json:"iters_per_workload"`
+	Runs    int             `json:"runs_per_workload,omitempty"`
 	Results []pipelineRow   `json:"results"`
 	Before  *pipelineReport `json:"before,omitempty"`
 }
 
+// pipelineRow holds medians over the report's runs, with the quartiles of
+// insts/s (reports before Runs hold one run and no quartiles).
 type pipelineRow struct {
-	Workload    string  `json:"workload"`
-	InstsPerSec float64 `json:"insts_per_sec"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	NsPerOp     int64   `json:"ns_per_op"`
-	UPC         float64 `json:"upc"`
-	MPKI        float64 `json:"mpki"`
+	Workload      string  `json:"workload"`
+	InstsPerSec   float64 `json:"insts_per_sec"`
+	InstsPerSecQ1 float64 `json:"insts_per_sec_q1,omitempty"`
+	InstsPerSecQ3 float64 `json:"insts_per_sec_q3,omitempty"`
+	AllocsPerOp   int64   `json:"allocs_per_op"`
+	BytesPerOp    int64   `json:"bytes_per_op"`
+	NsPerOp       int64   `json:"ns_per_op"`
+	UPC           float64 `json:"upc"`
+	MPKI          float64 `json:"mpki"`
 	// Snapshot is every counter of one more, untimed run.
 	Snapshot StatsSnapshot `json:"snapshot"`
 }
 
+// quartiles returns the lower quartile, median and upper quartile of xs by
+// nearest rank, sorting xs in place.
+func quartiles(xs []float64) (q1, q2, q3 float64) {
+	slices.Sort(xs)
+	at := func(k int) float64 { return xs[k*(len(xs)-1)/4] }
+	return at(1), at(2), at(3)
+}
+
 // TestBenchPipeline checks that BENCH_pipeline.json has one row per
 // BenchmarkTableII workload at the benchmark's run lengths. With
-// -update-bench it first measures the rows and rewrites the file:
+// -update-bench it first measures every row pipelineRuns times, the rows
+// interleaved so that drift in the host's speed reaches each alike, and
+// rewrites the file:
 //
 //	go test -run TestBenchPipeline -update-bench -benchtime 3x .
 func TestBenchPipeline(t *testing.T) {
@@ -142,16 +163,33 @@ func TestBenchPipeline(t *testing.T) {
 	if *updateBench {
 		prev := rep
 		prev.Before = nil // keep one level of history
-		rep = pipelineReport{Bench: "TableII", Warmup: benchWarmup, Measure: benchMeasure, Before: &prev}
-		for _, name := range benchWorkloads {
-			res := testing.Benchmark(func(b *testing.B) { tableIIRow(b, name) })
-			if res.N == 0 {
-				t.Fatalf("%s: benchmark failed (run BenchmarkTableII to see why)", name)
+		rep = pipelineReport{Bench: "TableII", Warmup: benchWarmup, Measure: benchMeasure, Runs: pipelineRuns, Before: &prev}
+		runs := make([][]testing.BenchmarkResult, len(benchWorkloads))
+		for range pipelineRuns {
+			for w, name := range benchWorkloads {
+				res := testing.Benchmark(func(b *testing.B) { tableIIRow(b, name) })
+				if res.N == 0 {
+					t.Fatalf("%s: benchmark failed (run BenchmarkTableII to see why)", name)
+				}
+				if rep.Iters != 0 && res.N != rep.Iters {
+					t.Fatalf("runs had b.N = %d and %d: pass -benchtime Nx", rep.Iters, res.N)
+				}
+				rep.Iters = res.N
+				runs[w] = append(runs[w], res)
 			}
-			if rep.Iters != 0 && res.N != rep.Iters {
-				t.Fatalf("rows ran b.N = %d and %d: pass -benchtime Nx", rep.Iters, res.N)
+		}
+		for w, name := range benchWorkloads {
+			stat := func(f func(testing.BenchmarkResult) float64) (q1, q2, q3 float64) {
+				xs := make([]float64, len(runs[w]))
+				for i, res := range runs[w] {
+					xs[i] = f(res)
+				}
+				return quartiles(xs)
 			}
-			rep.Iters = res.N
+			q1, ips, q3 := stat(func(r testing.BenchmarkResult) float64 { return r.Extra["insts/s"] })
+			_, allocs, _ := stat(func(r testing.BenchmarkResult) float64 { return float64(r.AllocsPerOp()) })
+			_, bytes, _ := stat(func(r testing.BenchmarkResult) float64 { return float64(r.AllocedBytesPerOp()) })
+			_, ns, _ := stat(func(r testing.BenchmarkResult) float64 { return float64(r.NsPerOp()) })
 			sim, err := NewSimulator(DefaultConfig(), name)
 			if err != nil {
 				t.Fatal(err)
@@ -159,18 +197,21 @@ func TestBenchPipeline(t *testing.T) {
 			if _, err := sim.RunMeasured(benchWarmup, benchMeasure); err != nil {
 				t.Fatal(err)
 			}
+			last := runs[w][len(runs[w])-1]
 			rep.Results = append(rep.Results, pipelineRow{
-				Workload:    name,
-				InstsPerSec: res.Extra["insts/s"],
-				AllocsPerOp: res.AllocsPerOp(),
-				BytesPerOp:  res.AllocedBytesPerOp(),
-				NsPerOp:     res.NsPerOp(),
-				UPC:         res.Extra["UPC"],
-				MPKI:        res.Extra["MPKI"],
-				Snapshot:    sim.StatsSnapshot(),
+				Workload:      name,
+				InstsPerSec:   ips,
+				InstsPerSecQ1: q1,
+				InstsPerSecQ3: q3,
+				AllocsPerOp:   int64(allocs),
+				BytesPerOp:    int64(bytes),
+				NsPerOp:       int64(ns),
+				UPC:           last.Extra["UPC"],
+				MPKI:          last.Extra["MPKI"],
+				Snapshot:      sim.StatsSnapshot(),
 			})
 			sim.Release()
-			t.Logf("%-8s %s", name, res)
+			t.Logf("%-8s %.0f insts/s [%.0f, %.0f], %d allocs/op, %d B/op", name, ips, q1, q3, int64(allocs), int64(bytes))
 		}
 		b, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {

@@ -167,46 +167,96 @@ func TestNewAllocBound(t *testing.T) {
 	t.Logf("pipeline.New(bm_cc): %d bytes", best)
 }
 
-// coldPointObjectsBound caps the heap objects of one cold design point on
-// a recycled core: bm_cc under F-PWAC with three entries per line in a
-// 16384-uop cache, 20k warm-up and 100k measured instructions, from New to
-// Release. It is the measured count plus 15%. Before the uop cache kept
-// its entries in fixed slots it allocated one object per entry it filled
-// into a free slot, and this point measured 5,024 objects; while each Sim
-// built a new metrics registry it measured 287; it measures 45.
-const coldPointObjectsBound = 52
+// The cold-point bounds cap the heap objects and bytes of one cold design
+// point on a recycled core: bm_cc under F-PWAC with three entries per line
+// in a 16384-uop cache, from New to the answer's final StatsSnapshot and
+// Release, right after a redis point released that core. Each is the
+// measured value plus 15%.
+//
+// The full point runs 20k warm-up and 100k measured instructions. Before
+// the uop cache kept its entries in fixed slots it allocated one object per
+// entry it filled into a free slot (5,024 objects, measured without the
+// redis point); while each Sim built a new metrics registry it took 287
+// objects. While Sim.Snapshot built a registry snapshot per interval read
+// and the walker reallocated its per-slot arrays on a change of workload,
+// it took 51 objects and 350,936 bytes. It measures 38 objects and 11,176
+// bytes: the Sim, its gauge closures, the final snapshot and the growth of
+// a few fetch-side backings.
+//
+// The sampled point is the bench's sampled shape: 100k warm-up and 1M
+// measured instructions under the default sampling (6 intervals of 20k
+// measured instructions after 6,666 warm-up ones). It took 108 objects
+// and 437,208 bytes before those two changes and measures 45 objects and
+// 11,400 bytes; the sampling gauges it registers are the difference.
+const (
+	coldPointObjectsBound        = 43
+	coldPointBytesBound          = 12_850
+	coldSampledPointObjectsBound = 51
+	coldSampledPointBytesBound   = 13_110
+)
 
-// TestColdPointAllocBound bounds the objects one cold point allocates on a
-// core a released simulator left in the pool (the best of three, so a pool
-// a GC emptied cannot fail it).
-func TestColdPointAllocBound(t *testing.T) {
+// coldPointAlloc returns the fewest objects and bytes a cold bm_cc point
+// allocates on a core a redis point released, running each point as run
+// does (the best of three, so a pool a GC emptied cannot fail it). The two
+// workloads alternate so that the recycled walker moves between the
+// largest profile and a small one: a Reset that dropped arrays larger than
+// the new workload needs would reallocate about 310 KiB per bm_cc point.
+func coldPointAlloc(t *testing.T, run func(*Sim) error) (objects, bytes uint64) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("sync.Pool drops released cores at random under -race")
 	}
-	wl := sharedWL(t, "bm_cc")
 	cfg := schemeConfig(4, 16384, 3)
-	point := func() {
-		s, err := New(cfg, wl)
+	point := func(name string) {
+		s, err := New(cfg, sharedWL(t, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.RunMeasured(20_000, 100_000); err != nil {
+		if err := run(s); err != nil {
 			t.Fatal(err)
 		}
 		s.StatsSnapshot()
 		s.Release()
 	}
-	point()
-	best := uint64(math.MaxUint64)
+	point("bm_cc")
+	objects, bytes = math.MaxUint64, math.MaxUint64
 	for i := 0; i < 3; i++ {
+		point("redis")
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		point()
+		point("bm_cc")
 		runtime.ReadMemStats(&after)
-		best = min(best, after.Mallocs-before.Mallocs)
+		objects = min(objects, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 	}
-	if best > coldPointObjectsBound {
-		t.Errorf("a cold bm_cc F-PWAC point at 16384 uops allocated %d objects, want <= %d", best, coldPointObjectsBound)
+	return objects, bytes
+}
+
+// TestColdPointAllocBound bounds a fully simulated cold point.
+func TestColdPointAllocBound(t *testing.T) {
+	objects, bytes := coldPointAlloc(t, func(s *Sim) error {
+		_, err := s.RunMeasured(20_000, 100_000)
+		return err
+	})
+	checkColdPoint(t, "full", objects, bytes, coldPointObjectsBound, coldPointBytesBound)
+}
+
+// TestColdSampledPointAllocBound bounds an interval-sampled cold point.
+func TestColdSampledPointAllocBound(t *testing.T) {
+	objects, bytes := coldPointAlloc(t, func(s *Sim) error {
+		_, err := s.RunSampled(100_000, 1_000_000, Sampling{Enabled: true})
+		return err
+	})
+	checkColdPoint(t, "sampled", objects, bytes, coldSampledPointObjectsBound, coldSampledPointBytesBound)
+}
+
+func checkColdPoint(t *testing.T, kind string, objects, bytes, objectsBound, bytesBound uint64) {
+	t.Helper()
+	if objects > objectsBound {
+		t.Errorf("a cold %s bm_cc F-PWAC point at 16384 uops allocated %d objects, want <= %d", kind, objects, objectsBound)
 	}
-	t.Logf("cold bm_cc F-PWAC point at 16384 uops on a recycled core: %d objects", best)
+	if bytes > bytesBound {
+		t.Errorf("a cold %s bm_cc F-PWAC point at 16384 uops allocated %d bytes, want <= %d", kind, bytes, bytesBound)
+	}
+	t.Logf("cold %s bm_cc F-PWAC point at 16384 uops on a core redis released: %d objects, %d bytes", kind, objects, bytes)
 }

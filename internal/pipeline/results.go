@@ -27,34 +27,45 @@ type Snapshot struct {
 	OCFills       uint64
 }
 
-// Snapshot captures the current observables via the metrics registry.
+// Snapshot reads the current observables straight from the live
+// instruments. It builds no registry snapshot and allocates nothing, so
+// interval reads (RunMeasured, RunSampled, the SMT pair's loops) are free.
 func (s *Sim) Snapshot() Snapshot {
-	return SnapshotFromStats(s.StatsSnapshot())
+	s.live()
+	return snapshotFrom(s.reg.CounterValue, s.reg.GaugeValue)
 }
 
 // SnapshotFromStats rebuilds the metrics-facing observable set from a
 // registry snapshot. Counter samples carry their exact uint64 counts and the
 // gauge floats are the same float64 values the components compute, so
 // metrics derived through here are bit-identical to reading the instruments
-// directly.
+// directly (Sim.Snapshot).
 func SnapshotFromStats(st stats.Snapshot) Snapshot {
+	return snapshotFrom(st.Counter, st.Value)
+}
+
+// snapshotFrom is the one table of Snapshot fields and the registry paths
+// they read, shared by Sim.Snapshot (the live instruments) and
+// SnapshotFromStats (a registry snapshot), so the two readers cannot
+// drift apart. counter reads a counter's exact count, gauge a gauge's value.
+func snapshotFrom(counter func(path string) uint64, gauge func(path string) float64) Snapshot {
 	return Snapshot{
-		Cycle:         int64(st.Value("pipeline.cycle")),
-		RetiredUops:   st.Counter("backend.uops.retired"),
-		UopsOC:        st.Counter("dispatch.uops.oc"),
-		UopsIC:        st.Counter("dispatch.uops.ic"),
-		UopsLC:        st.Counter("dispatch.uops.lc"),
-		Insts:         st.Counter("dispatch.insts"),
-		Branches:      st.Counter("fetch.branches"),
-		Mispredicts:   st.Counter("bpu.mispredicts"),
-		MispLatSum:    st.Counter("bpu.misp.latsum"),
-		DecRedirects:  st.Counter("fetch.redirects.decode"),
-		Resyncs:       st.Counter("fetch.resyncs"),
-		DecodedInsts:  st.Counter("decode.insts"),
-		DecoderEnergy: st.Value("power.decoder.energy"),
-		OCLookups:     st.Counter("oc.lookups"),
-		OCHits:        st.Counter("oc.hits"),
-		OCFills:       st.Counter("oc.fills"),
+		Cycle:         int64(gauge("pipeline.cycle")),
+		RetiredUops:   counter("backend.uops.retired"),
+		UopsOC:        counter("dispatch.uops.oc"),
+		UopsIC:        counter("dispatch.uops.ic"),
+		UopsLC:        counter("dispatch.uops.lc"),
+		Insts:         counter("dispatch.insts"),
+		Branches:      counter("fetch.branches"),
+		Mispredicts:   counter("bpu.mispredicts"),
+		MispLatSum:    counter("bpu.misp.latsum"),
+		DecRedirects:  counter("fetch.redirects.decode"),
+		Resyncs:       counter("fetch.resyncs"),
+		DecodedInsts:  counter("decode.insts"),
+		DecoderEnergy: gauge("power.decoder.energy"),
+		OCLookups:     counter("oc.lookups"),
+		OCHits:        counter("oc.hits"),
+		OCFills:       counter("oc.fills"),
 	}
 }
 

@@ -14,9 +14,11 @@ import (
 // into Intervals evenly spaced strides and only a WarmupInsts +
 // IntervalInsts window at the end of each stride is cycle-simulated; the
 // instructions between windows are fast-forwarded architecturally through
-// the oracle walker, which costs an order of magnitude less per
-// instruction than the cycle loop. Full-run metrics are extrapolated from
-// the measured windows (see RunSampled).
+// the oracle walker, which costs about a fifth as much per instruction as
+// the cycle loop: 34.5 against 154 ns/inst on a warmed bm_cc simulator, a
+// ratio of 4.5 (BenchmarkInstCost, medians of 5 runs on a 2-vCPU AMD EPYC
+// guest). Full-run metrics are extrapolated from the measured windows
+// (see RunSampled).
 //
 // Sampling participates in design-point fingerprints when Enabled, so a
 // sampled point and the full simulation of the same point can never share

@@ -230,3 +230,33 @@ func TestAddSnapshotDeltaCoversAllFields(t *testing.T) {
 		t.Fatalf("delta accumulation wrong: %+v", agg)
 	}
 }
+
+// BenchmarkInstCost compares what an instruction costs fast-forwarded and
+// cycle-simulated on a warmed bm_cc simulator, in ns/inst; the Sampling doc
+// quotes the ratio:
+//
+//	go test -run '^$' -bench InstCost -count 5 ./internal/pipeline
+func BenchmarkInstCost(b *testing.B) {
+	const chunk = 10_000
+	for _, mode := range []string{"FastForward", "Run"} {
+		b.Run(mode, func(b *testing.B) {
+			s, err := New(DefaultConfig(), sharedWL(b, "bm_cc"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Release()
+			if err := s.Run(100_000); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if mode == "FastForward" {
+					s.FastForward(chunk)
+				} else if err := s.Run(chunk); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*chunk), "ns/inst")
+		})
+	}
+}

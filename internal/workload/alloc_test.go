@@ -63,6 +63,40 @@ func TestNewWalkerAllocScalesWithBehaviours(t *testing.T) {
 		best, len(beh.Cond), len(beh.Indirect), len(beh.Mem), wl.Program.NumInsts())
 }
 
+// TestWalkerResetAcrossWorkloads pins the recycled walker: once it has
+// served the largest profile, a Reset onto a smaller workload and back
+// allocates nothing, and each Reset walker produces the stream a new walker
+// of that workload does, whatever the larger one left in its arrays.
+func TestWalkerResetAcrossWorkloads(t *testing.T) {
+	big, err := Shared("bm_cc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := Shared("redis")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWalker(big)
+	for i := 0; i < 100_000; i++ {
+		w.Next()
+	}
+	if avg := testing.AllocsPerRun(5, func() { w.Reset(small); w.Reset(big) }); avg != 0 {
+		t.Errorf("Reset between redis and bm_cc allocated %.1f times, want 0", avg)
+	}
+	for _, wl := range []*Workload{small, big, small} {
+		for i := 0; i < 100_000; i++ {
+			w.Next()
+		}
+		w.Reset(wl)
+		ref := NewWalker(wl)
+		for i := 0; i < 100_000; i++ {
+			if got, want := w.Next(), ref.Next(); got != want {
+				t.Fatalf("%s: record %d of a Reset walker is %+v, a new walker's %+v", wl.Profile.Name, i, got, want)
+			}
+		}
+	}
+}
+
 // TestProgramImageLiveHeap bounds what the 13 Table II builds keep alive:
 // every uopsimd and uopexp process holds all of them. A 20-byte Inst, a
 // 12-byte Block, a 2-byte behaviour slot per instruction, 2-byte memory

@@ -30,7 +30,10 @@ type Rec struct {
 // All walker state is dense, indexed by behaviour slot (Behaviors): the
 // walker runs once per fetched instruction, so it does no map lookups, and
 // a new walker allocates only for the instructions that carry behaviour. A
-// walker Reset onto the same workload again reuses those arrays.
+// Reset walker clears and reuses those arrays whenever they are large
+// enough, whichever workload it moves to, so a walker holds the largest
+// array of each kind it has served: at most 312 KiB over the 13 profiles
+// (bm_cc's conditional and memory slots, nutch's indirect ones).
 type Walker struct {
 	prog *program.Program
 	beh  *Behaviors
@@ -61,7 +64,8 @@ func NewWalker(w *Workload) *Walker {
 }
 
 // Reset makes wk the walker NewWalker(w) builds, reusing its call stack and
-// per-slot arrays when w has as many behaviour slots of each kind.
+// each per-slot array whose capacity covers w's behaviour slots of that
+// kind; a smaller workload leaves the arrays' spare capacity in place.
 func (wk *Walker) Reset(w *Workload) {
 	beh := w.Behaviors
 	*wk = Walker{
@@ -70,9 +74,9 @@ func (wk *Walker) Reset(w *Workload) {
 		rnd:     *rng.New(w.Profile.Seed).Derive(5),
 		cur:     uint32(w.Program.Blocks[beh.DispatchBlock].First),
 		stack:   wk.stack[:0],
-		condPos: reuse.Slice(wk.condPos, len(beh.Cond)),
-		indRun:  reuse.Slice(wk.indRun, len(beh.Indirect)),
-		memPos:  reuse.Slice(wk.memPos, len(beh.Mem)),
+		condPos: reuse.Cap(wk.condPos, len(beh.Cond)),
+		indRun:  reuse.Cap(wk.indRun, len(beh.Indirect)),
+		memPos:  reuse.Cap(wk.memPos, len(beh.Mem)),
 	}
 }
 

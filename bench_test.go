@@ -63,23 +63,21 @@ func simulate(b *testing.B, name string, cfg Config, report func(*testing.B, Met
 	report(b, m)
 }
 
-// primeCorePool builds and releases one simulator, untimed, so the first
-// timed slice starts where an engine worker's next point does: with a
-// released core at hand. The harness runs each b.N round on a new
-// goroutine after a GC, and sync.Pool hands a core the GC set aside only
-// to the processor that released it, so without this a round could start
-// on a new core.
+// primeCorePool simulates one point, untimed, so the first timed slice
+// starts where an engine worker's next point does: with a released core at
+// hand that has already served a point. The harness runs each b.N round
+// on a new goroutine after a GC, and sync.Pool hands a core the GC set
+// aside only to the processor whose private slot held it, so a round that
+// starts on the other processor finds the pool empty and builds a new
+// core. Building and releasing a simulator, as this once did, leaves that
+// core's scratch unsized: the fetch-side item slices, the distribution
+// maps and the measured-window buffers then grew inside the first timed
+// slice, and BenchmarkTableII rows read either about 2.4 KB in 23
+// allocations per op (a pooled core) or 10-22 KB in 63-73 (a new one),
+// from run to run of one binary. Running a whole point sizes them here.
 func primeCorePool(b *testing.B, name string, cfg Config) {
 	b.Helper()
-	wl, err := workload.Shared(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sim, err := pipeline.New(cfg, wl)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sim.Release()
+	runPoint(b, name, cfg)
 	b.ResetTimer()
 }
 
@@ -131,7 +129,7 @@ type pipelineRow struct {
 	NsPerOp       int64   `json:"ns_per_op"`
 	UPC           float64 `json:"upc"`
 	MPKI          float64 `json:"mpki"`
-	// Snapshot is every counter of one more, untimed run.
+	// Snapshot is the measured window of one more, untimed run.
 	Snapshot StatsSnapshot `json:"snapshot"`
 }
 
@@ -208,7 +206,7 @@ func TestBenchPipeline(t *testing.T) {
 				NsPerOp:       int64(ns),
 				UPC:           last.Extra["UPC"],
 				MPKI:          last.Extra["MPKI"],
-				Snapshot:      sim.StatsSnapshot(),
+				Snapshot:      sim.Window(),
 			})
 			sim.Release()
 			t.Logf("%-8s %.0f insts/s [%.0f, %.0f], %d allocs/op, %d B/op", name, ips, q1, q3, int64(allocs), int64(bytes))

@@ -30,8 +30,8 @@ func main() {
 		list         = flag.Bool("list", false, "list workloads and exit")
 		verbose      = flag.Bool("v", false, "also print uop cache entry statistics")
 		asJSON       = flag.Bool("json", false, "emit metrics as JSON (machine-readable)")
-		metricsOut   = flag.String("metrics", "", "write the full metrics registry snapshot as JSON to this file (\"-\" for stdout)")
-		promOut      = flag.String("prom", "", "write the metrics snapshot in Prometheus text format to this file (\"-\" for stdout)")
+		metricsOut   = flag.String("metrics", "", "write the measured window of the metrics registry as JSON to this file (\"-\" for stdout)")
+		promOut      = flag.String("prom", "", "write the measured window in Prometheus text format to this file (\"-\" for stdout)")
 		traceOut     = flag.String("trace", "", "record pipeline events and dump the last -trace-depth of them to this file (\"-\" for stdout)")
 		traceDepth   = flag.Int("trace-depth", 4096, "ring capacity for -trace event recording")
 	)
@@ -74,15 +74,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "uopsim:", err)
 		os.Exit(1)
 	}
+	window := sim.Window() // counts what m does; the live registry counts the warmup too
 	if *metricsOut != "" {
-		if err := writeTo(*metricsOut, sim.StatsSnapshot().WriteJSON); err != nil {
+		if err := writeTo(*metricsOut, window.WriteJSON); err != nil {
 			fmt.Fprintln(os.Stderr, "uopsim:", err)
 			os.Exit(1)
 		}
 	}
 	if *promOut != "" {
-		snap := sim.StatsSnapshot()
-		if err := writeTo(*promOut, func(w io.Writer) error { return snap.WritePrometheus(w, "uopsim") }); err != nil {
+		if err := writeTo(*promOut, func(w io.Writer) error { return window.WritePrometheus(w, "uopsim") }); err != nil {
 			fmt.Fprintln(os.Stderr, "uopsim:", err)
 			os.Exit(1)
 		}

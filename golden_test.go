@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"reflect"
 	"testing"
@@ -35,7 +36,9 @@ type goldenFile struct {
 // Metrics versus testdata/golden_metrics.json (full runs) and
 // testdata/golden_sampled.json (interval-sampled runs, subtests under
 // "sampled/"). Each file must also be byte-for-byte what the writer makes
-// of it, so a regeneration of an unchanged simulator is a no-op.
+// of it, so a regeneration of an unchanged simulator is a no-op. Every
+// point's measured window must also cover what its Metrics do
+// (checkAnswerWindow).
 //
 // Only for a change that intentionally alters simulated behaviour,
 // regenerate both files with
@@ -83,22 +86,44 @@ func TestGoldenMetrics(t *testing.T) {
 				if !ok {
 					t.Fatalf("unknown scheme %q in %s", pt.Scheme, file)
 				}
-				cfg := sc.Configure(pt.Capacity)
-				var m uopsim.Metrics
-				var err error
-				if gf.Sampling != nil {
-					m, err = uopsim.RunSampled(cfg, pt.Workload, gf.Warmup, gf.Measure, *gf.Sampling)
-				} else {
-					m, err = uopsim.Run(cfg, pt.Workload, gf.Warmup, gf.Measure)
+				sim, err := uopsim.NewSimulator(sc.Configure(pt.Capacity), pt.Workload)
+				if err != nil {
+					t.Fatal(err)
 				}
+				defer sim.Release()
+				var sp uopsim.Sampling // disabled: a full run
+				if gf.Sampling != nil {
+					sp = *gf.Sampling
+				}
+				m, err := sim.RunSampled(gf.Warmup, gf.Measure, sp)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(m, pt.Metrics) {
 					t.Errorf("metrics diverged from %s\n got: %+v\nwant: %+v", file, m, pt.Metrics)
 				}
+				checkAnswerWindow(t, sim.Window(), m)
 			})
 		}
+	}
+}
+
+// checkAnswerWindow requires an answer's snapshot, the measured window w,
+// to cover the instructions its metrics m do: the same dispatched
+// instructions, and uop cache counts whose ratio is m's hit rate, exactly
+// for a full run and within one count of rounding for a sampled one,
+// whose window is scaled.
+func checkAnswerWindow(t *testing.T, w uopsim.StatsSnapshot, m uopsim.Metrics) {
+	t.Helper()
+	if got := w.Counter("dispatch.insts"); got != m.Insts {
+		t.Errorf("window dispatch.insts = %d, Metrics.Insts = %d", got, m.Insts)
+	}
+	hits, lookups := w.Counter("oc.hits"), w.Counter("oc.lookups")
+	if lookups == 0 {
+		t.Fatal("the window has no uop cache lookups")
+	}
+	if d := math.Abs(float64(hits)/float64(lookups) - m.OCHitRate); d > 1/float64(lookups) {
+		t.Errorf("window oc.hits/oc.lookups = %d/%d, off Metrics.OCHitRate %v by %v", hits, lookups, m.OCHitRate, d)
 	}
 }
 

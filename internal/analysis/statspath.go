@@ -26,6 +26,7 @@ var registerMethods = map[string]bool{
 	"Counter":         true,
 	"RegisterCounter": true,
 	"RegisterGauge":   true,
+	"RegisterTotal":   true,
 	"RegisterMean":    true,
 	"RegisterHist":    true,
 	"RegisterDist":    true,
@@ -33,14 +34,11 @@ var registerMethods = map[string]bool{
 }
 
 // pathMethods additionally take a metric path (or scope prefix) first
-// argument that must satisfy the grammar. Sample and GaugeValue entered
-// with the warehouse instrumentation (warehouse.RegisterStats gauges,
-// experiments query-by-snapshot-path): both take the same dotted paths as
-// Value and were silent gaps before.
+// argument that must satisfy the grammar. Sample entered with the
+// warehouse instrumentation (experiments query-by-snapshot-path): it
+// takes the same dotted paths as Value and was a silent gap before.
 var pathMethods = map[string]bool{
 	"Scope":        true,
-	"CounterValue": true,
-	"GaugeValue":   true,
 	"Value":        true,
 	"Sample":       true,
 	"HistFraction": true,

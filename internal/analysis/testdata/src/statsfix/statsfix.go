@@ -26,14 +26,14 @@ func Lookup(s stats.Snapshot) float64 {
 
 // Warehouse mirrors how warehouse.RegisterStats mounts its gauges and how
 // /v1/stats consumers read them back: registrations on a "warehouse" scope
-// and the path-taking lookups (Sample, GaugeValue) the warehouse
+// and the path-taking lookups (Sample, Value) the warehouse
 // instrumentation introduced.
 func Warehouse(r *stats.Registry, s stats.Snapshot) float64 {
 	wh := r.Scope("warehouse")
 	wh.RegisterGauge("live_bytes", func() float64 { return 0 })
 	wh.RegisterGauge("dead bytes", func() float64 { return 0 }) // want `metric path "dead bytes" does not match`
-	v := r.GaugeValue("warehouse.live_bytes")
-	v += r.GaugeValue("warehouse.Live_Bytes") // want `metric path "warehouse\.Live_Bytes" does not match`
+	v := s.Value("warehouse.live_bytes")
+	v += s.Value("warehouse.Live_Bytes") // want `metric path "warehouse\.Live_Bytes" does not match`
 	if _, ok := s.Sample("warehouse.records"); ok {
 		v++
 	}
@@ -57,7 +57,7 @@ func Estimate(r *stats.Registry, s stats.Snapshot) float64 {
 	sur.RegisterGauge("live_points", func() float64 { return 0 })
 	sur.RegisterGauge("exact_hits", func() float64 { return 0 })
 	sur.RegisterGauge("exact_hits", func() float64 { return 0 }) // want `metric path "exact_hits" is registered twice on sur`
-	v := r.GaugeValue("surrogate.live_points")
+	v := s.Value("surrogate.live_points")
 	v += s.Value("server.estimate.latency_us")
 	v += s.Value("server.estimate.latency-us") // want `metric path "server\.estimate\.latency-us" does not match`
 	return v

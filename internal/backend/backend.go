@@ -78,7 +78,6 @@ func (b *Backend) RegisterMetrics(sc stats.Scope) {
 	lat.RegisterCounter("dep", &b.latDep)
 	lat.RegisterCounter("port", &b.latPort)
 	lat.RegisterCounter("uops", &b.latN)
-	sc.RegisterGauge("rob.occ", func() float64 { return float64(b.robLen) })
 }
 
 // LatencyProfile returns (avg dispatch->done, avg dep wait, avg port wait).

@@ -35,7 +35,6 @@ func (p *Predictor) RegisterMetrics(sc stats.Scope) {
 	tage := sc.Scope("tage")
 	tage.RegisterCounter("lookups", &p.condLookups)
 	tage.RegisterCounter("mispredicts", &p.condMiss)
-	tage.RegisterGauge("accuracy", p.CondAccuracy)
 	sc.RegisterCounter("target.mispredicts", &p.targetMiss)
 	sc.RegisterCounter("shadow.mispredicts", &p.shadowMiss)
 }

@@ -26,15 +26,11 @@ type Pipe[T any] struct {
 	pushes stats.Counter
 }
 
-// RegisterMetrics publishes the pipe's push counter and occupancy gauge
-// under sc (mount points like "decode.pipe.oc").
+// RegisterMetrics publishes the pipe's push counter under sc (mount
+// points like "decode.pipe.oc").
 func (p *Pipe[T]) RegisterMetrics(sc stats.Scope) {
 	sc.RegisterCounter("pushes", &p.pushes)
-	sc.RegisterGauge("occ", func() float64 { return float64(p.count) })
 }
-
-// Pushes returns how many items have entered the pipe.
-func (p *Pipe[T]) Pushes() uint64 { return p.pushes.Value() }
 
 type pipeSlot[T any] struct {
 	value T

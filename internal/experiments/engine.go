@@ -167,7 +167,8 @@ func point(p Params, name string, cfg pipeline.Config) (PointResult, error) {
 // simulatePoint runs one configuration against the shared immutable
 // workload build (per-run state lives in the simulator's walker, so
 // concurrent points stay independent). The simulator's core goes back to
-// the pool once its snapshot is taken, for the next point to reuse.
+// the pool once its measured window is copied out, for the next point to
+// reuse.
 func simulatePoint(p Params, name string, cfg pipeline.Config) (PointResult, error) {
 	wl, err := workload.Shared(name)
 	if err != nil {
@@ -182,5 +183,5 @@ func simulatePoint(p Params, name string, cfg pipeline.Config) (PointResult, err
 	if err != nil {
 		return PointResult{}, err
 	}
-	return PointResult{Suite: wl.Profile.Suite, Metrics: m, Snapshot: sim.StatsSnapshot()}, nil
+	return PointResult{Suite: wl.Profile.Suite, Metrics: m, Snapshot: sim.Window()}, nil
 }

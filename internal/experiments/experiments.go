@@ -106,9 +106,10 @@ func (s Scheme) Configure(capacityUops int) pipeline.Config {
 	return cfg
 }
 
-// Run is one completed simulation. Snapshot is the simulator's full
-// end-of-run metrics registry state; figure drivers query it by path instead
-// of reaching into component stats structs.
+// Run is one completed simulation. Snapshot is its measured window of the
+// metrics registry (pipeline.Sim.Window), covering what Metrics does;
+// figure drivers query it by path instead of reaching into component
+// stats structs.
 type Run struct {
 	Workload string
 	Suite    string

@@ -182,8 +182,9 @@ func Fig6(w io.Writer, p Params) error {
 	var xs []float64
 	for _, name := range sortedWorkloads(p) {
 		snap := runs[key(name, base.Name, 2048)].Snapshot
-		t.AddRow(name, stats.Pct(snap.Value("oc.frac.taken_term")))
-		xs = append(xs, snap.Value("oc.frac.taken_term"))
+		x := stats.Ratio(snap.Counter("oc.entry.term.takenbranch"), snap.Counter("oc.fills"))
+		t.AddRow(name, stats.Pct(x))
+		xs = append(xs, x)
 	}
 	fmt.Fprintln(w, t)
 	fmt.Fprintf(w, "average: %.1f%% (paper: 49.4%%, max 67.17%% for 541.leela_r)\n\n", 100*stats.ArithMean(xs))
@@ -207,8 +208,9 @@ func Fig9(w io.Writer, p Params) error {
 	var xs []float64
 	for _, name := range sortedWorkloads(p) {
 		snap := runs[key(name, clasp.Name, 2048)].Snapshot
-		t.AddRow(name, stats.Pct(snap.Value("oc.frac.span")))
-		xs = append(xs, snap.Value("oc.frac.span"))
+		x := stats.Ratio(snap.Counter("oc.entry.span"), snap.Counter("oc.fills"))
+		t.AddRow(name, stats.Pct(x))
+		xs = append(xs, x)
 	}
 	fmt.Fprintln(w, t)
 	fmt.Fprintf(w, "average: %.1f%% (paper figure shows roughly 10-45%% per workload)\n\n", 100*stats.ArithMean(xs))
@@ -385,8 +387,9 @@ func Fig18(w io.Writer, p Params) error {
 	var xs []float64
 	for _, name := range sortedWorkloads(p) {
 		snap := runs[key(name, fp.Name, 2048)].Snapshot
-		t.AddRow(name, stats.Pct(snap.Value("oc.frac.compacted")))
-		xs = append(xs, snap.Value("oc.frac.compacted"))
+		x := stats.Ratio(snap.Counter("oc.fills.compact"), snap.Counter("oc.fills"))
+		t.AddRow(name, stats.Pct(x))
+		xs = append(xs, x)
 	}
 	fmt.Fprintln(w, t)
 	fmt.Fprintf(w, "average: %.1f%% (paper: 66.3%%)\n\n", 100*stats.ArithMean(xs))

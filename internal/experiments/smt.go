@@ -65,8 +65,8 @@ func SMT(w io.Writer, p Params) error {
 	return nil
 }
 
-// smtPoint resolves one two-thread SMT design point — thread A's measured
-// interval plus its end-of-run snapshot — through the shared resolve step.
+// smtPoint resolves one two-thread SMT design point — thread A's metrics
+// and measured window — through the shared resolve step.
 func smtPoint(p Params, pt Point, coRunner string) (PointResult, error) {
 	profA, err := workload.ByName(pt.Workload)
 	if err != nil {
@@ -92,7 +92,7 @@ func smtPoint(p Params, pt Point, coRunner string) (PointResult, error) {
 		if err != nil {
 			return PointResult{}, err
 		}
-		return PointResult{Suite: profA.Suite, Metrics: a, Snapshot: pair.A.StatsSnapshot()}, nil
+		return PointResult{Suite: profA.Suite, Metrics: a, Snapshot: pair.A.Window()}, nil
 	})
 	return res, err
 }

@@ -33,16 +33,16 @@ type Hierarchy struct {
 	dramAccesses stats.Counter
 }
 
-// RegisterMetrics publishes per-level hit/miss/eviction gauges and the DRAM
-// access counter under sc (expected mount point: "mem"). The cache levels
-// keep their own plain counters; the registry reads them through closures at
-// snapshot time.
+// RegisterMetrics publishes per-level hit/miss/eviction counters and the
+// DRAM access counter under sc (expected mount point: "mem"). The cache
+// levels keep their own plain counts; the registry reads them through
+// closures at snapshot time.
 func (h *Hierarchy) RegisterMetrics(sc stats.Scope) {
 	level := func(name string, c *cache.Cache) {
 		lsc := sc.Scope(name)
-		lsc.RegisterGauge("hits", func() float64 { n, _, _ := c.Stats(); return float64(n) })
-		lsc.RegisterGauge("misses", func() float64 { _, n, _ := c.Stats(); return float64(n) })
-		lsc.RegisterGauge("evictions", func() float64 { _, _, n := c.Stats(); return float64(n) })
+		lsc.RegisterCounter("hits", stats.CounterFunc(func() uint64 { n, _, _ := c.Stats(); return n }))
+		lsc.RegisterCounter("misses", stats.CounterFunc(func() uint64 { _, n, _ := c.Stats(); return n }))
+		lsc.RegisterCounter("evictions", stats.CounterFunc(func() uint64 { _, _, n := c.Stats(); return n }))
 	}
 	level("l1i", h.L1I)
 	level("l1d", h.L1D)

@@ -169,9 +169,9 @@ func TestNewAllocBound(t *testing.T) {
 
 // The cold-point bounds cap the heap objects and bytes of one cold design
 // point on a recycled core: bm_cc under F-PWAC with three entries per line
-// in a 16384-uop cache, from New to the answer's final StatsSnapshot and
-// Release, right after a redis point released that core. Each is the
-// measured value plus 15%.
+// in a 16384-uop cache, from New to the answer's measured window (Window)
+// and Release, right after a redis point released that core. Each was the
+// measured value plus 15% when it was set.
 //
 // The full point runs 20k warm-up and 100k measured instructions. Before
 // the uop cache kept its entries in fixed slots it allocated one object per
@@ -179,15 +179,18 @@ func TestNewAllocBound(t *testing.T) {
 // redis point); while each Sim built a new metrics registry it took 287
 // objects. While Sim.Snapshot built a registry snapshot per interval read
 // and the walker reallocated its per-slot arrays on a change of workload,
-// it took 51 objects and 350,936 bytes. It measures 38 objects and 11,176
-// bytes: the Sim, its gauge closures, the final snapshot and the growth of
-// a few fetch-side backings.
+// it took 51 objects and 350,936 bytes, and 38 objects and 11,176 bytes
+// while the answer copied the whole live registry and ratio and occupancy
+// gauges took closures. It measures 25 objects and 9,056 bytes: the Sim,
+// its counter closures, the answer's window and the growth of a few
+// fetch-side backings.
 //
 // The sampled point is the bench's sampled shape: 100k warm-up and 1M
 // measured instructions under the default sampling (6 intervals of 20k
 // measured instructions after 6,666 warm-up ones). It took 108 objects
-// and 437,208 bytes before those two changes and measures 45 objects and
-// 11,400 bytes; the sampling gauges it registers are the difference.
+// and 437,208 bytes before those two changes, 45 objects and 11,400 bytes
+// before the window, and measures 32 objects and 9,472 bytes; the sampling
+// gauges it registers are the difference.
 const (
 	coldPointObjectsBound        = 43
 	coldPointBytesBound          = 12_850
@@ -215,7 +218,7 @@ func coldPointAlloc(t *testing.T, run func(*Sim) error) (objects, bytes uint64) 
 		if err := run(s); err != nil {
 			t.Fatal(err)
 		}
-		s.StatsSnapshot()
+		s.Window()
 		s.Release()
 	}
 	point("bm_cc")
@@ -259,4 +262,49 @@ func checkColdPoint(t *testing.T, kind string, objects, bytes, objectsBound, byt
 		t.Errorf("a cold %s bm_cc F-PWAC point at 16384 uops allocated %d bytes, want <= %d", kind, bytes, bytesBound)
 	}
 	t.Logf("cold %s bm_cc F-PWAC point at 16384 uops on a core redis released: %d objects, %d bytes", kind, objects, bytes)
+}
+
+// TestIntervalReadsAllocFree requires a measured interval's reads — the
+// registry read before and after it and the window they add to — to
+// allocate nothing on a recycled core, whose buffers an earlier sampled
+// run sized. Only the answer's copy of the window (Window) allocates.
+func TestIntervalReadsAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops released cores at random under -race")
+	}
+	sp := Sampling{Enabled: true, Intervals: 2, IntervalInsts: 2_000, WarmupInsts: 1_000}
+	s, err := New(DefaultConfig(), sharedWL(t, "bm_cc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RunSampled(2_000, 12_000, sp); err != nil {
+		t.Fatal(err)
+	}
+	c := s.core
+	s.Release()
+	if s, err = New(DefaultConfig(), sharedWL(t, "bm_cc")); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Release()
+	if s.core != c {
+		t.Skip("the pool did not hand back the released core")
+	}
+	if err := s.Run(5_000); err != nil {
+		t.Fatal(err)
+	}
+	threads := []*Sim{s}
+	idle := func(uint64) error { return nil }
+	c.win.Reset()
+	if n := testing.AllocsPerRun(10, func() { measureWindow(threads, idle, 0) }); n != 0 {
+		t.Errorf("an interval's window reads allocate %v objects, want 0", n)
+	}
+	want := 1.0 // the samples, then each bucket list
+	for _, sm := range c.win.Samples {
+		if len(sm.Buckets) > 0 {
+			want++
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { s.Window() }); n != want {
+		t.Errorf("Window allocates %v objects, want %v", n, want)
+	}
 }

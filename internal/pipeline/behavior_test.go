@@ -70,12 +70,11 @@ func TestFillsSettleWhenCacheFits(t *testing.T) {
 	if err := sim.Run(150_000); err != nil {
 		t.Fatal(err)
 	}
-	a := sim.Snapshot()
+	a := sim.StatsSnapshot()
 	if err := sim.Run(100_000); err != nil {
 		t.Fatal(err)
 	}
-	b := sim.Snapshot()
-	m := MetricsBetween(a, b)
+	m := metricsBetween(a, sim.StatsSnapshot())
 	fillRate := float64(m.OCFills) / float64(m.Insts)
 	if fillRate > 0.02 {
 		t.Errorf("steady-state fill rate = %.4f fills/inst; cache should have settled", fillRate)

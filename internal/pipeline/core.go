@@ -40,6 +40,11 @@ import (
 // OnConsume, instruments registered on its registry) reaches the next
 // one: what it registered stays unbound, and an unbound path is invisible
 // to snapshots and lookups.
+//
+// The core also keeps the registry reads and the window of a measured
+// run (MeasureThreads), reused in place, so an idle core holds the last
+// run's samples and buckets three times over (94 samples, 6.8 KiB each
+// on bm_cc).
 type core struct {
 	pred   bpred.Predictor
 	pwb    fetch.Builder
@@ -54,6 +59,8 @@ type core struct {
 	lcPipe decode.Pipe[fGroup]
 	walker workload.Walker
 	reg    *stats.Registry
+
+	start, end, win stats.Snapshot // see MeasureThreads
 
 	// Backings the Sim's scratch slices grew; retire hands them back.
 	pwQ         []fetch.PW
@@ -92,6 +99,7 @@ func (s *Sim) init(c *core, cfg Config, wl *workload.Workload, ocCache *uopcache
 	c.dcPipe.Reset(cfg.ICFetchLatency+cfg.DecodeLatency, cfg.DecodeWidth, 64)
 	c.lcPipe.Reset(1, 1, 4)
 	c.walker.Reset(wl)
+	c.win.Reset() // a new Sim has measured nothing yet
 	// PW ring slots need no clearing: bpuStep builds every field of a slot
 	// before fetch reads it, and keeping them keeps their Conds backings.
 	pwQ := c.pwQ

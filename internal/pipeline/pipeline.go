@@ -27,13 +27,15 @@ import (
 
 // SimVersion names the simulated-behaviour generation of this simulator.
 // It is part of every design-point fingerprint (internal/runcache), making
-// a version bump the run-cache invalidation rule: bump it in the same
-// change that regenerates testdata/golden_metrics.json — i.e. whenever a
-// commit intentionally alters simulated behaviour — and every previously
-// persisted blob stops being addressed. Pure optimizations that keep the
-// golden metrics bit-identical must NOT bump it; that is what lets cached
-// runs survive performance work.
-const SimVersion = "uopsim-1"
+// a version bump the run-cache invalidation rule: every previously
+// persisted blob stops being addressed. Bump it in the same change that
+// regenerates testdata/golden_metrics.json — i.e. whenever a commit
+// intentionally alters simulated behaviour — or when a stored snapshot
+// changes meaning. Pure optimizations that keep the golden metrics
+// bit-identical and the snapshots' meaning must NOT bump it; that is what
+// lets cached runs survive performance work. uopsim-2: an answer's
+// snapshot is its measured window, not the registry at the end of a run.
+const SimVersion = "uopsim-2"
 
 // Config assembles the whole-core configuration (Table I defaults via
 // DefaultConfig).
@@ -230,9 +232,10 @@ type Sim struct {
 	reg *stats.Registry
 	obs Observer
 
-	// sampling, when non-nil, backs the sampling.* gauges a RunSampled
-	// call registered (see noteSampling).
-	sampling *samplingInfo
+	// sampling backs the sampling.* gauges, registered once sampled is
+	// set (see noteSampling).
+	sampling [6]float64
+	sampled  bool
 }
 
 // setMode switches the current window's supply path, announcing the switch
@@ -293,7 +296,7 @@ func newSim(cfg Config, wl *workload.Workload, ocCache *uopcache.Cache, c *core)
 // retired. All registration happens here, once, at construction; the hot
 // path keeps touching the same plain-value instruments directly.
 func (s *Sim) registerMetrics() {
-	s.reg.RegisterGauge("pipeline.cycle", func() float64 { return float64(s.cycle) })
+	s.reg.RegisterCounter("pipeline.cycle", stats.CounterFunc(func() uint64 { return uint64(s.cycle) }))
 	s.m.register(s.reg)
 	s.oc.Stats.Register(s.reg.Scope("oc"))
 	s.pred.RegisterMetrics(s.reg.Scope("bpu"))
@@ -313,7 +316,8 @@ func (s *Sim) registerMetrics() {
 // occupancy observer, register here; exporters snapshot it).
 func (s *Sim) Registry() *stats.Registry { return s.reg }
 
-// StatsSnapshot reads every registered instrument.
+// StatsSnapshot reads every registered instrument: the live registry,
+// counting since the Sim was built. An answer carries Window instead.
 func (s *Sim) StatsSnapshot() stats.Snapshot {
 	s.live()
 	return s.reg.Snapshot()

@@ -12,6 +12,7 @@ import (
 	"unsafe"
 
 	"uopsim/internal/fetch"
+	"uopsim/internal/stats"
 	"uopsim/internal/uopcache"
 	"uopsim/internal/uopq"
 	"uopsim/internal/workload"
@@ -74,7 +75,7 @@ func hostileCore(t *testing.T, name string, scheme int) *core {
 }
 
 // runResult is what a design point reports: its metrics and the JSON of
-// its end-of-run snapshot.
+// its end-of-run snapshot and its measured window.
 type runResult struct {
 	m    Metrics
 	snap []byte
@@ -92,7 +93,7 @@ func measureOn(t *testing.T, c *core, cfg Config, wl *workload.Workload) (runRes
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := json.Marshal(s.StatsSnapshot())
+	snap, err := json.Marshal([]stats.Snapshot{s.StatsSnapshot(), s.Window()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,6 +158,7 @@ func TestReleasedSimPanics(t *testing.T) {
 		{"RunMeasured", func() { s.RunMeasured(0, 1) }},
 		{"RunSampled", func() { s.RunSampled(0, 100, Sampling{}) }},
 		{"StatsSnapshot", func() { s.StatsSnapshot() }},
+		{"Window", func() { s.Window() }},
 	} {
 		func() {
 			defer func() {
@@ -199,7 +201,7 @@ func TestRecycledCoresConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				snap, err := json.Marshal(s.StatsSnapshot())
+				snap, err := json.Marshal([]stats.Snapshot{s.StatsSnapshot(), s.Window()})
 				s.Release()
 				if err != nil {
 					t.Error(err)

@@ -2,8 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"math"
-	"reflect"
 
 	"uopsim/internal/isa"
 	"uopsim/internal/workload"
@@ -189,91 +187,22 @@ func (s *Sim) warmBranch(in *isa.Inst, rec workload.Rec, lastTarget *uint64) {
 	}
 }
 
-// samplingInfo backs the sampling.* gauges registered by noteSampling.
-type samplingInfo struct {
-	sp        Sampling
-	measure   uint64
-	skipped   uint64
-	simulated uint64
-}
-
-// NoteSampling publishes a run's sampling shape into the Sim's registry
-// so every snapshot downstream (cache blobs, -metrics dumps, the daemon's
-// responses) records how the numbers were obtained. RunSampled calls it;
-// external sampled runners (the SMT pair) call it with their own tallies.
-// Registration happens once; a re-sampled Sim updates the backing values.
-func (s *Sim) NoteSampling(sp Sampling, measure, skipped, simulated uint64) {
-	s.noteSampling(samplingInfo{sp: sp, measure: measure, skipped: skipped, simulated: simulated})
-}
-
-func (s *Sim) noteSampling(info samplingInfo) {
-	first := s.sampling == nil
-	if first {
-		s.sampling = &samplingInfo{}
-	}
-	*s.sampling = info
-	if !first {
+// noteSampling publishes a sampled run's shape as sampling.* gauges, so
+// its answer records how the numbers were obtained. The gauges are
+// registered once and read s.sampling, which a re-sampled Sim updates.
+func (s *Sim) noteSampling(sp Sampling, warmup, measure uint64) {
+	k := uint64(sp.Intervals)
+	skipped := warmup + k*(measure/k-sp.WarmupInsts-sp.IntervalInsts)
+	s.sampling = [...]float64{float64(sp.Intervals), float64(sp.IntervalInsts), float64(sp.WarmupInsts),
+		sp.Coverage(measure), float64(skipped), float64(k * (sp.WarmupInsts + sp.IntervalInsts))}
+	if s.sampled {
 		return
 	}
+	s.sampled = true
 	sc := s.reg.Scope("sampling")
-	sc.RegisterGauge("intervals", func() float64 { return float64(s.sampling.sp.Intervals) })
-	sc.RegisterGauge("interval_insts", func() float64 { return float64(s.sampling.sp.IntervalInsts) })
-	sc.RegisterGauge("warmup_insts", func() float64 { return float64(s.sampling.sp.WarmupInsts) })
-	sc.RegisterGauge("coverage", func() float64 { return s.sampling.sp.Coverage(s.sampling.measure) })
-	sc.RegisterGauge("skipped_insts", func() float64 { return float64(s.sampling.skipped) })
-	sc.RegisterGauge("simulated_insts", func() float64 { return float64(s.sampling.simulated) })
-}
-
-// AddSnapshotDelta accumulates the observable delta (b - a) into agg,
-// field by field via reflection so a Snapshot field added later cannot be
-// silently dropped from sampled aggregation.
-func AddSnapshotDelta(agg *Snapshot, a, b Snapshot) {
-	av, bv := reflect.ValueOf(a), reflect.ValueOf(b)
-	gv := reflect.ValueOf(agg).Elem()
-	for i := 0; i < gv.NumField(); i++ {
-		g := gv.Field(i)
-		switch g.Kind() {
-		case reflect.Int64:
-			g.SetInt(g.Int() + bv.Field(i).Int() - av.Field(i).Int())
-		case reflect.Uint64:
-			g.SetUint(g.Uint() + bv.Field(i).Uint() - av.Field(i).Uint())
-		case reflect.Float64:
-			g.SetFloat(g.Float() + bv.Field(i).Float() - av.Field(i).Float())
-		default:
-			panic(fmt.Sprintf("pipeline: Snapshot field %s has unsupported kind %s",
-				gv.Type().Field(i).Name, g.Kind()))
-		}
+	for i, name := range [...]string{"intervals", "interval_insts", "warmup_insts", "coverage", "skipped_insts", "simulated_insts"} {
+		sc.RegisterGauge(name, func() float64 { return s.sampling[i] })
 	}
-}
-
-// scaleRound scales a count to the full-run estimate, rounding to the
-// nearest integer (deterministic: no accumulation order dependence).
-func scaleRound(v uint64, scale float64) uint64 {
-	return uint64(math.Round(float64(v) * scale))
-}
-
-// Extrapolate turns the summed per-interval observable deltas into
-// full-run Metrics: rates (UPC, IPC, hit ratios, MPKI, latencies, power)
-// are exact sample-weighted means computed by MetricsBetween over the
-// aggregate; totals (cycles, instructions, uop/fill/redirect counts) are
-// scaled by measure over the instructions actually measured.
-func Extrapolate(agg Snapshot, measure uint64) Metrics {
-	m := MetricsBetween(Snapshot{}, agg)
-	if m.Insts == 0 {
-		return m
-	}
-	scale := float64(measure) / float64(m.Insts)
-	m.Cycles = int64(math.Round(float64(m.Cycles) * scale))
-	m.Insts = scaleRound(m.Insts, scale)
-	m.UopsOC = scaleRound(m.UopsOC, scale)
-	m.UopsIC = scaleRound(m.UopsIC, scale)
-	m.UopsLC = scaleRound(m.UopsLC, scale)
-	m.Mispredicts = scaleRound(m.Mispredicts, scale)
-	m.DecRedirects = scaleRound(m.DecRedirects, scale)
-	m.Resyncs = scaleRound(m.Resyncs, scale)
-	m.DecodedInsts = scaleRound(m.DecodedInsts, scale)
-	m.OCFills = scaleRound(m.OCFills, scale)
-	return m
 }
 
 // IntervalLead returns the architectural skip lengths before and after
@@ -290,43 +219,4 @@ func (sp Sampling) IntervalLead(i int, measure uint64) (pre, post uint64) {
 	// frac(i*phi) in 32-bit fixed point: 2654435769 = round(2^32/phi).
 	pre = (uint64(uint32(uint64(i)*2654435769)) * slack) >> 32
 	return pre, slack - pre
-}
-
-// RunSampled is the interval-sampled counterpart of RunMeasured: it skips
-// the nominal warmup architecturally, then for each of sp.Intervals
-// strides fast-forwards to the interval's window, cycle-simulates
-// sp.WarmupInsts unmeasured instructions followed by sp.IntervalInsts
-// measured ones, and extrapolates full-run Metrics from the aggregated
-// interval deltas. A disabled sp falls back to full simulation.
-func (s *Sim) RunSampled(warmup, measure uint64, sp Sampling) (Metrics, error) {
-	if measure == 0 {
-		return Metrics{}, errZeroMeasure
-	}
-	sp = sp.WithDefaults(measure)
-	if err := sp.Validate(measure); err != nil {
-		return Metrics{}, err
-	}
-	if !sp.Enabled {
-		return s.RunMeasured(warmup, measure)
-	}
-
-	var agg Snapshot
-	var skipped, simulated uint64
-	skipped += s.FastForward(warmup)
-	for i := 0; i < sp.Intervals; i++ {
-		pre, post := sp.IntervalLead(i, measure)
-		skipped += s.FastForward(pre)
-		if err := s.Run(sp.WarmupInsts); err != nil {
-			return Metrics{}, err
-		}
-		a := s.Snapshot()
-		if err := s.Run(sp.IntervalInsts); err != nil {
-			return Metrics{}, err
-		}
-		AddSnapshotDelta(&agg, a, s.Snapshot())
-		simulated += sp.WarmupInsts + sp.IntervalInsts
-		skipped += s.FastForward(post)
-	}
-	s.NoteSampling(sp, measure, skipped, simulated)
-	return Extrapolate(agg, measure), nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"uopsim/internal/stats"
 	"uopsim/internal/workload"
 )
 
@@ -204,11 +205,25 @@ func TestRunSampledTracksFull(t *testing.T) {
 	}
 }
 
+// TestExtrapolateScalesCounts scales a summed window to a run ten times
+// the measured instructions: totals scale, and so does the window itself,
+// while rates stay those of the measured instructions.
 func TestExtrapolateScalesCounts(t *testing.T) {
-	agg := Snapshot{Cycle: 1000, RetiredUops: 4000, Insts: 2000, UopsOC: 3000, UopsIC: 500, UopsLC: 500, OCLookups: 100, OCHits: 90}
-	m := Extrapolate(agg, 20_000) // 10x the measured 2000 insts
+	r := stats.NewRegistry()
+	for path, n := range map[string]uint64{
+		"pipeline.cycle": 1000, "backend.uops.retired": 4000, "dispatch.insts": 2000,
+		"dispatch.uops.oc": 3000, "dispatch.uops.ic": 500, "dispatch.uops.lc": 500,
+		"oc.lookups": 100, "oc.hits": 90,
+	} {
+		r.Counter(path).Add(n)
+	}
+	win := r.Snapshot()
+	m := extrapolate(&win, 20_000) // 10x the measured 2000 insts
 	if m.Insts != 20_000 || m.Cycles != 10_000 || m.UopsOC != 30_000 {
 		t.Fatalf("bad scaling: %+v", m)
+	}
+	if got := win.Counter("dispatch.insts"); got != m.Insts {
+		t.Fatalf("window dispatch.insts = %d, Metrics.Insts = %d", got, m.Insts)
 	}
 	if math.Abs(m.UPC-4.0) > 1e-9 {
 		t.Fatalf("UPC must be the unscaled ratio, got %v", m.UPC)
@@ -218,16 +233,31 @@ func TestExtrapolateScalesCounts(t *testing.T) {
 	}
 }
 
+// TestAddSnapshotDeltaCoversAllFields requires a measured window to hold
+// every instrument a Sim registers, of every kind, so no kind the
+// simulator uses is one windowing cannot handle, and no instrument is
+// left out of an answer.
 func TestAddSnapshotDeltaCoversAllFields(t *testing.T) {
-	var agg Snapshot
-	a := Snapshot{}
-	b := Snapshot{Cycle: 5, RetiredUops: 1, UopsOC: 2, UopsIC: 3, UopsLC: 4, Insts: 5, Branches: 6,
-		Mispredicts: 7, MispLatSum: 8, DecRedirects: 9, Resyncs: 10, DecodedInsts: 11,
-		DecoderEnergy: 1.5, OCLookups: 12, OCHits: 13, OCFills: 14}
-	AddSnapshotDelta(&agg, a, b)
-	AddSnapshotDelta(&agg, a, b)
-	if agg.Cycle != 10 || agg.Branches != 12 || agg.DecoderEnergy != 3.0 || agg.OCFills != 28 {
-		t.Fatalf("delta accumulation wrong: %+v", agg)
+	sp := Sampling{Enabled: true, Intervals: 2, IntervalInsts: 2_000, WarmupInsts: 1_000}
+	for _, sampling := range []Sampling{{}, sp} {
+		s, err := New(DefaultConfig(), sharedWL(t, "bm_cc"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.RunSampled(2_000, 12_000, sampling); err != nil {
+			t.Fatal(err)
+		}
+		live, win := s.StatsSnapshot(), s.Window()
+		if len(win.Samples) != len(live.Samples) {
+			t.Fatalf("sampled=%v: window holds %d samples, the registry %d", sampling.Enabled, len(win.Samples), len(live.Samples))
+		}
+		for i, sm := range live.Samples {
+			if w := win.Samples[i]; w.Path != sm.Path || w.Kind != sm.Kind {
+				t.Fatalf("sampled=%v: window sample %d is %s %q, registry's is %s %q",
+					sampling.Enabled, i, w.Kind, w.Path, sm.Kind, sm.Path)
+			}
+		}
+		s.Release()
 	}
 }
 

@@ -54,13 +54,13 @@ func (m *DecoderModel) Reset() {
 }
 
 // RegisterMetrics publishes the decoder-energy observables under sc
-// (expected mount point: "power.decoder"). Everything is derived state, so
-// all instruments are snapshot-time gauges.
+// (expected mount point: "power.decoder"): three counts and the energy,
+// a float total, all read at snapshot time.
 func (m *DecoderModel) RegisterMetrics(sc stats.Scope) {
-	sc.RegisterGauge("energy", m.Energy)
-	sc.RegisterGauge("active_cycles", func() float64 { return float64(m.activeCycles) })
-	sc.RegisterGauge("insts", func() float64 { return float64(m.instsDecoded) })
-	sc.RegisterGauge("uops", func() float64 { return float64(m.uopsEmitted) })
+	sc.RegisterTotal("energy", m.Energy)
+	sc.RegisterCounter("active_cycles", stats.CounterFunc(func() uint64 { return uint64(m.activeCycles) }))
+	sc.RegisterCounter("insts", stats.CounterFunc(func() uint64 { return m.instsDecoded }))
+	sc.RegisterCounter("uops", stats.CounterFunc(func() uint64 { return m.uopsEmitted }))
 }
 
 // NoteDecode records the decode of insts instructions producing uops at the
@@ -112,12 +112,3 @@ func (m *DecoderModel) AvgPower(cycles int64) float64 {
 	}
 	return m.Energy() / float64(cycles)
 }
-
-// ActiveCycles returns cycles the decoder was powered.
-func (m *DecoderModel) ActiveCycles() int64 { return m.activeCycles }
-
-// InstsDecoded returns the decode activity count.
-func (m *DecoderModel) InstsDecoded() uint64 { return m.instsDecoded }
-
-// UopsEmitted returns uops produced by the decoder.
-func (m *DecoderModel) UopsEmitted() uint64 { return m.uopsEmitted }

@@ -10,10 +10,10 @@ func TestDynamicEnergy(t *testing.T) {
 	m.NoteDecode(10, 4, 5)
 	m.Finalize(11)
 	wantDyn := 4*m.EnergyPerInst + 5*m.EnergyPerUop
-	if got := m.Energy() - float64(m.ActiveCycles())*m.StaticPerCycle; math.Abs(got-wantDyn) > 1e-9 {
+	if got := m.Energy() - float64(m.activeCycles)*m.StaticPerCycle; math.Abs(got-wantDyn) > 1e-9 {
 		t.Errorf("dynamic energy = %v, want %v", got, wantDyn)
 	}
-	if m.InstsDecoded() != 4 || m.UopsEmitted() != 5 {
+	if m.instsDecoded != 4 || m.uopsEmitted != 5 {
 		t.Error("activity counters wrong")
 	}
 }
@@ -27,8 +27,8 @@ func TestGatingHysteresis(t *testing.T) {
 	// Active: cycle 0 (first use), 5 hysteresis after 0... accounting adds
 	// min(gap, hysteresis) on each use plus the final tail.
 	want := int64(1 + 5 + 1)
-	if m.ActiveCycles() != want {
-		t.Errorf("active cycles = %d, want %d", m.ActiveCycles(), want)
+	if m.activeCycles != want {
+		t.Errorf("active cycles = %d, want %d", m.activeCycles, want)
 	}
 }
 
@@ -39,8 +39,8 @@ func TestContinuousUseStaysPowered(t *testing.T) {
 	}
 	m.Finalize(100)
 	// 100 cycles of back-to-back use: ~100 active cycles plus tail.
-	if m.ActiveCycles() < 100 || m.ActiveCycles() > 100+m.GateHysteresis {
-		t.Errorf("active cycles = %d", m.ActiveCycles())
+	if m.activeCycles < 100 || m.activeCycles > 100+m.GateHysteresis {
+		t.Errorf("active cycles = %d", m.activeCycles)
 	}
 }
 

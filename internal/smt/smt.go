@@ -91,19 +91,7 @@ func (p *Pair) Run(instsPerThread uint64) error {
 // RunMeasured runs warmup then measure instructions per thread and returns
 // per-thread metrics over the measured interval.
 func (p *Pair) RunMeasured(warmup, measure uint64) (a, b pipeline.Metrics, err error) {
-	if measure == 0 {
-		return a, b, fmt.Errorf("smt: measurement interval must be positive")
-	}
-	if warmup > 0 {
-		if err := p.Run(warmup); err != nil {
-			return a, b, err
-		}
-	}
-	sa, sb := p.A.Snapshot(), p.B.Snapshot()
-	if err := p.Run(measure); err != nil {
-		return a, b, err
-	}
-	return pipeline.MetricsBetween(sa, p.A.Snapshot()), pipeline.MetricsBetween(sb, p.B.Snapshot()), nil
+	return p.RunSampled(warmup, measure, pipeline.Sampling{})
 }
 
 // RunSampled is the interval-sampled counterpart of RunMeasured: both
@@ -111,43 +99,10 @@ func (p *Pair) RunMeasured(warmup, measure uint64) (a, b pipeline.Metrics, err e
 // thread consuming its own walker), and each window is cycle-simulated
 // with the usual round-robin interleave so the shared uop cache keeps
 // seeing both threads' fills. Lengths are per thread, mirroring
-// RunMeasured.
+// RunMeasured. It is pipeline.MeasureThreads over the pair, so each
+// thread's Window is its measured window.
 func (p *Pair) RunSampled(warmup, measure uint64, sp pipeline.Sampling) (a, b pipeline.Metrics, err error) {
-	if measure == 0 {
-		return a, b, fmt.Errorf("smt: measurement interval must be positive")
-	}
-	sp = sp.WithDefaults(measure)
-	if err := sp.Validate(measure); err != nil {
-		return a, b, err
-	}
-	if !sp.Enabled {
-		return p.RunMeasured(warmup, measure)
-	}
-
-	var aggA, aggB pipeline.Snapshot
-	var skipped, simulated uint64
-	skip := func(n uint64) {
-		p.A.FastForward(n)
-		p.B.FastForward(n)
-		skipped += n
-	}
-	skip(warmup)
-	for i := 0; i < sp.Intervals; i++ {
-		pre, post := sp.IntervalLead(i, measure)
-		skip(pre)
-		if err := p.Run(sp.WarmupInsts); err != nil {
-			return a, b, err
-		}
-		sa, sb := p.A.Snapshot(), p.B.Snapshot()
-		if err := p.Run(sp.IntervalInsts); err != nil {
-			return a, b, err
-		}
-		pipeline.AddSnapshotDelta(&aggA, sa, p.A.Snapshot())
-		pipeline.AddSnapshotDelta(&aggB, sb, p.B.Snapshot())
-		simulated += sp.WarmupInsts + sp.IntervalInsts
-		skip(post)
-	}
-	p.A.NoteSampling(sp, measure, skipped, simulated)
-	p.B.NoteSampling(sp, measure, skipped, simulated)
-	return pipeline.Extrapolate(aggA, measure), pipeline.Extrapolate(aggB, measure), nil
+	var m [2]pipeline.Metrics
+	err = pipeline.MeasureThreads([]*pipeline.Sim{p.A, p.B}, p.Run, warmup, measure, sp, m[:])
+	return m[0], m[1], err
 }

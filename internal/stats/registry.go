@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,11 +26,15 @@ const (
 	KindHist
 	// KindDist is an exact small-integer-key distribution.
 	KindDist
+	// KindTotal is a cumulative float64 total read through a function,
+	// such as an energy: a counter that is not an integer.
+	KindTotal
 )
 
-var kindNames = [...]string{"counter", "gauge", "mean", "hist", "dist"}
+var kindNames = [...]string{"counter", "gauge", "mean", "hist", "dist", "total"}
 
-// String names the kind ("counter", "gauge", "mean", "hist", "dist").
+// String names the kind ("counter", "gauge", "mean", "hist", "dist",
+// "total").
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {
 		return kindNames[k]
@@ -41,24 +46,32 @@ func (k Kind) String() string {
 // *AtomicCounter both satisfy it.
 type CounterReader interface{ Value() uint64 }
 
+// CounterFunc reads a count kept outside a Counter (a cycle number, a
+// cache level's hit count) as a registered counter.
+type CounterFunc func() uint64
+
+// Value calls f.
+func (f CounterFunc) Value() uint64 { return f() }
+
 // HistReader is the read side of a registered histogram: *Histogram and
 // *SyncHistogram.
 type HistReader interface {
-	readHist() (total uint64, buckets []Bucket)
+	// readHist returns one bucket per histogram cell, in buf's storage.
+	readHist(buf []Bucket) (total uint64, buckets []Bucket)
 }
 
-// MeanReader is the read side of a registered mean: *Mean, and
-// *SyncHistogram, whose running sum makes it a mean too.
+// MeanReader is the read side of a registered mean: *SyncHistogram, whose
+// running sum makes it a mean too.
 type MeanReader interface {
 	readMean() (mean float64, count uint64)
 }
 
 // instrument binds one path to one live instrument: val is the
 // CounterReader, MeanReader, HistReader, *Distribution or func() float64
-// that kind names, and nil while the path is unbound (after Reset). A
-// family member's path is the family path plus its label pair, such as
-// simulations_total{mode="full"}. kind and val change under the
-// registry's lock; path never does.
+// (a gauge's or a total's) that kind names, and nil while the path is
+// unbound (after Reset). A family member's path is the family path plus
+// its label pair, such as simulations_total{mode="full"}. kind and val
+// change under the registry's lock; path never does.
 type instrument struct {
 	path string
 	kind Kind
@@ -67,7 +80,7 @@ type instrument struct {
 
 // kindFamily marks a path a counter family reserved: it is bound, so no
 // instrument or second family can take it, but it has no sample.
-const kindFamily = KindDist + 1
+const kindFamily = KindTotal + 1
 
 // Registry is a hierarchical collection of named instruments. Components
 // register their instruments once at construction under dotted paths
@@ -82,22 +95,22 @@ const kindFamily = KindDist + 1
 // Registering a path the registry holds unbound re-binds it in place and
 // allocates nothing; only a path it has never held allocates. Unbound
 // paths are invisible: after Reset and a set of registrations the
-// registry snapshots, looks up and refuses duplicates exactly as a new
+// registry snapshots and refuses duplicates exactly as a new
 // registry given the same registrations would, and a path may come back
 // as another kind.
 //
-// The registry structure — registration, Reset, lookup, and the
-// snapshot's ordering state — is goroutine-safe behind one mutex.
-// Instrument values are goroutine-safe only when their type is. The
-// simulator's Counter, Mean, Histogram and Distribution are plain values
-// that the cycle loop bumps with no lock, so a registry of them is
-// snapshotted by the goroutine running the simulation. The serving stack
-// registers AtomicCounter and SyncHistogram instead: handler goroutines
-// update them while any other goroutine snapshots. Registration and
-// snapshots take one uncontended lock, never the hot path. Snapshot reads
-// counters, means, histograms and distributions under that lock, so a
-// CounterReader's Value must not call into the registry; gauge closures
-// run after it is released and may.
+// The registry structure — registration, Reset and the snapshot's
+// ordering state — is goroutine-safe behind one mutex. Instrument values
+// are goroutine-safe only when their type is. The simulator's Counter,
+// Histogram and Distribution are plain values that the cycle loop bumps
+// with no lock, so a registry of them is snapshotted by the goroutine
+// running the simulation. The serving stack registers AtomicCounter and
+// SyncHistogram instead: handler goroutines update them while any other
+// goroutine snapshots. Registration and snapshots take one uncontended
+// lock, never the hot path. Snapshot reads counters, means, histograms
+// and distributions under that lock, so a CounterReader's Value must not
+// call into the registry; gauge and total closures run after it is
+// released and may.
 type Registry struct {
 	mu       sync.Mutex
 	byPath   map[string]*instrument //uopvet:guardedby mu
@@ -164,6 +177,13 @@ func (r *Registry) RegisterGauge(path string, fn func() float64) {
 	r.bind("", path, KindGauge, fn)
 }
 
+// RegisterTotal registers a cumulative float total read through fn at
+// snapshot time. Unlike a gauge, a total only grows, so a window
+// (Snapshot.AddDelta) subtracts it.
+func (r *Registry) RegisterTotal(path string, fn func() float64) {
+	r.bind("", path, KindTotal, fn)
+}
+
 // RegisterMean registers an existing running mean at path.
 func (r *Registry) RegisterMean(path string, m MeanReader) {
 	r.bind("", path, KindMean, m)
@@ -199,40 +219,6 @@ func (f Family) RegisterCounter(value string, c CounterReader) {
 // RegisterDist registers an existing distribution at path.
 func (r *Registry) RegisterDist(path string, d *Distribution) {
 	r.bind("", path, KindDist, d)
-}
-
-// lookup returns the instrument bound at path when it is of kind k, or nil.
-func (r *Registry) lookup(path string, k Kind) any {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if in := r.byPath[path]; in != nil && in.kind == k {
-		return in.val
-	}
-	return nil
-}
-
-// CounterValue returns the live value of the counter at path. It panics when
-// the path is unbound or not a counter: lookups are internal wiring, so
-// a miss is a programming error, not a runtime condition.
-func (r *Registry) CounterValue(path string) uint64 {
-	c, ok := r.lookup(path, KindCounter).(CounterReader)
-	if !ok {
-		panic(fmt.Sprintf("stats: %q is not a registered counter", path))
-	}
-	return c.Value()
-}
-
-// GaugeValue returns the live value of the gauge at path (same panic
-// contract as CounterValue).
-func (r *Registry) GaugeValue(path string) float64 {
-	fn, ok := r.lookup(path, KindGauge).(func() float64)
-	if !ok {
-		panic(fmt.Sprintf("stats: %q is not a registered gauge", path))
-	}
-	// The gauge closure runs after unlock: it may read arbitrary locked
-	// subsystem state (engine stats, warehouse stats) and must not be able
-	// to deadlock back into this registry.
-	return fn()
 }
 
 // Scope returns a registration view that prefixes every path with
@@ -286,6 +272,9 @@ func (s Scope) RegisterCounter(path string, c CounterReader) {
 // RegisterGauge registers a derived value under the scope.
 func (s Scope) RegisterGauge(path string, fn func() float64) { s.r.bind(s.prefix, path, KindGauge, fn) }
 
+// RegisterTotal registers a cumulative float total under the scope.
+func (s Scope) RegisterTotal(path string, fn func() float64) { s.r.bind(s.prefix, path, KindTotal, fn) }
+
 // RegisterMean registers an existing mean under the scope.
 func (s Scope) RegisterMean(path string, m MeanReader) { s.r.bind(s.prefix, path, KindMean, m) }
 
@@ -318,70 +307,84 @@ type Sample struct {
 // instrument's state.
 type Snapshot struct {
 	Samples []Sample `json:"samples"`
+
+	// fns is Read's scratch for the gauge and total closures it calls
+	// after releasing the registry's lock; empty between reads.
+	fns []func() float64
 }
 
-// Snapshot reads all bound instruments. The result is independent of the
-// live instruments and of registration order.
+// Snapshot reads all bound instruments into a new snapshot. The result is
+// independent of the live instruments and of registration order.
 func (r *Registry) Snapshot() Snapshot {
-	// Sort, copy the paths and read every instrument but the gauges under
-	// the lock, since Reset and re-registration rebind instruments; call
-	// the gauge closures after releasing it (see GaugeValue). The
-	// comparator works on a local alias because closures are outside the
-	// lock region, and sorting the shared backing array in place is what
-	// makes the sorted bit durable.
+	var s Snapshot
+	r.Read(&s)
+	s.fns = nil
+	return s
+}
+
+// Read reads all bound instruments into dst, replacing its samples but
+// reusing its sample and bucket storage: once dst has held a read of the
+// same paths, reading again allocates nothing. A copy of dst taken before
+// shares that storage and sees it overwritten (Clone copies out).
+func (r *Registry) Read(dst *Snapshot) {
+	// Sort, copy the paths and read every instrument but the gauges and
+	// totals under the lock, since Reset and re-registration rebind
+	// instruments; call their closures after releasing it, so a closure
+	// that reads locked subsystem state (engine or warehouse stats) can
+	// never deadlock back into this registry. The comparator works on a
+	// local alias because closures are outside the lock region, and
+	// sorting the shared backing array in place is what makes the sorted
+	// bit durable.
 	r.mu.Lock()
 	insts := r.insts
 	if !r.sorted {
 		sort.Slice(insts, func(i, j int) bool { return insts[i].path < insts[j].path })
 		r.sorted = true
 	}
-	n, ng := 0, 0
+	n := 0
 	for _, in := range insts {
 		if in.val != nil && in.kind != kindFamily {
 			n++
-			if in.kind == KindGauge {
-				ng++
-			}
 		}
 	}
-	out := Snapshot{Samples: make([]Sample, 0, n)}
-	gauges := make([]func() float64, 0, ng)
+	samples := slices.Grow(dst.Samples[:cap(dst.Samples)], max(n-cap(dst.Samples), 0))[:n]
+	fns := dst.fns[:0]
+	i := 0
 	for _, in := range insts {
 		if in.val == nil || in.kind == kindFamily {
 			continue
 		}
-		s := Sample{Path: in.path, Kind: in.kind.String()}
+		s := &samples[i]
+		i++
+		buckets := s.Buckets[:0]
+		*s = Sample{Path: in.path, Kind: in.kind.String()}
 		switch in.kind {
 		case KindCounter:
 			s.Count = in.val.(CounterReader).Value()
 			s.Value = float64(s.Count)
-		case KindGauge:
-			gauges = append(gauges, in.val.(func() float64))
+		case KindGauge, KindTotal:
+			fns = append(fns, in.val.(func() float64))
 		case KindMean:
 			s.Value, s.Count = in.val.(MeanReader).readMean()
 		case KindHist:
-			s.Count, s.Buckets = in.val.(HistReader).readHist()
+			s.Count, s.Buckets = in.val.(HistReader).readHist(buckets)
 			s.Value = float64(s.Count)
 		case KindDist:
 			d := in.val.(*Distribution)
-			s.Count = d.Total()
-			s.Value = float64(d.Total())
-			keys := d.Keys()
-			s.Buckets = make([]Bucket, 0, len(keys))
-			for _, k := range keys {
-				s.Buckets = append(s.Buckets, Bucket{Le: int64(k), Count: d.counts[k]})
-			}
+			s.Count, s.Buckets = d.Total(), d.readBuckets(buckets)
+			s.Value = float64(s.Count)
 		}
-		out.Samples = append(out.Samples, s)
 	}
 	r.mu.Unlock()
-	for i := range out.Samples {
-		if s := &out.Samples[i]; s.Kind == kindNames[KindGauge] {
-			s.Value = gauges[0]()
-			gauges = gauges[1:]
+	next := fns
+	for i := range samples {
+		if s := &samples[i]; s.Kind == kindNames[KindGauge] || s.Kind == kindNames[KindTotal] {
+			s.Value = next[0]()
+			next = next[1:]
 		}
 	}
-	return out
+	clear(fns) // hold no closure, and so no instrument owner, past the read
+	dst.Samples, dst.fns = samples, fns[:0]
 }
 
 // Sample returns the sample at path, if present.
@@ -465,7 +468,7 @@ func promName(namespace, path string) string {
 
 // WritePrometheus serializes the snapshot in the Prometheus text exposition
 // format. Counters and gauges map directly, a counter family as one TYPE
-// line over its labelled series; means become summaries (_sum/_count);
+// line over its labelled series and a total as a float counter; means become summaries (_sum/_count);
 // histograms become cumulative-bucket histograms; exact distributions are
 // emitted as one labeled gauge series per key.
 func (s Snapshot) WritePrometheus(w io.Writer, namespace string) error {
@@ -489,6 +492,8 @@ func (s Snapshot) WritePrometheus(w io.Writer, namespace string) error {
 			_, err = fmt.Fprintf(w, "%s %d\n", series, sm.Count)
 		case "gauge":
 			_, err = fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", name, name, sm.Value)
+		case "total":
+			_, err = fmt.Fprintf(w, "# TYPE %s counter\n%s %g\n", name, name, sm.Value)
 		case "mean":
 			_, err = fmt.Fprintf(w, "# TYPE %s summary\n%s_sum %g\n%s_count %d\n",
 				name, name, sm.Value*float64(sm.Count), name, sm.Count)

@@ -14,20 +14,20 @@ import (
 // that holds only the registrations since the last Reset. The operations
 // register each instrument kind or a counter family at a path from a small
 // alphabet (directly, or through nested Scopes, so one path is reached by
-// several routes), repeat the last registration, Reset, look up a counter
-// or a gauge, and snapshot. After every operation both registries must
-// agree: the same panic or none, the same lookup values and the same
-// snapshot. A model of the paths bound since the last Reset says which
+// several routes), repeat the last registration, Reset, read the recycled
+// registry into one reused Snapshot, and snapshot. After every operation
+// both registries must agree: the same panic or none and the same
+// snapshot, whether new or read into reused storage. A model of the paths bound since the last Reset says which
 // registrations must panic and which samples a snapshot holds.
 func FuzzRegistryResetMatchesFresh(f *testing.F) {
 	f.Add([]byte{})
 	// Each kind at one path, Reset, each path back as the next kind, a
-	// duplicate, a family over a reset path, lookups and snapshots.
+	// duplicate, a family over a reset path, reads and snapshots.
 	f.Add([]byte{
-		0, 0, 1, 5, 2, 10, 3, 15, 4, 1, 9, 2, 10, 0, 6, 0, 7, 5,
-		5, 0,
-		1, 0, 2, 5, 3, 10, 4, 15, 0, 1, 8, 0, 9, 0, 10, 0, 6, 1, 7, 0,
-		5, 0, 10, 0, 0, 3, 0, 12, 10, 0,
+		0, 0, 1, 5, 2, 10, 3, 15, 4, 1, 5, 6, 9, 2, 10, 0, 7, 0, 7, 5,
+		6, 0,
+		1, 0, 2, 5, 3, 10, 4, 15, 5, 1, 0, 6, 8, 0, 9, 0, 10, 0, 7, 1, 7, 0,
+		6, 0, 10, 0, 0, 3, 0, 12, 7, 0, 10, 0,
 	})
 	// Long generations of random operations, so a registry is reset with
 	// many paths held and comes back to most of them.
@@ -55,9 +55,8 @@ func FuzzRegistryResetMatchesFresh(f *testing.F) {
 // Operation codes of FuzzRegistryResetMatchesFresh; an operation byte is
 // taken modulo opCount. Codes below opReset register that Kind.
 const (
-	opReset = iota + byte(KindDist) + 1
-	opCounterValue
-	opGaugeValue
+	opReset = iota + byte(KindTotal) + 1
+	opRead
 	opRepeat
 	opFamily
 	opSnapshot
@@ -75,6 +74,7 @@ var leaves = [...]string{"x", "y", "b.x", "a.b.x"}
 type registrar interface {
 	RegisterCounter(string, CounterReader)
 	RegisterGauge(string, func() float64)
+	RegisterTotal(string, func() float64)
 	RegisterMean(string, MeanReader)
 	RegisterHist(string, HistReader)
 	RegisterDist(string, *Distribution)
@@ -116,11 +116,11 @@ func newRegOp(kind Kind, arg byte) regOp {
 		c := &Counter{}
 		c.Add(uint64(v))
 		o.val = c
-	case KindGauge:
+	case KindGauge, KindTotal:
 		o.val = func() float64 { return float64(v) / 4 }
 	case KindMean:
-		m := &Mean{}
-		m.Observe(float64(v))
+		m := NewSyncHistogram(4, 8)
+		m.Observe(v)
 		o.val = m
 	case KindHist:
 		h := NewHistogram(4, 8)
@@ -148,8 +148,10 @@ func (o regOp) apply(r *Registry) bool {
 			reg.RegisterCounter(o.leaf, o.val.(*Counter))
 		case KindGauge:
 			reg.RegisterGauge(o.leaf, o.val.(func() float64))
+		case KindTotal:
+			reg.RegisterTotal(o.leaf, o.val.(func() float64))
 		case KindMean:
-			reg.RegisterMean(o.leaf, o.val.(*Mean))
+			reg.RegisterMean(o.leaf, o.val.(*SyncHistogram))
 		case KindHist:
 			reg.RegisterHist(o.leaf, o.val.(*Histogram))
 		case KindDist:
@@ -167,14 +169,16 @@ func panics(fn func()) (p bool) {
 }
 
 // resetTwin holds a registry recycled by Reset, a new registry per
-// generation (the registrations since the last Reset), and the kinds the
-// current generation bound.
+// generation (the registrations since the last Reset), the kinds the
+// current generation bound, and the snapshot opRead reads the recycled
+// registry into, across generations.
 type resetTwin struct {
 	t      *testing.T
 	reused *Registry
 	fresh  *Registry
 	bound  map[string]Kind
 	last   *regOp
+	buf    Snapshot
 }
 
 func (tw *resetTwin) apply(op, arg byte) {
@@ -184,18 +188,12 @@ func (tw *resetTwin) apply(op, arg byte) {
 		tw.reused.Reset()
 		tw.fresh = NewRegistry()
 		clear(tw.bound)
-	case opCounterValue, opGaugeValue:
-		path := newRegOp(KindCounter, arg).path()
-		kind, read := KindCounter, func(r *Registry) float64 { return float64(r.CounterValue(path)) }
-		if op == opGaugeValue {
-			kind, read = KindGauge, func(r *Registry) float64 { return r.GaugeValue(path) }
-		}
-		var got, want float64
-		gotPanic := panics(func() { got = read(tw.reused) })
-		wantPanic := panics(func() { want = read(tw.fresh) })
-		if k, ok := tw.bound[path]; gotPanic != wantPanic || gotPanic != (!ok || k != kind) || got != want {
-			t.Fatalf("%s lookup of %q: reset registry %v (panic %v), new registry %v (panic %v), bound %v",
-				kind, path, got, gotPanic, want, wantPanic, tw.bound)
+	case opRead:
+		// Clone drops the difference between a nil and an empty bucket
+		// list, which reused storage may leave.
+		tw.reused.Read(&tw.buf)
+		if got, want := tw.buf.Clone(), tw.fresh.Snapshot().Clone(); !sameSamples(got.Samples, want.Samples) {
+			t.Fatalf("read into a reused snapshot differs from a new registry's snapshot:\nread %+v\nnew  %+v", got, want)
 		}
 	case opSnapshot:
 		tw.compareSnapshots()

@@ -9,9 +9,10 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -55,43 +56,6 @@ func Ratio(a, b uint64) float64 {
 	}
 	return float64(a) / float64(b)
 }
-
-// Mean is a running arithmetic mean over observed samples.
-type Mean struct {
-	sum   float64
-	count uint64
-}
-
-// Observe adds one sample.
-func (m *Mean) Observe(x float64) {
-	m.sum += x
-	m.count++
-}
-
-// ObserveN adds n identical samples. Useful for weighted accumulation.
-func (m *Mean) ObserveN(x float64, n uint64) {
-	m.sum += x * float64(n)
-	m.count += n
-}
-
-// Value returns the mean, or 0 with no samples.
-func (m *Mean) Value() float64 {
-	if m.count == 0 {
-		return 0
-	}
-	return m.sum / float64(m.count)
-}
-
-// Count returns the number of samples observed.
-func (m *Mean) Count() uint64 { return m.count }
-
-// Sum returns the raw sample sum.
-func (m *Mean) Sum() float64 { return m.sum }
-
-// Reset discards all samples.
-func (m *Mean) Reset() { *m = Mean{} }
-
-func (m *Mean) readMean() (float64, uint64) { return m.Value(), m.count }
 
 // Histogram is a bucketed distribution over non-negative integer samples.
 // Bucket boundaries are fixed at construction: bucket i holds samples x with
@@ -196,14 +160,14 @@ func (h *Histogram) Reset() {
 	h.total = 0
 }
 
-func (h *Histogram) readHist() (uint64, []Bucket) {
-	buckets := make([]Bucket, len(h.counts))
+func (h *Histogram) readHist(buf []Bucket) (uint64, []Bucket) {
+	buckets := buf[:0]
 	for i, n := range h.counts {
 		le := int64(math.MaxInt64)
 		if i < len(h.bounds) {
 			le = int64(h.bounds[i])
 		}
-		buckets[i] = Bucket{Le: le, Count: n}
+		buckets = append(buckets, Bucket{Le: le, Count: n})
 	}
 	return h.total, buckets
 }
@@ -244,10 +208,10 @@ func (h *SyncHistogram) Quantile(q float64) float64 {
 	return h.h.Quantile(q)
 }
 
-func (h *SyncHistogram) readHist() (uint64, []Bucket) {
+func (h *SyncHistogram) readHist(buf []Bucket) (uint64, []Bucket) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.h.readHist()
+	return h.h.readHist(buf)
 }
 
 func (h *SyncHistogram) readMean() (float64, uint64) {
@@ -289,14 +253,15 @@ func (d *Distribution) Fraction(k int) float64 {
 // Total returns the total number of samples.
 func (d *Distribution) Total() uint64 { return d.total }
 
-// Keys returns the observed keys in ascending order.
-func (d *Distribution) Keys() []int {
-	keys := make([]int, 0, len(d.counts))
-	for k := range d.counts {
-		keys = append(keys, k)
+// readBuckets returns one bucket per observed key, in ascending key
+// order, in buf's storage.
+func (d *Distribution) readBuckets(buf []Bucket) []Bucket {
+	buckets := buf[:0]
+	for k, c := range d.counts {
+		buckets = append(buckets, Bucket{Le: int64(k), Count: c})
 	}
-	sort.Ints(keys)
-	return keys
+	slices.SortFunc(buckets, func(a, b Bucket) int { return cmp.Compare(a.Le, b.Le) })
+	return buckets
 }
 
 // GeoMean returns the geometric mean of xs. Non-positive entries are skipped

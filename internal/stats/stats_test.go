@@ -32,26 +32,6 @@ func TestRatio(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	var m Mean
-	if m.Value() != 0 {
-		t.Error("empty mean should be 0")
-	}
-	m.Observe(2)
-	m.Observe(4)
-	if m.Value() != 3 {
-		t.Errorf("got %v, want 3", m.Value())
-	}
-	m.ObserveN(10, 2)
-	if m.Count() != 4 || m.Value() != (2+4+20)/4.0 {
-		t.Errorf("ObserveN wrong: count=%d value=%v", m.Count(), m.Value())
-	}
-	m.Reset()
-	if m.Count() != 0 {
-		t.Error("reset failed")
-	}
-}
-
 func TestHistogramBuckets(t *testing.T) {
 	h := NewHistogram(19, 39)
 	for _, x := range []int{1, 19, 20, 39, 40, 64, 100} {
@@ -116,17 +96,16 @@ func TestDistribution(t *testing.T) {
 	if d.Fraction(7) != 0 {
 		t.Errorf("unobserved key fraction = %v", d.Fraction(7))
 	}
-	keys := d.Keys()
-	if len(keys) != 2 || keys[0] != 1 || keys[1] != 2 {
-		t.Errorf("keys = %v", keys)
+	if b := d.readBuckets(nil); len(b) != 2 || b[0] != (Bucket{Le: 1, Count: 2}) || b[1] != (Bucket{Le: 2, Count: 1}) {
+		t.Errorf("buckets = %v", b)
 	}
 	d.Reset()
-	if d.Total() != 0 || len(d.Keys()) != 0 || d.Fraction(1) != 0 {
-		t.Errorf("after Reset: total %d, keys %v", d.Total(), d.Keys())
+	if d.Total() != 0 || len(d.readBuckets(nil)) != 0 || d.Fraction(1) != 0 {
+		t.Errorf("after Reset: total %d, buckets %v", d.Total(), d.readBuckets(nil))
 	}
 	d.Observe(3)
-	if keys := d.Keys(); len(keys) != 1 || keys[0] != 3 || d.Fraction(3) != 1 {
-		t.Errorf("after Reset and one sample: keys %v, fraction(3) %v", keys, d.Fraction(3))
+	if b := d.readBuckets(nil); len(b) != 1 || b[0].Le != 3 || d.Fraction(3) != 1 {
+		t.Errorf("after Reset and one sample: buckets %v, fraction(3) %v", b, d.Fraction(3))
 	}
 }
 

@@ -41,12 +41,12 @@ func NewStats() *Stats {
 }
 
 // Register publishes every uop-cache instrument under sc (expected mount
-// point: "oc"). The paper-figure derived metrics are exported as gauges so
-// a snapshot alone can rebuild Figs 5/6/9/12/18/19.
+// point: "oc"). All are counts, so a measured window of them alone
+// rebuilds Figs 5/6/9/12/18/19: each figure's fraction is a ratio of two
+// windowed counts (Fig 6's is entry.term.takenbranch over fills).
 func (s *Stats) Register(sc stats.Scope) {
 	sc.RegisterCounter("lookups", &s.Lookups)
 	sc.RegisterCounter("hits", &s.Hits)
-	sc.RegisterGauge("hit_rate", s.HitRate)
 
 	sc.RegisterCounter("fills", &s.Fills)
 	sc.RegisterCounter("fills.deduped", &s.FillsDeduped)
@@ -69,11 +69,6 @@ func (s *Stats) Register(sc stats.Scope) {
 
 	sc.RegisterCounter("smc.probes", &s.InvalProbes)
 	sc.RegisterCounter("smc.entries", &s.InvalEntries)
-
-	frac := sc.Scope("frac")
-	frac.RegisterGauge("taken_term", s.TakenTermFraction)
-	frac.RegisterGauge("span", s.SpanFraction)
-	frac.RegisterGauge("compacted", s.CompactedFraction)
 }
 
 // HitRate returns lookup hit rate.

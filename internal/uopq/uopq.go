@@ -75,7 +75,6 @@ type Queue struct {
 func (q *Queue) RegisterMetrics(sc stats.Scope) {
 	sc.RegisterCounter("pushes", &q.pushes)
 	sc.RegisterCounter("flushes", &q.flushes)
-	sc.RegisterGauge("occ", func() float64 { return float64(q.size) })
 }
 
 // NewQueue builds a queue with the given capacity.

@@ -77,7 +77,8 @@ const (
 type ExperimentParams = experiments.Params
 
 // ExperimentRun is one completed simulation inside an experiment sweep; its
-// Snapshot carries the full metrics registry state (see Params.SnapshotSink).
+// Snapshot is the run's measured window of the metrics registry (see
+// StatsSnapshot and Params.SnapshotSink).
 type ExperimentRun = experiments.Run
 
 // RunEngine is the shared design-point engine: attach one to
@@ -195,10 +196,13 @@ func EstimateValidate(w io.Writer, p ExperimentParams, o EstimateValidateOptions
 	return experiments.EstimateValidate(w, p, o)
 }
 
-// StatsSnapshot is a stable-ordered dump of every registered instrument.
-// Simulator.StatsSnapshot returns one; it exports to JSON (WriteJSON) and
-// Prometheus text format (WritePrometheus) and answers point queries by
-// dotted path (Counter, Value, Sample).
+// StatsSnapshot is a stable-ordered dump of registered instruments. It
+// exports to JSON (WriteJSON) and Prometheus text format (WritePrometheus)
+// and answers point queries by dotted path (Counter, Value, Sample). An
+// answer's snapshot (ExperimentRun.Snapshot, Simulator.Window) is the
+// measured window: what the registry counted over the measured
+// instructions, the same ones Metrics covers. Simulator.StatsSnapshot is
+// the live registry, cumulative since the simulator was built.
 type StatsSnapshot = stats.Snapshot
 
 // Observer receives per-cycle pipeline events and buffer occupancy. Attach
@@ -212,9 +216,14 @@ type RingObserver = pipeline.RingObserver
 func NewRingObserver(n int) *RingObserver { return pipeline.NewRingObserver(n) }
 
 // MetricsFromSnapshots derives interval metrics from two registry snapshots
-// taken before and after a measurement window. Counter samples carry exact
-// integer counts, so this matches Simulator.RunMeasured bit-for-bit.
-func MetricsFromSnapshots(a, b StatsSnapshot) Metrics { return pipeline.MetricsFromStats(a, b) }
+// taken before and after a measurement window: the metrics of the window
+// between them. Counter samples carry exact integer counts, so this
+// matches Simulator.RunMeasured bit-for-bit.
+func MetricsFromSnapshots(a, b StatsSnapshot) Metrics {
+	var w StatsSnapshot
+	w.AddDelta(a, b)
+	return pipeline.MetricsOf(w)
+}
 
 // Compaction allocation policies (§V-B of the paper).
 const (
